@@ -49,10 +49,8 @@ def _witness_lines(d: CoDecomposition, w: Witness) -> list[str]:
 def cmd_solve(args) -> int:
     d = jsonio.parse_diagram(_load(args.diagram))
     fvs = _parse_fvs(args.fvs, d.shape.n)
-    jobs = 1 if args.deterministic else args.jobs
     t0 = time.perf_counter()
-    result = inlim(d, fvs=fvs, k_max=args.fvs_max,
-                   want_witness=args.witness, jobs=jobs)
+    result = inlim(d, fvs=fvs, k_max=args.fvs_max, want_witness=args.witness)
     elapsed = (time.perf_counter() - t0) * 1000.0
     print(f"n={d.shape.n}")
     print(f"w={d.width()}")
@@ -203,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="print a matching family when NONEMPTY")
     p.add_argument("--deterministic", action="store_true",
-                   help="byte-identical output: no timing line, sequential tests")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for section tests")
+                   help="no timing line")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("oracle", help="decide by brute-force enumeration")
@@ -271,6 +267,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (jsonio.ParseError, oracle.CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means NONEMPTY/HOM: a crash must not escape as a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

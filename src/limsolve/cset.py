@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .diagram import CoDecomposition, Verdict
 from .finset import FinFn, FinSetObj, compose
 from .graphs import SimpleGraph, VertexSet
-from .solver import inlim
+from .solver import _resolve_fvs, inlim
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,10 @@ def cset_inlim(
     problems = validate_cset_codecomp(d)
     if problems:
         raise ValueError("invalid C-set diagram: " + "; ".join(problems))
+    # the slices share the shape, so one feedback vertex set serves them all
+    s = _resolve_fvs(d.shape, fvs, k_max)
     for c in range(d.cat.object_count):
-        result = inlim(pointwise_slice(d, c), fvs=fvs, k_max=k_max,
-                       early_exit=early_exit)
+        result = inlim(pointwise_slice(d, c), fvs=s, early_exit=early_exit)
         if not result.verdict.empty_limit:
             return Verdict(False)
     return Verdict(True)

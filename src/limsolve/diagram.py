@@ -156,33 +156,52 @@ def filter_edge(d: CoDecomposition, m: SubMask, e: int) -> SubMask:
     """
     if not 0 <= e < d.shape.m:
         raise ValueError(f"no edge with id {e}")
-    u, v, fib_u, fib_v = d.edge_data[e]
-    mu = m.vertex[u]
-    mv = m.vertex[v]
-    hit_u = 0
-    hit_v = 0
-    for t in range(len(fib_u)):
-        if fib_u[t] & mu:
-            hit_u |= 1 << t
-        if fib_v[t] & mv:
-            hit_v |= 1 << t
-    common = hit_u & hit_v
-    m.edge[e] = common
-    if common == hit_u and common == hit_v:
-        # every masked element already has a partner
-        return m
-    new_u = 0
-    new_v = 0
-    c = common
-    while c:
-        low = c & -c
-        t = low.bit_length() - 1
-        new_u |= fib_u[t]
-        new_v |= fib_v[t]
-        c ^= low
-    m.vertex[u] = mu & new_u
-    m.vertex[v] = mv & new_v
+    filter_edges(d, m, (e,))
     return m
+
+
+def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
+    """Apply the edge filter of ``filter_edge`` to each edge of eids in turn.
+
+    Returns False at the first edge whose shared image is empty; that edge
+    and both its endpoints are then zeroed, so the mask stays leg-closed.
+    This loop dominates the solver's running time.
+    """
+    vert = m.vertex
+    edge = m.edge
+    edge_data = d.edge_data
+    for e in eids:
+        u, v, fib_u, fib_v = edge_data[e]
+        mu = vert[u]
+        mv = vert[v]
+        hit_u = 0
+        hit_v = 0
+        for t in range(len(fib_u)):
+            if fib_u[t] & mu:
+                hit_u |= 1 << t
+            if fib_v[t] & mv:
+                hit_v |= 1 << t
+        common = hit_u & hit_v
+        edge[e] = common
+        if not common:
+            vert[u] = 0
+            vert[v] = 0
+            return False
+        if common == hit_u and common == hit_v:
+            # every masked element already has a partner
+            continue
+        new_u = 0
+        new_v = 0
+        c = common
+        while c:
+            low = c & -c
+            t = low.bit_length() - 1
+            new_u |= fib_u[t]
+            new_v |= fib_v[t]
+            c ^= low
+        vert[u] = mu & new_u
+        vert[v] = mv & new_v
+    return True
 
 
 def glue(

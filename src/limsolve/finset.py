@@ -67,9 +67,10 @@ class FinFn:
         if len(table) != self.source_size:
             raise ValueError("table length differs from source size")
         for i, t in enumerate(table):
-            if not 0 <= t < self.target_size:
-                raise ValueError(f"table entry {t} at {i} not below target size "
-                                 f"{self.target_size}")
+            # bool is an int subclass but no element index
+            if type(t) is not int or not 0 <= t < self.target_size:
+                raise ValueError(f"table entry {t!r} at {i} is not an integer "
+                                 f"below target size {self.target_size}")
 
     def __call__(self, i: int) -> int:
         return self.table[i]

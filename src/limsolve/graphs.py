@@ -16,9 +16,14 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "_incidence")
 
     def __init__(self, n: int, edges=()):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        # ids are never coerced: bool is an int subclass but no vertex id
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} is not an integer")
+        edges = tuple((u, v) for u, v in edges)
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}): endpoints must be integers")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -27,7 +32,7 @@ class SimpleGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge {{{u},{v}}}")
             seen.add(key)
-        self.n = int(n)
+        self.n = n
         self.edges = edges
         self._incidence = None
 

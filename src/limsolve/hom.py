@@ -50,8 +50,8 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
     covered = set()
     for bag in b.bags:
         for v in bag:
-            if not 0 <= v < b.x.n:
-                return [f"bag vertex {v} outside the target graph"]
+            if type(v) is not int or not 0 <= v < b.x.n:
+                return [f"bag vertex {v!r} outside the target graph"]
         covered.update(bag)
     for v in range(b.x.n):
         if v not in covered:

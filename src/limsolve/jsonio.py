@@ -34,6 +34,13 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _int(value, where: str) -> int:
+    # JSON true/false load as bool, a subclass of int; neither is an id
+    if type(value) is not int:
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
     edges = _require(obj, "edges", where)
@@ -56,7 +63,7 @@ def parse_finset(obj, where: str = "set") -> FinSetObj:
             raise ParseError(f"{where}: {exc}") from exc
     if isinstance(obj, dict) and "size" in obj:
         try:
-            return FinSetObj(int(obj["size"]))
+            return FinSetObj(_int(obj["size"], "size"))
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected 'size' or 'elements'")
@@ -85,7 +92,7 @@ def parse_fn(obj, source: FinSetObj, target: FinSetObj, where: str = "map") -> F
             entries.append(tix[val])
         table = entries
     try:
-        return FinFn(source.size, target.size, tuple(int(t) for t in table))
+        return FinFn(source.size, target.size, table)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -111,11 +118,11 @@ def parse_diagram(obj) -> CoDecomposition:
     for i, leg in enumerate(_require(obj, "legs", "diagram")):
         e = _require(leg, "edge", f"leg {i}")
         x = _require(leg, "endpoint", f"leg {i}")
-        if not 0 <= e < shape.m:
-            raise ParseError(f"leg {i}: no edge with id {e}")
+        if type(e) is not int or not 0 <= e < shape.m:
+            raise ParseError(f"leg {i}: no edge with id {e!r}")
         u, v = shape.edges[e]
-        if x not in (u, v):
-            raise ParseError(f"leg {i}: vertex {x} is not an endpoint of edge {e}")
+        if type(x) is not int or x not in (u, v):
+            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
         if x in legs[e]:
             raise ParseError(f"leg {i}: duplicate leg for edge {e} at vertex {x}")
         legs[e][x] = parse_fn(leg, vsets[x], esets[e], f"leg {i}")
@@ -150,22 +157,24 @@ def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
 
 
 def parse_fincat(obj) -> FinCat:
-    n = _require(obj, "objects", "category")
+    n = _int(_require(obj, "objects", "category"), "category objects")
     morphisms = _require(obj, "morphisms", "category")
     src = [0] * len(morphisms)
     tgt = [0] * len(morphisms)
     seen = set()
     for m in morphisms:
-        i = _require(m, "id", "morphism")
+        i = _int(_require(m, "id", "morphism"), "morphism id")
         if not 0 <= i < len(morphisms) or i in seen:
             raise ParseError(f"category: bad or duplicate morphism id {i}")
         seen.add(i)
-        src[i] = _require(m, "src", "morphism")
-        tgt[i] = _require(m, "tgt", "morphism")
+        src[i] = _int(_require(m, "src", "morphism"), "morphism src")
+        tgt[i] = _int(_require(m, "tgt", "morphism"), "morphism tgt")
     identities = _require(obj, "identities", "category")
     comp = _require(obj, "comp", "category")
-    cat = FinCat(int(n), tuple(src), tuple(tgt), tuple(identities),
-                 tuple(tuple(row) for row in comp))
+    cat = FinCat(n, tuple(src), tuple(tgt),
+                 tuple(_int(i, "identity") for i in identities),
+                 tuple(tuple(_int(gf, "comp entry") for gf in row)
+                       for row in comp))
     problems = validate_fincat(cat)
     if problems:
         raise ParseError("invalid category: " + "; ".join(problems))
@@ -216,11 +225,11 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     for i, leg in enumerate(_require(obj, "legs", "cset diagram")):
         e = _require(leg, "edge", f"leg {i}")
         x = _require(leg, "endpoint", f"leg {i}")
-        if not 0 <= e < shape.m:
-            raise ParseError(f"leg {i}: no edge with id {e}")
+        if type(e) is not int or not 0 <= e < shape.m:
+            raise ParseError(f"leg {i}: no edge with id {e!r}")
         u, v = shape.edges[e]
-        if x not in (u, v):
-            raise ParseError(f"leg {i}: vertex {x} is not an endpoint of edge {e}")
+        if type(x) is not int or x not in (u, v):
+            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
         maps = _require(leg, "maps", f"leg {i}")
         if len(maps) != cat.object_count:
             raise ParseError(f"leg {i}: one map per C-object required")

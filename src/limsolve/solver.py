@@ -1,30 +1,34 @@
 """Deciding emptiness of diagram limits.
 
-The pipeline: on forest shapes, a two-pass edge-filter sweep computes the
-image subdiagram (the elements extendable to a global matching family) in
-O(w^2 * n); general shapes are reduced to forests by pinning each feedback
-vertex to a single element and running one forest test per combination of
-pinned values.  The limit is empty iff every such section test is empty.
+The paper's reduction, as one core over masks on the base diagram.  Every
+vertex of a feedback vertex set S is pinned to a single element, and one
+section test runs per combination of pinned values; the limit is empty iff
+every test is empty.  The BFS plan of the forest G - S is built once per
+solve, and its edge count is the check that S is a feedback vertex set.
+A test copies the full masks, writes the pinned elements, filters the
+pinned vertices' edges, and runs the leaves-to-root pass over the plan:
+on a tree, the root mask after that pass is nonempty iff a matching family
+exists, so that pass alone decides the test.  The root-to-leaves pass, which
+turns the masks into the image subdiagram, runs only for image_tree and for
+the witness of the first nonempty test.  Total cost O(w^k * w^2 * n).
 
-The sweep is iterative on purpose: path shapes with 10^5 vertices would
+The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .diagram import (
     CoDecomposition,
     SubMask,
     Verdict,
-    filter_edge,
+    filter_edges,
     restrict_to_subgraph,
 )
-from .finset import bits
-from .graphs import VertexSet, fvs_exact, is_forest, remove_vertices
+from .graphs import SimpleGraph, VertexSet, fvs_exact
 
 
 @dataclass(frozen=True)
@@ -94,24 +98,29 @@ def discrete_inlim(d: CoDecomposition) -> Verdict:
     return Verdict(any(o.size == 0 for o in d.vertex_obj))
 
 
-def _forest_plan(d: CoDecomposition) -> list[tuple[int, list[int]]]:
-    """Per component: (root, edge ids in discovery order from the root).
+def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int], list[int]]:
+    """The sweep schedule of g minus s: (edge ids leaves-to-root, vertices
+    alone in their component).
 
-    One traversal serves as component finder, forest check (a component
-    uses exactly |vertices| - 1 discovery edges iff it is a tree), and
-    sweep schedule.
+    One BFS per component, rooted at its lowest vertex, serves as component
+    finder, forest check (g - s is a forest iff the BFS discovers all of its
+    edges) and schedule: reversed discovery order runs leaves-to-root.
     """
-    g = d.shape
     inc = g.incidence
     seen = [False] * g.n
-    plans = []
-    tree_edges = 0
+    inner = g.m
+    if s:
+        for v in s:  # byte-wise; testing s.mask per vertex is O(n^2 / 64)
+            seen[v] = True
+        inner -= sum(1 for u, v in g.edges if seen[u] or seen[v])
+    order: list[int] = []
+    lone = []
     for r in range(g.n):
         if seen[r]:
             continue
         seen[r] = True
+        start = len(order)
         queue = [r]
-        order: list[int] = []
         head = 0
         while head < len(queue):
             x = queue[head]
@@ -121,57 +130,22 @@ def _forest_plan(d: CoDecomposition) -> list[tuple[int, list[int]]]:
                     seen[w] = True
                     order.append(e)
                     queue.append(w)
-        tree_edges += len(order)
-        plans.append((r, order))
-    if tree_edges != g.m:
-        raise ValueError("shape is not a forest")
-    return plans
+        if len(order) == start:
+            lone.append(r)
+    if len(order) != inner:
+        raise ValueError("shape is not a forest" if s is None else
+                         "supplied vertex set is not a feedback vertex set")
+    order.reverse()
+    return order, lone
 
 
-def _sweep_component(d: CoDecomposition, m: SubMask, root: int,
-                     order: list[int]) -> bool:
-    """Filter the component's edges leaves-to-root then root-to-leaves.
-
-    Afterwards the component's masks hold exactly the elements extendable
-    to a matching family of the component; returns False if that is empty.
-    The filter body is inlined: this loop dominates the solver's runtime.
-    """
-    vert = m.vertex
-    if not order:
-        return vert[root] != 0
-    edge = m.edge
-    edge_data = d.edge_data
-    for chunk in (reversed(order), order):
-        for e in chunk:
-            u, v, fib_u, fib_v = edge_data[e]
-            mu = vert[u]
-            mv = vert[v]
-            hit_u = 0
-            hit_v = 0
-            for t in range(len(fib_u)):
-                if fib_u[t] & mu:
-                    hit_u |= 1 << t
-                if fib_v[t] & mv:
-                    hit_v |= 1 << t
-            common = hit_u & hit_v
-            if not common:
-                edge[e] = 0
-                return False
-            edge[e] = common
-            if common == hit_u and common == hit_v:
-                continue
-            new_u = 0
-            new_v = 0
-            c = common
-            while c:
-                low = c & -c
-                t = low.bit_length() - 1
-                new_u |= fib_u[t]
-                new_v |= fib_v[t]
-                c ^= low
-            vert[u] = mu & new_u
-            vert[v] = mv & new_v
-    return True
+def _leaves_to_root(d: CoDecomposition, m: SubMask,
+                    plan: tuple[list[int], list[int]]) -> bool:
+    """The first sweep pass, in place.  Afterwards every vertex keeps the
+    elements that extend over its subtree, so the planned forest admits a
+    matching family iff this returns True."""
+    up, lone = plan
+    return filter_edges(d, m, up) and all(m.vertex[r] for r in lone)
 
 
 def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
@@ -181,74 +155,59 @@ def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
     matching family; in particular, if any component admits no family, the
     whole result is zero (there are no global families at all).
     """
-    plans = _forest_plan(d)
+    plan = _forest_plan(d.shape)
     out = m.copy()
-    for root, order in plans:
-        if not _sweep_component(d, out, root, order):
-            out.zero()
-            return out
+    if _leaves_to_root(d, out, plan):
+        filter_edges(d, out, reversed(plan[0]))
+    else:
+        out.zero()
     return out
 
 
 def forest_initial(d: CoDecomposition, m: SubMask) -> Verdict:
-    """Emptiness for forest shapes: sweep each component and check the
-    surviving elements at one vertex (empty somewhere iff empty everywhere
-    within a component)."""
-    plans = _forest_plan(d)
-    work = m.copy()
-    for root, order in plans:
-        if not _sweep_component(d, work, root, order):
-            return Verdict(True)
-    return Verdict(False)
+    """Emptiness for forest shapes, by the leaves-to-root pass alone."""
+    return Verdict(not _leaves_to_root(d, m.copy(), _forest_plan(d.shape)))
 
 
-def section_tests(d: CoDecomposition, s: VertexSet, edge_order: str = "asc"):
+def _pinned_masks(d: CoDecomposition, s: VertexSet):
+    """Per way of pinning every vertex of s to one element, in lexicographic
+    order: (the choices, the full masks with the pinned elements written and
+    the pinned vertices' edges filtered, or None if a mask emptied)."""
+    pinned = list(s)
+    inc = d.shape.incidence
+    pin_edges = [e for v in pinned for e, _ in inc[v]]
+    base = d.full_mask()
+    for combo in itertools.product(*(range(d.vertex_obj[v].size) for v in pinned)):
+        choices = tuple(zip(pinned, combo))
+        m = base.copy()
+        for v, a in choices:
+            m.vertex[v] = 1 << a
+        yield choices, (m if filter_edges(d, m, pin_edges) else None)
+
+
+def section_tests(d: CoDecomposition, s: VertexSet):
     """Lazily yield one SectionTest per way of pinning every vertex of the
     feedback vertex set s to a single element.
 
     Pinned combinations are enumerated lexicographically.  For each one,
     every edge incident to a pinned vertex is filtered (per vertex in
-    ascending index order, edges by id in the requested order); if a mask
-    empties, the test is tagged immediately_empty, otherwise the diagram is
-    restricted to the forest obtained by dropping s.
+    ascending index order, edges by ascending id); if a mask empties, the
+    test is tagged immediately_empty, otherwise the diagram is restricted
+    to the forest obtained by dropping s.  inlim runs the same tests on
+    masks over d, without restricting.
     """
-    if edge_order not in ("asc", "desc"):
-        raise ValueError("edge_order must be 'asc' or 'desc'")
     if s.n != d.shape.n:
         raise ValueError("vertex set belongs to a different shape")
-    if s.mask == 0:
+    _forest_plan(d.shape, s)
+    if not s:
         # empty product has exactly one element; the test diagram is d itself
-        if not is_forest(d.shape):
-            raise ValueError("supplied vertex set is not a feedback vertex set")
         yield SectionTest(SectionAssignment(()), False, d, d.full_mask(),
                           list(range(d.shape.n)), list(range(d.shape.m)))
         return
-    forest_shape, _ = remove_vertices(d.shape, s)
-    if not is_forest(forest_shape):
-        raise ValueError("supplied vertex set is not a feedback vertex set")
-    pinned = sorted(s)
-    incident = []
-    for v in pinned:
-        eids = sorted(e for e, _ in d.shape.incidence[v])
-        if edge_order == "desc":
-            eids.reverse()
-        incident.append(eids)
     keep = s.complement()
-    for combo in itertools.product(*(range(d.vertex_obj[v].size) for v in pinned)):
-        assignment = SectionAssignment(tuple(zip(pinned, combo)))
-        m = d.full_mask()
-        for v, a in assignment.choices:
-            m.vertex[v] = 1 << a
-        empty = False
-        for eids in incident:
-            for e in eids:
-                filter_edge(d, m, e)
-                if not m.edge[e]:
-                    empty = True
-                    break
-            if empty:
-                break
-        if empty:
+    for choices, m in _pinned_masks(d, s):
+        assignment = SectionAssignment(choices)
+        if m is None:
             yield SectionTest(assignment, True, None, None, None, None)
         else:
             r = restrict_to_subgraph(d, m, keep)
@@ -256,51 +215,19 @@ def section_tests(d: CoDecomposition, s: VertexSet, edge_order: str = "asc"):
                               r.vertex_map, r.edge_map)
 
 
-def _resolve_fvs(d: CoDecomposition, fvs: VertexSet | None, k_max: int | None) -> VertexSet:
+def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
+                 k_max: int | None) -> VertexSet:
+    """The supplied set (whether it is a feedback vertex set is checked when
+    the forest plan is built), or a minimum one found within k_max."""
     if fvs is not None:
-        if fvs.n != d.shape.n:
+        if fvs.n != shape.n:
             raise ValueError("vertex set belongs to a different shape")
-        forest_shape, _ = remove_vertices(d.shape, fvs)
-        if not is_forest(forest_shape):
-            raise ValueError("supplied vertex set is not a feedback vertex set")
         return fvs
-    budget = d.shape.n if k_max is None else k_max
-    found = fvs_exact(d.shape, budget)
+    budget = shape.n if k_max is None else k_max
+    found = fvs_exact(shape, budget)
     if found is None:
         raise ValueError(f"no feedback vertex set of size <= {budget}")
     return found
-
-
-def _assemble_witness(d: CoDecomposition, test: SectionTest, tau_w: Witness) -> Witness:
-    vertex = [0] * d.shape.n
-    for v, a in test.assignment.choices:
-        vertex[v] = a
-    for old, new in enumerate(test.vertex_map):
-        if new is not None:
-            vertex[old] = tau_w.vertex_elements[new]
-    edges = []
-    for e, (u, _) in enumerate(d.shape.edges):
-        edges.append(d.legs[e][0](vertex[u]))
-    w = Witness(tuple(vertex), tuple(edges))
-    problems = witness_violations(d, w)
-    if problems:
-        raise AssertionError("assembled witness is inconsistent: "
-                             + "; ".join(problems))
-    return w
-
-
-def _decide_test(d: CoDecomposition, test: SectionTest, want_witness: bool):
-    """Returns (test is empty, witness or None)."""
-    if test.immediately_empty:
-        return True, None
-    if not forest_initial(test.tau, test.tau_mask).empty_limit:
-        witness = None
-        if want_witness:
-            img = image_tree(test.tau, test.tau_mask)
-            tau_w = extract_witness(test.tau, img)
-            witness = _assemble_witness(d, test, tau_w)
-        return False, witness
-    return True, None
 
 
 def inlim(
@@ -309,67 +236,34 @@ def inlim(
     k_max: int | None = None,
     want_witness: bool = False,
     early_exit: bool = True,
-    edge_order: str = "asc",
-    jobs: int = 1,
 ) -> InLimResult:
     """Decide whether the limit of the diagram is empty.
 
-    A feedback vertex set is taken as given (after verification) or found
-    by exact search within k_max.  The verdict is the conjunction of the
-    per-section-test verdicts; early_exit stops at the first nonempty test.
-    The witness is deterministic for jobs == 1 (lexicographically first
-    pinned combination, lowest-index extension).
+    A feedback vertex set S is taken as given or found by exact search
+    within k_max.  One forest plan of G - S is built; each pinned
+    combination then runs on copied masks over d: pin, filter the pinned
+    vertices' edges, and decide by the leaves-to-root pass.  The verdict is
+    the conjunction of the test verdicts; early_exit stops at the first
+    nonempty test.  The witness is deterministic: the lexicographically
+    first nonempty combination gets the root-to-leaves pass, and
+    extract_witness reads the lowest-index extension off its image masks.
     """
-    s = _resolve_fvs(d, fvs, k_max)
-    tests = section_tests(d, s, edge_order)
-    if jobs > 1:
-        empty, witness, count = _run_parallel(d, tests, want_witness,
-                                              early_exit, jobs)
-    else:
-        empty = True
-        witness = None
-        count = 0
-        for test in tests:
-            count += 1
-            test_empty, w = _decide_test(d, test, want_witness and empty)
-            if not test_empty:
-                if witness is None:
-                    witness = w
-                empty = False
-                if early_exit:
-                    break
-    return InLimResult(Verdict(empty), witness, tuple(sorted(s)), count)
-
-
-def _run_parallel(d, tests, want_witness, early_exit, jobs):
-    lock = threading.Lock()
-    stop = threading.Event()
-    state = {"empty": True, "witness": None, "count": 0}
-
-    def worker():
-        while True:
-            if early_exit and stop.is_set():
-                return
-            with lock:
-                test = next(tests, None)
-                if test is not None:
-                    state["count"] += 1
-            if test is None:
-                return
-            test_empty, w = _decide_test(d, test, want_witness)
-            if not test_empty:
-                with lock:
-                    state["empty"] = False
-                    if state["witness"] is None and w is not None:
-                        state["witness"] = w
-                stop.set()
-
-    threads = [threading.Thread(target=worker) for _ in range(jobs)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return state["empty"], state["witness"], state["count"]
+    s = _resolve_fvs(d.shape, fvs, k_max)
+    plan = _forest_plan(d.shape, s)
+    empty = True
+    witness = None
+    count = 0
+    for choices, m in _pinned_masks(d, s):
+        count += 1
+        if m is None or not _leaves_to_root(d, m, plan):
+            continue
+        if want_witness and empty:
+            filter_edges(d, m, reversed(plan[0]))
+            witness = extract_witness(d, m, SectionAssignment(choices))
+        empty = False
+        if early_exit:
+            break
+    return InLimResult(Verdict(empty), witness, tuple(s), count)
 
 
 def extract_witness(
@@ -382,23 +276,28 @@ def extract_witness(
     The shape minus the pinned vertices (if any) must be a forest.  Each
     tree is rooted at its lowest vertex; the root takes its lowest
     surviving element, and every child takes its lowest surviving element
-    whose leg value matches the parent's.  Such an element always exists
-    because image-mask elements extend to global families.
+    in the fibre over the parent's leg value.  Such an element always
+    exists because image-mask elements extend to global families.  The
+    family is checked against every edge of d before it is returned.
     """
     pinned = sigma.as_dict() if sigma is not None else {}
     n = d.shape.n
     vertex: list[int | None] = [None] * n
+    seen = [False] * n
     for v, a in pinned.items():
         if not 0 <= a < d.vertex_obj[v].size:
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
         vertex[v] = a
+        seen[v] = True
     inc = d.shape.incidence
-    seen = [False] * n
+    edge_data = d.edge_data
+    legs = d.legs
+    image = image_mask.vertex
     for root in range(n):
-        if root in pinned or seen[root]:
+        if seen[root]:
             continue
         seen[root] = True
-        root_mask = image_mask.vertex[root]
+        root_mask = image[root]
         if not root_mask:
             raise ValueError(f"empty image mask at vertex {root}")
         vertex[root] = (root_mask & -root_mask).bit_length() - 1
@@ -408,23 +307,21 @@ def extract_witness(
             p = queue[head]
             head += 1
             for e, c in inc[p]:
-                if c in pinned or seen[c]:
+                if seen[c]:
                     continue
                 seen[c] = True
-                target = d.leg(e, p)(vertex[p])
-                child_fn = d.leg(e, c)
-                pick = None
-                for b in bits(image_mask.vertex[c]):
-                    if child_fn(b) == target:
-                        pick = b
-                        break
-                if pick is None:
+                u, _, fib_u, fib_v = edge_data[e]
+                if p == u:
+                    pick = image[c] & fib_v[legs[e][0].table[vertex[p]]]
+                else:
+                    pick = image[c] & fib_u[legs[e][1].table[vertex[p]]]
+                if not pick:
                     raise ValueError(
                         f"no element of vertex {c} matches the parent across "
                         f"edge {e}; mask is not an image mask")
-                vertex[c] = pick
+                vertex[c] = (pick & -pick).bit_length() - 1
                 queue.append(c)
-    edges = tuple(d.legs[e][0](vertex[u]) for e, (u, _) in enumerate(d.shape.edges))
+    edges = tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(d.shape.edges))
     w = Witness(tuple(vertex), edges)
     problems = witness_violations(d, w)
     if problems:

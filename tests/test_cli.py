@@ -224,3 +224,31 @@ def test_bench_oracle_skips_when_capped(capsys):
                                 "--w", "5", "--repeats", "1", "--seed", "1"])
     assert code == 0
     assert out[-1].endswith("SKIPPED")
+
+
+def _leg_edge_not_an_id(doc):
+    doc["legs"][0]["edge"] = "x"
+
+
+def _map_entry(value):
+    def mutate(doc):
+        doc["legs"][0]["map"] = [value]
+    return mutate
+
+
+def _shape_vertex_string(doc):
+    doc["shape"]["edges"][0][1] = "1"
+
+
+@pytest.mark.parametrize("mutate", [
+    _leg_edge_not_an_id, _map_entry(0.5), _map_entry(True),
+    _shape_vertex_string,
+], ids=["leg-edge-x", "map-entry-0.5", "map-entry-true", "shape-vertex-str"])
+def test_solve_malformed_input_is_an_error(tmp_path, capsys, mutate):
+    doc = jsonio.diagram_to_json(cospan_example())
+    mutate(doc)
+    path = write(tmp_path, "bad.json", doc)
+    code, _, err = run(capsys, ["solve", path])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -104,6 +104,24 @@ def test_fincat_rejects_broken_table():
         jsonio.parse_fincat(doc)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.__setitem__("objects", 2.0),
+    lambda doc: doc["morphisms"][2].__setitem__("tgt", True),
+    lambda doc: doc["comp"][2].__setitem__(0, "2"),
+], ids=["objects-float", "tgt-bool", "comp-str"])
+def test_fincat_rejects_non_integer_ids(mutate):
+    doc = jsonio.fincat_to_json(FinCat.walking_arrow())
+    mutate(doc)
+    with pytest.raises(jsonio.ParseError):
+        jsonio.parse_fincat(doc)
+
+
+def test_set_size_must_be_an_integer():
+    for size in (True, 2.0, "2"):
+        with pytest.raises(jsonio.ParseError):
+            jsonio.parse_finset({"size": size})
+
+
 def test_cset_diagram_round_trip():
     rng = random.Random(3)
     d = random_walking_arrow_diagram(rng, SimpleGraph(3, [(0, 1), (1, 2)]), 3)

@@ -63,13 +63,25 @@ def leg_closure_batch(count: int) -> int:
     return ran
 
 
+def _filter_to_fixpoint(d, order):
+    m = d.full_mask()
+    while True:
+        before = m.copy()
+        for e in order:
+            filter_edge(d, m, e)
+        if m == before:
+            return m
+
+
 def filter_order_batch(count: int) -> int:
+    """Filtering every edge until nothing changes reaches the same masks in
+    ascending and in a seeded shuffled edge order."""
     for seed in range(count):
         d = random_graph_diagram(seed, n_max=7)
-        asc = inlim(d, edge_order="asc", early_exit=False)
-        desc = inlim(d, edge_order="desc", early_exit=False)
-        assert asc.verdict == desc.verdict
-        assert asc.section_test_count == desc.section_test_count
+        asc = list(range(d.shape.m))
+        shuffled = asc[:]
+        random.Random(seed).shuffle(shuffled)
+        assert _filter_to_fixpoint(d, asc) == _filter_to_fixpoint(d, shuffled), seed
     return count
 
 

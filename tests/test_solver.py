@@ -235,23 +235,41 @@ def test_inlim_early_exit_off_counts_all_tests():
     assert result.section_test_count == 2  # |d(s)| for the single pinned vertex
 
 
-def test_inlim_edge_order_independent():
-    for seed in range(60):
+def test_inlim_never_restricts_subdiagrams(monkeypatch):
+    import limsolve.diagram
+    import limsolve.solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inlim built a restricted diagram")
+
+    for module in (limsolve.diagram, limsolve.solver):
+        monkeypatch.setattr(module, "restrict_to_subgraph", refuse)
+    result = inlim(c4_example())
+    assert result.verdict.empty_limit and result.section_test_count == 2
+    d = c4_untwisted_example()
+    result = inlim(d, want_witness=True)
+    assert not result.verdict.empty_limit
+    assert witness_violations(d, result.witness) == []
+    # k = 2 on both: EMPTY after all 6 tests, NONEMPTY at the 3rd test
+    for seed, tests in ((16, 6), (340, 3)):
         d = random_graph_diagram(seed)
-        a = inlim(d, edge_order="asc").verdict.empty_limit
-        b = inlim(d, edge_order="desc").verdict.empty_limit
-        assert a == b
+        result = inlim(d, want_witness=True)
+        assert len(result.fvs) == 2 and result.section_test_count == tests
+        families = enumerate_limit(d)
+        assert result.verdict.empty_limit == (not families)
+        assert result.witness in (families or [None])
 
 
-def test_inlim_parallel_matches_sequential():
-    for seed in range(25):
-        d = random_graph_diagram(seed, n_max=7)
-        seq = inlim(d, early_exit=False)
-        par = inlim(d, jobs=4, early_exit=False)
-        assert seq.verdict == par.verdict
-        assert seq.section_test_count == par.section_test_count
-        par_early = inlim(d, jobs=4)
-        assert seq.verdict == par_early.verdict
+def test_inlim_rejects_non_fvs_by_name():
+    from limsolve.generate import random_diagram
+
+    # two disjoint triangles; pinning one vertex leaves the other cycle
+    d = random_diagram(random.Random(0),
+                       SimpleGraph(6, [(0, 1), (1, 2), (0, 2),
+                                       (3, 4), (4, 5), (3, 5)]), 2)
+    with pytest.raises(ValueError, match="feedback vertex set"):
+        inlim(d, fvs=VertexSet.of(6, [0]))
+    assert len(inlim(d, fvs=VertexSet.of(6, [0, 3]), early_exit=False).fvs) == 2
 
 
 def test_extract_witness_path_example():
