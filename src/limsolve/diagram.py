@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finset import FinFn, FinSetObj, bits, full_mask
-from .graphs import SimpleGraph, VertexSet
+from .graphs import SimpleGraph, VertexSet, remove_vertices
 
 
 class CoDecomposition:
@@ -252,43 +252,18 @@ class Restriction:
 def restrict_to_subgraph(d: CoDecomposition, m: SubMask, keep: VertexSet) -> Restriction:
     """Restrict to the induced subgraph on keep; only edges with both
     endpoints kept survive.  Objects and legs are shared, not copied."""
-    if keep.n != d.shape.n:
-        raise ValueError("vertex set belongs to a different shape")
-    sub_shape, vmap = _induced(d.shape, keep)
+    sub_shape, vmap = remove_vertices(d.shape, keep.complement())
+    kept = list(keep)
+    eids = [e for e, (u, v) in enumerate(d.shape.edges)
+            if vmap[u] is not None and vmap[v] is not None]
     emap: list[int | None] = [None] * d.shape.m
-    vertex_obj = []
-    vmask = []
-    for v in range(d.shape.n):
-        if vmap[v] is not None:
-            vertex_obj.append(d.vertex_obj[v])
-            vmask.append(m.vertex[v])
-    edge_obj = []
-    legs = []
-    emask = []
-    new_e = 0
-    for e, (u, v) in enumerate(d.shape.edges):
-        if vmap[u] is not None and vmap[v] is not None:
-            emap[e] = new_e
-            new_e += 1
-            edge_obj.append(d.edge_obj[e])
-            legs.append(d.legs[e])
-            emask.append(m.edge[e])
-    diagram = CoDecomposition(sub_shape, vertex_obj, edge_obj, legs)
-    return Restriction(diagram, SubMask(vmask, emask), vmap, emap)
-
-
-def _induced(g: SimpleGraph, keep: VertexSet) -> tuple[SimpleGraph, list[int | None]]:
-    vmap: list[int | None] = [None] * g.n
-    kept = 0
-    for v in keep:
-        vmap[v] = kept
-        kept += 1
-    edges = [
-        (vmap[u], vmap[v])
-        for u, v in g.edges
-        if vmap[u] is not None and vmap[v] is not None
-    ]
-    return SimpleGraph(kept, edges), vmap
+    for new_e, e in enumerate(eids):
+        emap[e] = new_e
+    diagram = CoDecomposition(sub_shape, [d.vertex_obj[v] for v in kept],
+                              [d.edge_obj[e] for e in eids],
+                              [d.legs[e] for e in eids])
+    mask = SubMask([m.vertex[v] for v in kept], [m.edge[e] for e in eids])
+    return Restriction(diagram, mask, vmap, emap)
 
 
 def as_subdiagram(d: CoDecomposition, m: SubMask) -> CoDecomposition:

@@ -104,8 +104,7 @@ class HomSet:
 
     @property
     def obj(self) -> FinSetObj:
-        labels = tuple(",".join(str(c) for c in m) for m in self.maps)
-        return FinSetObj(len(self.maps), labels if self.maps else None)
+        return FinSetObj(len(self.maps))
 
     def index(self) -> dict[tuple[int, ...], int]:
         return {m: i for i, m in enumerate(self.maps)}
@@ -120,14 +119,9 @@ def hom_set(x: SimpleGraph, vertices, h: SimpleGraph) -> HomSet:
     for u, v in h.edges:
         adj[u][v] = adj[v][u] = True
     # per position, earlier positions it must respect an edge with
-    constraints: list[list[int]] = [[] for _ in verts]
-    for u, v in x.edges:
-        if u in pos and v in pos:
-            i, j = pos[u], pos[v]
-            if i < j:
-                constraints[j].append(i)
-            else:
-                constraints[i].append(j)
+    inc = x.incidence
+    constraints = [[pos[w] for _, w in inc[v] if w in pos and pos[w] < j]
+                   for j, v in enumerate(verts)]
     maps = []
     assign = [-1] * len(verts)
     level = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .cset import CSet, CSetCoDecomposition, FinCat, validate_fincat
-from .diagram import CoDecomposition, validate
+from .diagram import CoDecomposition
 from .finset import FinFn, FinSetObj
 from .graphs import SimpleGraph
 from .hom import BagDecomposition
@@ -104,6 +104,30 @@ def fn_to_json(f: FinFn, source: FinSetObj, target: FinSetObj) -> dict:
     return {"map": list(f.table)}
 
 
+def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
+    """The (leg at u, leg at v) pair of every shape edge uv.
+
+    Each entry of raw names its edge and endpoint; parse_leg(entry, e, x,
+    where) reads that leg's map(s).  Exactly one leg per edge endpoint."""
+    legs: list[dict] = [{} for _ in range(shape.m)]
+    for i, leg in enumerate(raw):
+        e = _require(leg, "edge", f"leg {i}")
+        x = _require(leg, "endpoint", f"leg {i}")
+        if type(e) is not int or not 0 <= e < shape.m:
+            raise ParseError(f"leg {i}: no edge with id {e!r}")
+        if type(x) is not int or x not in shape.edges[e]:
+            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
+        if x in legs[e]:
+            raise ParseError(f"leg {i}: duplicate leg for edge {e} at vertex {x}")
+        legs[e][x] = parse_leg(leg, e, x, f"leg {i}")
+    pairs = []
+    for e, (u, v) in enumerate(shape.edges):
+        if u not in legs[e] or v not in legs[e]:
+            raise ParseError(f"edge {e}: exactly two legs required")
+        pairs.append((legs[e][u], legs[e][v]))
+    return pairs
+
+
 def parse_diagram(obj) -> CoDecomposition:
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
     vsets = [parse_finset(o, f"vertex set {i}")
@@ -114,28 +138,10 @@ def parse_diagram(obj) -> CoDecomposition:
         raise ParseError("diagram: one vertex set per shape vertex required")
     if len(esets) != shape.m:
         raise ParseError("diagram: one edge set per shape edge required")
-    legs: list[dict[int, FinFn]] = [{} for _ in range(shape.m)]
-    for i, leg in enumerate(_require(obj, "legs", "diagram")):
-        e = _require(leg, "edge", f"leg {i}")
-        x = _require(leg, "endpoint", f"leg {i}")
-        if type(e) is not int or not 0 <= e < shape.m:
-            raise ParseError(f"leg {i}: no edge with id {e!r}")
-        u, v = shape.edges[e]
-        if type(x) is not int or x not in (u, v):
-            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
-        if x in legs[e]:
-            raise ParseError(f"leg {i}: duplicate leg for edge {e} at vertex {x}")
-        legs[e][x] = parse_fn(leg, vsets[x], esets[e], f"leg {i}")
-    pairs = []
-    for e, (u, v) in enumerate(shape.edges):
-        if u not in legs[e] or v not in legs[e]:
-            raise ParseError(f"edge {e}: exactly two legs required")
-        pairs.append((legs[e][u], legs[e][v]))
-    d = CoDecomposition(shape, vsets, esets, pairs)
-    problems = validate(d)
-    if problems:
-        raise ParseError("invalid diagram: " + "; ".join(problems))
-    return d
+    pairs = _parse_legs(
+        _require(obj, "legs", "diagram"), shape,
+        lambda leg, e, x, where: parse_fn(leg, vsets[x], esets[e], where))
+    return CoDecomposition(shape, vsets, esets, pairs)
 
 
 def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
@@ -221,27 +227,17 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
            for i, o in enumerate(_require(obj, "vertex_csets", "cset diagram"))]
     ecs = [_parse_cset(o, cat, f"edge C-set {i}")
            for i, o in enumerate(_require(obj, "edge_csets", "cset diagram"))]
-    legs: list[dict[int, tuple[FinFn, ...]]] = [{} for _ in range(shape.m)]
-    for i, leg in enumerate(_require(obj, "legs", "cset diagram")):
-        e = _require(leg, "edge", f"leg {i}")
-        x = _require(leg, "endpoint", f"leg {i}")
-        if type(e) is not int or not 0 <= e < shape.m:
-            raise ParseError(f"leg {i}: no edge with id {e!r}")
-        u, v = shape.edges[e]
-        if type(x) is not int or x not in (u, v):
-            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
-        maps = _require(leg, "maps", f"leg {i}")
+
+    def parse_leg(leg, e, x, where):
+        maps = _require(leg, "maps", where)
         if len(maps) != cat.object_count:
-            raise ParseError(f"leg {i}: one map per C-object required")
-        legs[e][x] = tuple(
+            raise ParseError(f"{where}: one map per C-object required")
+        return tuple(
             parse_fn(m, vcs[x].objects[c], ecs[e].objects[c],
-                     f"leg {i} component {c}")
+                     f"{where} component {c}")
             for c, m in enumerate(maps))
-    pairs = []
-    for e, (u, v) in enumerate(shape.edges):
-        if u not in legs[e] or v not in legs[e]:
-            raise ParseError(f"edge {e}: exactly two legs required")
-        pairs.append((legs[e][u], legs[e][v]))
+
+    pairs = _parse_legs(_require(obj, "legs", "cset diagram"), shape, parse_leg)
     return CSetCoDecomposition(cat, shape, vcs, ecs, pairs)
 
 

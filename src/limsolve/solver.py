@@ -91,21 +91,17 @@ def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
     return problems
 
 
-def discrete_inlim(d: CoDecomposition) -> Verdict:
-    """Emptiness for edgeless shapes: a product is empty iff a factor is."""
-    if d.shape.m:
-        raise ValueError("shape has edges; diagram is not discrete")
-    return Verdict(any(o.size == 0 for o in d.vertex_obj))
-
-
 def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int], list[int]]:
-    """The sweep schedule of g minus s: (edge ids leaves-to-root, vertices
-    alone in their component).
+    """The sweep schedule of g minus s: (edge ids leaves-to-root, the root
+    of every component in ascending order).
 
-    One BFS per component, rooted at its lowest vertex, serves as component
-    finder, forest check (g - s is a forest iff the BFS discovers all of its
-    edges) and schedule: reversed discovery order runs leaves-to-root.
+    One BFS per component, rooted at its lowest vertex and following
+    incidence order, serves as component finder, forest check (g - s is a
+    forest iff the BFS discovers all of its edges) and schedule: reversed
+    discovery order runs leaves-to-root, discovery order root-to-leaves.
     """
+    if s is not None and s.n != g.n:
+        raise ValueError("vertex set belongs to a different shape")
     inc = g.incidence
     seen = [False] * g.n
     inner = g.m
@@ -114,12 +110,12 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int],
             seen[v] = True
         inner -= sum(1 for u, v in g.edges if seen[u] or seen[v])
     order: list[int] = []
-    lone = []
+    roots = []
     for r in range(g.n):
         if seen[r]:
             continue
         seen[r] = True
-        start = len(order)
+        roots.append(r)
         queue = [r]
         head = 0
         while head < len(queue):
@@ -130,13 +126,11 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int],
                     seen[w] = True
                     order.append(e)
                     queue.append(w)
-        if len(order) == start:
-            lone.append(r)
     if len(order) != inner:
         raise ValueError("shape is not a forest" if s is None else
                          "supplied vertex set is not a feedback vertex set")
     order.reverse()
-    return order, lone
+    return order, roots
 
 
 def _leaves_to_root(d: CoDecomposition, m: SubMask,
@@ -144,8 +138,8 @@ def _leaves_to_root(d: CoDecomposition, m: SubMask,
     """The first sweep pass, in place.  Afterwards every vertex keeps the
     elements that extend over its subtree, so the planned forest admits a
     matching family iff this returns True."""
-    up, lone = plan
-    return filter_edges(d, m, up) and all(m.vertex[r] for r in lone)
+    up, roots = plan
+    return filter_edges(d, m, up) and all(m.vertex[r] for r in roots)
 
 
 def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
@@ -196,8 +190,6 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     to the forest obtained by dropping s.  inlim runs the same tests on
     masks over d, without restricting.
     """
-    if s.n != d.shape.n:
-        raise ValueError("vertex set belongs to a different shape")
     _forest_plan(d.shape, s)
     if not s:
         # empty product has exactly one element; the test diagram is d itself
@@ -220,8 +212,6 @@ def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
     """The supplied set (whether it is a feedback vertex set is checked when
     the forest plan is built), or a minimum one found within k_max."""
     if fvs is not None:
-        if fvs.n != shape.n:
-            raise ValueError("vertex set belongs to a different shape")
         return fvs
     budget = shape.n if k_max is None else k_max
     found = fvs_exact(shape, budget)
@@ -273,54 +263,41 @@ def extract_witness(
 ) -> Witness:
     """Read one matching family off an image mask.
 
-    The shape minus the pinned vertices (if any) must be a forest.  Each
-    tree is rooted at its lowest vertex; the root takes its lowest
-    surviving element, and every child takes its lowest surviving element
-    in the fibre over the parent's leg value.  Such an element always
+    The shape minus the pinned vertices (if any) must be a forest, else
+    ValueError.  The walk runs root-to-leaves over its forest plan: each
+    root takes its lowest surviving element, and each child its lowest
+    surviving element in the fibre over the parent's leg value, which
     exists because image-mask elements extend to global families.  The
     family is checked against every edge of d before it is returned.
     """
     pinned = sigma.as_dict() if sigma is not None else {}
     n = d.shape.n
     vertex: list[int | None] = [None] * n
-    seen = [False] * n
     for v, a in pinned.items():
         if not 0 <= a < d.vertex_obj[v].size:
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
         vertex[v] = a
-        seen[v] = True
-    inc = d.shape.incidence
+    up, roots = _forest_plan(d.shape, VertexSet.of(n, pinned))
     edge_data = d.edge_data
     legs = d.legs
     image = image_mask.vertex
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        root_mask = image[root]
-        if not root_mask:
-            raise ValueError(f"empty image mask at vertex {root}")
-        vertex[root] = (root_mask & -root_mask).bit_length() - 1
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            p = queue[head]
-            head += 1
-            for e, c in inc[p]:
-                if seen[c]:
-                    continue
-                seen[c] = True
-                u, _, fib_u, fib_v = edge_data[e]
-                if p == u:
-                    pick = image[c] & fib_v[legs[e][0].table[vertex[p]]]
-                else:
-                    pick = image[c] & fib_u[legs[e][1].table[vertex[p]]]
-                if not pick:
-                    raise ValueError(
-                        f"no element of vertex {c} matches the parent across "
-                        f"edge {e}; mask is not an image mask")
-                vertex[c] = (pick & -pick).bit_length() - 1
-                queue.append(c)
+    for r in roots:
+        if not image[r]:
+            raise ValueError(f"empty image mask at vertex {r}")
+        vertex[r] = (image[r] & -image[r]).bit_length() - 1
+    for e in reversed(up):
+        u, v, fib_u, fib_v = edge_data[e]
+        if vertex[v] is None:
+            c = v
+            pick = image[v] & fib_v[legs[e][0].table[vertex[u]]]
+        else:
+            c = u
+            pick = image[u] & fib_u[legs[e][1].table[vertex[v]]]
+        if not pick:
+            raise ValueError(
+                f"no element of vertex {c} matches the parent across "
+                f"edge {e}; mask is not an image mask")
+        vertex[c] = (pick & -pick).bit_length() - 1
     edges = tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(d.shape.edges))
     w = Witness(tuple(vertex), edges)
     problems = witness_violations(d, w)

@@ -171,6 +171,17 @@ def test_cset_solve_command(tmp_path, capsys):
     assert code == 1 and out[-1] == "NONEMPTY"
 
 
+def test_cset_solve_duplicate_leg_is_an_error(tmp_path, capsys):
+    d = lift_to_terminal_cset(path_example())
+    doc = jsonio.cset_diagram_to_json(d)
+    doc["legs"].append(dict(doc["legs"][0]))
+    cat_path = write(tmp_path, "cat.json", jsonio.fincat_to_json(FinCat.terminal()))
+    dia_path = write(tmp_path, "cd.json", doc)
+    code, _, err = run(capsys, ["cset-solve", cat_path, dia_path])
+    assert code == 2
+    assert err.startswith("error:") and "duplicate leg" in err
+
+
 def test_fvs_command(tmp_path, capsys):
     path = write(tmp_path, "c4g.json",
                  {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})

@@ -130,6 +130,15 @@ def test_cset_diagram_round_trip():
     assert jsonio.cset_diagram_to_json(again) == doc
 
 
+def test_cset_diagram_rejects_duplicate_leg():
+    # a second leg at the same endpoint must not silently replace the first
+    d = lift_to_terminal_cset(path_example())
+    doc = jsonio.cset_diagram_to_json(d)
+    doc["legs"].append(dict(doc["legs"][0]))
+    with pytest.raises(jsonio.ParseError, match="duplicate leg"):
+        jsonio.parse_cset_diagram(doc, d.cat)
+
+
 def test_terminal_cset_round_trip():
     d = lift_to_terminal_cset(path_example())
     doc = jsonio.cset_diagram_to_json(d)

@@ -19,33 +19,33 @@ from limsolve import (
     SimpleGraph,
     VertexSet,
     brute_image,
-    discrete_inlim,
     enumerate_limit,
     extract_witness,
     forest_initial,
     image_tree,
     inlim,
+    restrict_to_subgraph,
     section_tests,
     witness_violations,
 )
 
 
-def test_discrete_inlim_examples():
-    assert not discrete_inlim(edgeless_diagram([2, 3, 1])).empty_limit
-    assert discrete_inlim(edgeless_diagram([2, 0, 5])).empty_limit
-
-
-def test_discrete_inlim_rejects_edges():
-    with pytest.raises(ValueError):
-        discrete_inlim(cospan_example())
-
-
-def test_discrete_inlim_matches_oracle():
+def test_inlim_edgeless_shapes():
+    # an edgeless shape's limit is the product of its sets: empty iff a
+    # factor is
+    assert not inlim(edgeless_diagram([2, 3, 1])).verdict.empty_limit
+    assert inlim(edgeless_diagram([2, 0, 5])).verdict.empty_limit
+    for sizes in ([], [0], [1], [3, 0], [4, 4, 4]):
+        d = edgeless_diagram(sizes)
+        assert inlim(d).verdict.empty_limit == (not enumerate_limit(d)), sizes
     for seed in range(50):
         rng = random.Random(seed)
         sizes = [rng.randint(0, 4) for _ in range(rng.randint(0, 6))]
         d = edgeless_diagram(sizes)
-        assert discrete_inlim(d).empty_limit == (not enumerate_limit(d))
+        result = inlim(d, want_witness=True)
+        assert result.verdict.empty_limit == (not enumerate_limit(d)), sizes
+        if not result.verdict.empty_limit:
+            assert result.witness.vertex_elements == (0,) * len(sizes)
 
 
 def test_image_tree_path_example():
@@ -185,10 +185,16 @@ def test_inlim_zero_vertex_shape_nonempty():
 
 
 def test_inlim_supplied_fvs_validated():
+    d = c4_example()
     with pytest.raises(ValueError):
-        inlim(c4_example(), fvs=VertexSet(4, 0))
-    with pytest.raises(ValueError):
-        inlim(c4_example(), fvs=VertexSet(3, 0))
+        inlim(d, fvs=VertexSet(4, 0))
+    for wrong_size in (VertexSet(3, 0), VertexSet.of(5, [0])):
+        with pytest.raises(ValueError, match="different"):
+            inlim(d, fvs=wrong_size)
+        with pytest.raises(ValueError, match="different"):
+            next(section_tests(d, wrong_size))
+        with pytest.raises(ValueError, match="different"):
+            restrict_to_subgraph(d, d.full_mask(), wrong_size)
 
 
 def test_inlim_no_fvs_within_budget():
@@ -306,9 +312,17 @@ def test_extract_witness_with_pinned_vertices():
     assert witness_violations(d, w) == []
 
 
+def test_extract_witness_rejects_cyclic_shape():
+    # nothing pinned on a cycle: the shape minus the pinned vertices is not
+    # a forest, so no walk can read a family off the masks
+    d = c4_untwisted_example()
+    with pytest.raises(ValueError, match="feedback vertex set"):
+        extract_witness(d, d.full_mask())
+
+
 def _image_on_base(d, sigma):
     """Image masks over the original index space for the forest part."""
-    from limsolve import filter_edge, restrict_to_subgraph
+    from limsolve import filter_edge
 
     m = d.full_mask()
     pinned = sigma.as_dict()
