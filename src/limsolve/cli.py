@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -149,43 +148,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _time_solver(d: CoDecomposition, repeats: int) -> tuple[float, int, int]:
-    times = []
-    k = tests = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = inlim(d)
-        times.append((time.perf_counter() - t0) * 1000.0)
-        k = len(result.fvs)
-        tests = result.section_test_count
-    return statistics.median(times), k, tests
-
-
-def _time_oracle(d: CoDecomposition, repeats: int, cap: int) -> str:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        try:
-            oracle.enumerate_limit(d, cap=cap)
-        except oracle.CapExceeded:
-            return "SKIPPED"
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return f"{statistics.median(times):.3f}"
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    print(f"# seed={args.seed}")
-    print("n,w,k,section_tests,solver_ms,oracle_ms")
-    for i, n in enumerate(sizes):
-        d = generate.generate_instance(args.mode, n, args.w,
-                                       args.seed + i, fixed_size=True)
-        solver_ms, k, tests = _time_solver(d, args.repeats)
-        oracle_ms = _time_oracle(d, args.repeats, args.cap)
-        print(f"{n},{args.w},{k},{tests},{solver_ms:.3f},{oracle_ms}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limsolve",
@@ -247,16 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-size", action="store_true",
                    help="all sets exactly size w instead of 1..w")
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", help="time solver vs brute force, CSV output")
-    p.add_argument("--mode", choices=["path", "tree", "cycle"], default="path")
-    p.add_argument("--sizes", required=True,
-                   help="comma-separated shape sizes")
-    p.add_argument("--w", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=oracle.CAP_DEFAULT)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

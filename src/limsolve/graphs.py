@@ -153,100 +153,91 @@ def is_forest(g: SimpleGraph) -> bool:
 def find_cycle(g: SimpleGraph) -> list[int] | None:
     """Some simple cycle as a vertex sequence, or None if the graph is a forest.
 
-    Deterministic: depth-first search started from the lowest-index vertex,
-    exploring incident edges in edge-id order.
+    Deterministic: the walk of _cycle over the 2-core of g.
     """
-    return _find_cycle_alive(g, (1 << g.n) - 1 if g.n else 0)
+    return _cycle(g, _core(g)[0])
 
 
-def _find_cycle_alive(g: SimpleGraph, alive: int) -> list[int] | None:
+def _core(g: SimpleGraph) -> tuple[bytearray, list[int]]:
+    """The 2-core of g: (live flag per vertex, live degree per vertex)."""
+    deg = [len(i) for i in g.incidence]
+    alive = bytearray(b"\x01") * g.n
+    _peel(g, alive, deg, [v for v in range(g.n) if deg[v] <= 1])
+    return alive, deg
+
+
+def _peel(g: SimpleGraph, alive: bytearray, deg: list[int], queue: list[int]) -> None:
+    # Remove the queued vertices in place, then every vertex left with at
+    # most one live neighbour.  A vertex enters the queue once: at the start,
+    # or when its live degree drops to exactly 1.
     inc = g.incidence
-    depth: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    for r in range(g.n):
-        if not alive >> r & 1 or r in depth:
-            continue
-        depth[r] = 0
-        parent[r] = -1
-        stack = [(r, iter(inc[r]))]
-        while stack:
-            v, it = stack[-1]
-            descended = False
-            for _, w in it:
-                if not alive >> w & 1:
-                    continue
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
-                    stack.append((w, iter(inc[w])))
-                    descended = True
-                    break
-                if w != parent[v]:
-                    # w is an ancestor of v: walk the parent chain back to it
-                    cycle = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cycle.append(x)
-                    return cycle
-            if not descended:
-                stack.pop()
-    return None
-
-
-def _peel(g: SimpleGraph, alive: int) -> int:
-    # Iteratively drop degree-0 and degree-1 vertices; cycles are untouched.
-    inc = g.incidence
-    deg = {}
-    queue = []
-    for v in range(g.n):
-        if alive >> v & 1:
-            deg[v] = sum(1 for _, w in inc[v] if alive >> w & 1)
-            if deg[v] <= 1:
-                queue.append(v)
     while queue:
         v = queue.pop()
-        if not alive >> v & 1 or deg[v] > 1:
-            continue
-        alive &= ~(1 << v)
+        alive[v] = 0
         for _, w in inc[v]:
-            if alive >> w & 1:
+            if alive[w]:
                 deg[w] -= 1
-                if deg[w] <= 1:
+                if deg[w] == 1:
                     queue.append(w)
-    return alive
 
 
-def _fvs_search(g: SimpleGraph, alive: int, budget: int) -> int | None:
-    alive = _peel(g, alive)
-    cycle = _find_cycle_alive(g, alive)
+def _cycle(g: SimpleGraph, core: bytearray) -> list[int] | None:
+    """A cycle of the live vertices, which must form a 2-core, or None if
+    none is live.  The walk starts at the lowest live vertex and always
+    leaves by the first live edge (in incidence order) other than the one it
+    came in by, until a vertex repeats; every vertex of a 2-core has such an
+    edge.  The cycle runs from the last vertex back to the repeated one."""
+    v = core.find(1)
+    if v < 0:
+        return None
+    inc = g.incidence
+    path = [v]
+    at = {v: 0}
+    came = -1
+    while True:
+        for e, w in inc[v]:
+            if core[w] and e != came:
+                break
+        if w in at:
+            return path[at[w]:][::-1]
+        at[w] = len(path)
+        path.append(w)
+        v, came = w, e
+
+
+def _fvs_search(g: SimpleGraph, alive: bytearray, deg: list[int],
+                budget: int) -> list[int] | None:
+    cycle = _cycle(g, alive)
     if cycle is None:
-        return 0
+        return []
     if budget == 0:
         return None
     # every feedback vertex set intersects this cycle
     for v in sorted(cycle):
-        sub = _fvs_search(g, alive & ~(1 << v), budget - 1)
+        sub_alive, sub_deg = alive[:], deg[:]
+        _peel(g, sub_alive, sub_deg, [v])
+        sub = _fvs_search(g, sub_alive, sub_deg, budget - 1)
         if sub is not None:
-            return sub | (1 << v)
+            return sub + [v]
     return None
 
 
 def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """A feedback vertex set of minimum size if one of size <= k_max exists.
 
-    Iterative deepening over the budget; branches on the vertices of one
-    cycle in ascending order, so the result is deterministic.
+    Iterative deepening over the budget, every level from the 2-core of g;
+    each search node branches on the vertices of one cycle in ascending
+    order, so the result is deterministic.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if is_forest(g):
         return VertexSet(g.n, 0)
-    full = (1 << g.n) - 1 if g.n else 0
+    alive, deg = _core(g)
     for k in range(1, k_max + 1):
-        found = _fvs_search(g, full, k)
+        found = _fvs_search(g, alive, deg, k)
         if found is not None:
-            return VertexSet(g.n, found)
+            return VertexSet.of(g.n, found)
     return None
 
 

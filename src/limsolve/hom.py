@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .diagram import CoDecomposition
 from .finset import FinFn, FinSetObj
-from .graphs import SimpleGraph, VertexSet, components
+from .graphs import SimpleGraph, VertexSet
 from .solver import InLimResult, inlim
 
 
@@ -47,18 +47,19 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
         return ["one bag per shape vertex required"]
     if len(b.adhesions) != b.shape.m:
         return ["one adhesion per shape edge required"]
-    covered = set()
-    for bag in b.bags:
+    # holders[v]: the shape vertices whose bags hold X-vertex v, ascending
+    holders: list[list[int]] = [[] for _ in range(b.x.n)]
+    for x, bag in enumerate(b.bags):
         for v in bag:
             if type(v) is not int or not 0 <= v < b.x.n:
                 return [f"bag vertex {v!r} outside the target graph"]
-        covered.update(bag)
+            holders[v].append(x)
     for v in range(b.x.n):
-        if v not in covered:
+        if not holders[v]:
             problems.append(f"vertex {v} of the target graph is in no bag")
     bag_sets = [set(bag) for bag in b.bags]
     for u, v in b.x.edges:
-        if not any(u in s and v in s for s in bag_sets):
+        if not any(v in bag_sets[x] for x in holders[u]):
             problems.append(f"edge {{{u},{v}}} of the target graph fits in no bag")
     for e, (p, q) in enumerate(b.shape.edges):
         extra = set(b.adhesions[e]) - (bag_sets[p] & bag_sets[q])
@@ -68,24 +69,23 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
                 f"{sorted(extra)}")
     # gluing completeness: per X-vertex, its bags form a connected shape
     # subgraph, and it belongs to the adhesion of every edge inside
+    inc = b.shape.incidence
     for v in range(b.x.n):
-        holders = [x for x in range(b.shape.n) if v in bag_sets[x]]
-        if not holders:
+        if not holders[v]:
             continue
-        hix = {x: i for i, x in enumerate(holders)}
-        inside = [
-            e for e, (p, q) in enumerate(b.shape.edges)
-            if p in hix and q in hix
-        ]
-        sub = SimpleGraph(
-            len(holders),
-            [(hix[b.shape.edges[e][0]], hix[b.shape.edges[e][1]])
-             for e in inside],
-        )
-        if len(components(sub)) != 1:
+        seen = {holders[v][0]}
+        stack = [holders[v][0]]
+        while stack:
+            for _, y in inc[stack.pop()]:
+                if y not in seen and v in bag_sets[y]:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(holders[v]):
             problems.append(
                 f"bags containing vertex {v} do not induce a connected "
                 f"shape subgraph")
+        inside = sorted(e for x in holders[v] for e, y in inc[x]
+                        if x < y and v in bag_sets[y])
         for e in inside:
             if v not in b.adhesions[e]:
                 problems.append(

@@ -227,6 +227,10 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
            for i, o in enumerate(_require(obj, "vertex_csets", "cset diagram"))]
     ecs = [_parse_cset(o, cat, f"edge C-set {i}")
            for i, o in enumerate(_require(obj, "edge_csets", "cset diagram"))]
+    if len(vcs) != shape.n:
+        raise ParseError("cset diagram: one vertex C-set per shape vertex required")
+    if len(ecs) != shape.m:
+        raise ParseError("cset diagram: one edge C-set per shape edge required")
 
     def parse_leg(leg, e, x, where):
         maps = _require(leg, "maps", where)

@@ -8,9 +8,10 @@ solve, and its edge count is the check that S is a feedback vertex set.
 A test copies the full masks, writes the pinned elements, filters the
 pinned vertices' edges, and runs the leaves-to-root pass over the plan:
 on a tree, the root mask after that pass is nonempty iff a matching family
-exists, so that pass alone decides the test.  The root-to-leaves pass, which
-turns the masks into the image subdiagram, runs only for image_tree and for
-the witness of the first nonempty test.  Total cost O(w^k * w^2 * n).
+exists, so that pass alone decides the test, and the witness of the first
+nonempty test is read straight off its masks.  The root-to-leaves pass,
+which turns the masks into the image subdiagram, runs only in image_tree.
+Total cost O(w^k * w^2 * n).
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -234,9 +235,9 @@ def inlim(
     combination then runs on copied masks over d: pin, filter the pinned
     vertices' edges, and decide by the leaves-to-root pass.  The verdict is
     the conjunction of the test verdicts; early_exit stops at the first
-    nonempty test.  The witness is deterministic: the lexicographically
-    first nonempty combination gets the root-to-leaves pass, and
-    extract_witness reads the lowest-index extension off its image masks.
+    nonempty test.  The witness is deterministic: extract_witness reads the
+    lowest-index extension off the masks of the lexicographically first
+    nonempty combination.
     """
     s = _resolve_fvs(d.shape, fvs, k_max)
     plan = _forest_plan(d.shape, s)
@@ -248,7 +249,6 @@ def inlim(
         if m is None or not _leaves_to_root(d, m, plan):
             continue
         if want_witness and empty:
-            filter_edges(d, m, reversed(plan[0]))
             witness = extract_witness(d, m, SectionAssignment(choices))
         empty = False
         if early_exit:
@@ -261,14 +261,17 @@ def extract_witness(
     image_mask: SubMask,
     sigma: SectionAssignment | None = None,
 ) -> Witness:
-    """Read one matching family off an image mask.
+    """Read one matching family off a mask after the leaves-to-root pass
+    over this shape's plan (an image mask is one).
 
     The shape minus the pinned vertices (if any) must be a forest, else
     ValueError.  The walk runs root-to-leaves over its forest plan: each
     root takes its lowest surviving element, and each child its lowest
-    surviving element in the fibre over the parent's leg value, which
-    exists because image-mask elements extend to global families.  The
-    family is checked against every edge of d before it is returned.
+    surviving element in the fibre over the parent's leg value.  That
+    element exists, and is the image mask's lowest there too, because after
+    the leaves-to-root pass a child's mask within that fibre is exactly its
+    image mask within it.  The family is checked against every edge of d
+    before it is returned.
     """
     pinned = sigma.as_dict() if sigma is not None else {}
     n = d.shape.n
@@ -296,7 +299,7 @@ def extract_witness(
         if not pick:
             raise ValueError(
                 f"no element of vertex {c} matches the parent across "
-                f"edge {e}; mask is not an image mask")
+                f"edge {e}; mask is not swept leaves-to-root")
         vertex[c] = (pick & -pick).bit_length() - 1
     edges = tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(d.shape.edges))
     w = Witness(tuple(vertex), edges)

@@ -182,6 +182,17 @@ def test_cset_solve_duplicate_leg_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "duplicate leg" in err
 
 
+def test_cset_solve_missing_cset_is_an_error(tmp_path, capsys):
+    d = lift_to_terminal_cset(path_example())
+    doc = jsonio.cset_diagram_to_json(d)
+    doc["vertex_csets"].pop()
+    cat_path = write(tmp_path, "cat.json", jsonio.fincat_to_json(FinCat.terminal()))
+    dia_path = write(tmp_path, "cd.json", doc)
+    code, _, err = run(capsys, ["cset-solve", cat_path, dia_path])
+    assert code == 2
+    assert err.startswith("error:") and "vertex C-set" in err
+
+
 def test_fvs_command(tmp_path, capsys):
     path = write(tmp_path, "c4g.json",
                  {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
@@ -217,24 +228,6 @@ def test_gen_cycles_have_fvs_one(capsys):
     assert code == 0
     d = jsonio.parse_diagram(json.loads(out[0]))
     assert len(fvs_exact(d.shape, 8)) == 1
-
-
-def test_bench_csv_format(capsys):
-    code, out, _ = run(capsys, ["bench", "--mode", "path", "--sizes", "10,20",
-                                "--w", "2", "--repeats", "1", "--seed", "1"])
-    assert code == 0
-    assert out[0] == "# seed=1"
-    assert out[1] == "n,w,k,section_tests,solver_ms,oracle_ms"
-    rows = [line.split(",") for line in out[2:]]
-    assert [r[0] for r in rows] == ["10", "20"]
-    assert all(r[1] == "2" and r[2] == "0" for r in rows)
-
-
-def test_bench_oracle_skips_when_capped(capsys):
-    code, out, _ = run(capsys, ["bench", "--mode", "path", "--sizes", "30",
-                                "--w", "5", "--repeats", "1", "--seed", "1"])
-    assert code == 0
-    assert out[-1].endswith("SKIPPED")
 
 
 def _leg_edge_not_an_id(doc):

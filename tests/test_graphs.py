@@ -1,4 +1,7 @@
+import hashlib
 import random
+import statistics
+import time
 from itertools import combinations
 
 import pytest
@@ -154,6 +157,32 @@ def test_fvs_deterministic():
     first = fvs_exact(g, 9)
     for _ in range(3):
         assert fvs_exact(g, 9).mask == first.mask
+
+
+def test_fvs_golden_digest():
+    # pins which minimum set is chosen, which witnesses depend on
+    found = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 12), 0.35)
+        found.append(tuple(fvs_exact(g, g.n)))
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == "9e001281bb64a9b5d862d12072aaea0be652ccd2da2b0863b45c5914f3a68551"
+
+
+def test_fvs_linear_on_long_cycle():
+    def median_seconds(n):
+        g = cycle_graph(n)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert len(fvs_exact(g, 1)) == 1
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    # ten times the vertices: linear time gives about 10x, and 20 leaves
+    # room for timing noise
+    assert median_seconds(100_000) / median_seconds(10_000) <= 20
 
 
 def test_remove_vertices_c4_minus_one():

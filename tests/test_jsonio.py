@@ -139,6 +139,19 @@ def test_cset_diagram_rejects_duplicate_leg():
         jsonio.parse_cset_diagram(doc, d.cat)
 
 
+def test_cset_diagram_rejects_missing_csets():
+    # one C-set too few must be named, not fail by indexing past the list
+    d = lift_to_terminal_cset(path_example())
+    doc = jsonio.cset_diagram_to_json(d)
+    doc["vertex_csets"].pop()
+    with pytest.raises(jsonio.ParseError, match="one vertex C-set per shape vertex"):
+        jsonio.parse_cset_diagram(doc, d.cat)
+    doc = jsonio.cset_diagram_to_json(d)
+    doc["edge_csets"].pop()
+    with pytest.raises(jsonio.ParseError, match="one edge C-set per shape edge"):
+        jsonio.parse_cset_diagram(doc, d.cat)
+
+
 def test_terminal_cset_round_trip():
     d = lift_to_terminal_cset(path_example())
     doc = jsonio.cset_diagram_to_json(d)
