@@ -128,7 +128,11 @@ def cmd_cset_solve(args) -> int:
 
 
 def cmd_fvs(args) -> int:
-    g = jsonio.parse_graph(_load(args.graph))
+    obj = _load(args.graph)
+    # a diagram, plain or C-set (what gen writes), is read for its shape
+    if isinstance(obj, dict) and "shape" in obj:
+        obj = obj["shape"]
+    g = jsonio.parse_graph(obj)
     budget = g.n if args.max is None else args.max
     s = fvs_exact(g, budget)
     print(f"n={g.n}")
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cset_solve)
 
     p = sub.add_parser("fvs", help="exact bounded feedback vertex set")
-    p.add_argument("graph")
+    p.add_argument("graph", help="a graph, or a diagram whose shape is read")
     p.add_argument("--max", type=int, default=None)
     p.set_defaults(fn=cmd_fvs)
 

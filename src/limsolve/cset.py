@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import CoDecomposition, Verdict
-from .finset import FinFn, FinSetObj, compose
+from .finset import FinFn, FinSetObj
 from .graphs import SimpleGraph, VertexSet
 from .solver import _resolve_fvs, inlim
 
@@ -118,6 +118,8 @@ class CSet:
 
 
 def validate_cset(cat: FinCat, x: CSet) -> list[str]:
+    """Sizes, identities and functoriality of x over cat, which must pass
+    validate_fincat; returns a list of violations, empty when ok."""
     problems = []
     if len(x.objects) != cat.object_count:
         return ["one set per category object required"]
@@ -133,12 +135,15 @@ def validate_cset(cat: FinCat, x: CSet) -> list[str]:
     for o, i in enumerate(cat.identity):
         if x.actions[i].table != tuple(range(x.objects[o].size)):
             problems.append(f"identity of object {o} does not act as identity")
+    # the sizes match once the category is valid, so the tables decide
+    tables = [fn.table for fn in x.actions]
     for g in range(cat.morphism_count):
+        gt = tables[g]
         for f in range(cat.morphism_count):
             gf = cat.comp[g][f]
             if gf == -1:
                 continue
-            if x.actions[gf] != compose(x.actions[f], x.actions[g]):
+            if list(tables[gf]) != [gt[t] for t in tables[f]]:
                 problems.append(
                     f"functoriality fails: action of comp[{g}][{f}]")
     return problems
@@ -205,9 +210,13 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
                     sizes_ok = False
             if not sizes_ok:
                 continue
+            # both sides of each square run from component c0 of the
+            # vertex C-set to component c1 of the edge C-set, sizes checked
             for f in range(cat.morphism_count):
                 c0, c1 = cat.src[f], cat.tgt[f]
-                if compose(xs.actions[f], leg[c1]) != compose(leg[c0], es.actions[f]):
+                l1, ef = leg[c1].table, es.actions[f].table
+                if ([l1[t] for t in xs.actions[f].table]
+                        != [ef[t] for t in leg[c0].table]):
                     problems.append(
                         f"leg of edge {e} at vertex {x}: naturality square "
                         f"fails at morphism {f}")

@@ -163,21 +163,25 @@ def elimination_decomposition(rng: random.Random, x: SimpleGraph) -> BagDecompos
         adj[u].add(v)
         adj[v].add(u)
     alive = set(range(x.n))
+    # live degree: neighbours in the fill graph not yet eliminated
+    deg = [len(a) for a in adj]
     order: list[int] = []
     elim_index: dict[int, int] = {}
     bags: list[tuple[int, ...]] = []
     while alive:
-        dmin = min(len(adj[v] & alive) for v in alive)
-        candidates = sorted(v for v in alive
-                            if len(adj[v] & alive) == dmin)
+        dmin = min(deg[v] for v in alive)
+        candidates = sorted(v for v in alive if deg[v] == dmin)
         v = candidates[rng.randrange(len(candidates))]
         rest = sorted(adj[v] & alive)
         bags.append(tuple([v] + rest))
         for a in rest:
+            deg[a] -= 1
             for b in rest:
-                if a < b:
+                if a < b and b not in adj[a]:
                     adj[a].add(b)
                     adj[b].add(a)
+                    deg[a] += 1
+                    deg[b] += 1
         elim_index[v] = len(order)
         order.append(v)
         alive.remove(v)

@@ -111,20 +111,25 @@ class VertexSet:
 
 def components(g: SimpleGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    seen = [False] * g.n
+    return _components(g, bytearray(b"\x01") * g.n)
+
+
+def _components(g: SimpleGraph, live: bytearray) -> list[list[int]]:
+    # the components of the subgraph induced by the live vertices
+    seen = bytearray(g.n)
     inc = g.incidence
     out = []
     for r in range(g.n):
-        if seen[r]:
+        if seen[r] or not live[r]:
             continue
-        seen[r] = True
+        seen[r] = 1
         comp = [r]
         stack = [r]
         while stack:
             v = stack.pop()
             for _, w in inc[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if live[w] and not seen[w]:
+                    seen[w] = 1
                     comp.append(w)
                     stack.append(w)
         comp.sort()
@@ -222,23 +227,50 @@ def _fvs_search(g: SimpleGraph, alive: bytearray, deg: list[int],
     return None
 
 
+def _core_components(g: SimpleGraph, core: bytearray) -> list[tuple[list[int], SimpleGraph]]:
+    """The components of the live vertices, ordered by least vertex, each as
+    (its vertices ascending, the subgraph it induces).  The subgraph numbers
+    the vertices in that order and keeps g's edge order, so _cycle walks it
+    exactly as it walks the component inside g."""
+    comps = _components(g, core)
+    comp_of = [0] * g.n
+    local = [0] * g.n
+    for c, verts in enumerate(comps):
+        for i, v in enumerate(verts):
+            comp_of[v] = c
+            local[v] = i
+    edges = [[] for _ in comps]
+    for u, v in g.edges:
+        if core[u] and core[v]:
+            edges[comp_of[u]].append((local[u], local[v]))
+    return [(verts, SimpleGraph(len(verts), es)) for verts, es in zip(comps, edges)]
+
+
 def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """A feedback vertex set of minimum size if one of size <= k_max exists.
 
-    Iterative deepening over the budget, every level from the 2-core of g;
-    each search node branches on the vertices of one cycle in ascending
-    order, so the result is deterministic.
+    Each component of the 2-core of g is searched on its own, with what the
+    earlier components left of the budget: iterative deepening from its
+    2-core, each search node branching on the vertices of one cycle in
+    ascending order.  A minimum set is minimum on every component, so this
+    returns the set that one search over the whole 2-core finds first, and
+    the result is deterministic.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if is_forest(g):
         return VertexSet(g.n, 0)
-    alive, deg = _core(g)
-    for k in range(1, k_max + 1):
-        found = _fvs_search(g, alive, deg, k)
-        if found is not None:
-            return VertexSet.of(g.n, found)
-    return None
+    found: list[int] = []
+    for verts, h in _core_components(g, _core(g)[0]):
+        alive, deg = _core(h)
+        for k in range(1, k_max - len(found) + 1):
+            sub = _fvs_search(h, alive, deg, k)
+            if sub is not None:
+                found += [verts[v] for v in sub]
+                break
+        else:
+            return None
+    return VertexSet.of(g.n, found)
 
 
 def remove_vertices(g: SimpleGraph, s: VertexSet) -> tuple[SimpleGraph, list[int | None]]:

@@ -201,6 +201,18 @@ def test_fvs_command(tmp_path, capsys):
     assert "k=1" in out
 
 
+def test_fvs_command_reads_a_diagram_shape(tmp_path, capsys):
+    _, out, _ = run(capsys, ["gen", "cycle", "--n", "8", "--w", "2",
+                             "--seed", "0"])
+    path = write(tmp_path, "d.json", json.loads(out[0]))
+    code, out, _ = run(capsys, ["fvs", path, "--max", "1"])
+    assert code == 0 and out[-1] == "fvs=0"
+    lifted = lift_to_terminal_cset(c4_example())
+    path = write(tmp_path, "cd.json", jsonio.cset_diagram_to_json(lifted))
+    code, out, _ = run(capsys, ["fvs", path])
+    assert code == 0 and out[-2:] == ["k=1", "fvs=0"]
+
+
 def test_gen_is_seed_stable(capsys):
     code, out1, _ = run(capsys, ["gen", "tree", "--n", "6", "--w", "3",
                                  "--seed", "11"])

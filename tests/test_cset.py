@@ -68,6 +68,11 @@ def test_validate_cset_functoriality():
     bad = CSet((FinSetObj(2), FinSetObj(2)),
                (FinFn(2, 2, (1, 0)), FinFn.identity(2), FinFn.identity(2)))
     assert any("identity" in p for p in validate_cset(cat, bad))
+    # the generator of Z/2 acting as a 3-cycle: its square is not the identity
+    z2 = cyclic_monoid(2)
+    cycle = CSet((FinSetObj(3),), (FinFn.identity(3), FinFn(3, 3, (1, 2, 0))))
+    assert validate_cset(z2, cycle) == [
+        "functoriality fails: action of comp[1][1]"]
 
 
 def two_parallel_diagrams_example():

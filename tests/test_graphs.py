@@ -185,6 +185,56 @@ def test_fvs_linear_on_long_cycle():
     assert median_seconds(100_000) / median_seconds(10_000) <= 20
 
 
+def disjoint_union(rng, parts):
+    """The parts side by side, every vertex relabelled at random."""
+    n = sum(p.n for p in parts)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, off = [], 0
+    for p in parts:
+        edges += [(labels[off + u], labels[off + v]) for u, v in p.edges]
+        off += p.n
+    return SimpleGraph(n, edges)
+
+
+def test_fvs_golden_digest_components():
+    # the 2-core components are searched one by one; this pins that the
+    # chosen set is still the one a search over the whole graph finds first
+    found = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = disjoint_union(rng, [random_graph(rng, rng.randint(1, 8), 0.35)
+                                 for _ in range(rng.randint(2, 4))])
+        for b in (g.n, 3):
+            s = fvs_exact(g, b)
+            found.append(None if s is None else tuple(s))
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == "7c3a06d945e63116bc53807319095fe83c38a8f0f5591fe54161079878277602"
+
+
+def test_fvs_budget_shared_across_components():
+    triangles = SimpleGraph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (6, 7), (7, 8), (6, 8)])
+    assert fvs_exact(triangles, 2) is None
+    assert sorted(fvs_exact(triangles, 3)) == [0, 3, 6]
+
+
+def test_fvs_linear_in_disjoint_cycles():
+    def median_seconds(length):
+        c = cycle_graph(length).edges
+        g = SimpleGraph(2 * length, c + tuple((length + u, length + v) for u, v in c))
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert len(fvs_exact(g, 2)) == 2
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    # ten times the length: one linear pass per cycle gives about 10x, where
+    # branching over one cycle per vertex of the other gives about 100x
+    assert median_seconds(1000) / median_seconds(100) <= 20
+
+
 def test_remove_vertices_c4_minus_one():
     g, vmap = remove_vertices(cycle_graph(4), VertexSet.of(4, [0]))
     assert g.n == 3 and g.m == 2 and is_forest(g)
