@@ -55,7 +55,7 @@ class CoDecomposition:
     @property
     def edge_data(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
         """Per edge: (u, v, leg-at-u fibers, leg-at-v fibers); cached, this
-        is the solver's hot-loop view of the diagram."""
+        is the view filter_edges reads."""
         if self._edge_data is None:
             self._edge_data = [
                 (u, v, self.legs[e][0].fibers, self.legs[e][1].fibers)
@@ -165,7 +165,8 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
 
     Returns False at the first edge whose shared image is empty; that edge
     and both its endpoints are then zeroed, so the mask stays leg-closed.
-    This loop dominates the solver's running time.
+    image_tree, forest_initial and section_tests run on this loop; inlim
+    filters many section tests at once over leg tables instead.
     """
     vert = m.vertex
     edge = m.edge

@@ -28,6 +28,11 @@ class ParseError(ValueError):
     pass
 
 
+# Largest set a diagram may hold.  Fibres and section-test state are sized
+# by the sets, so one {"size": 10**9} would exhaust memory before a sweep.
+MAX_SET_SIZE = 2 ** 20
+
+
 def _require(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{where}: missing key '{key}'")
@@ -57,16 +62,20 @@ def graph_to_json(g: SimpleGraph) -> dict:
 def parse_finset(obj, where: str = "set") -> FinSetObj:
     if isinstance(obj, dict) and "elements" in obj:
         labels = obj["elements"]
-        try:
-            return FinSetObj(len(labels), tuple(str(s) for s in labels))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    if isinstance(obj, dict) and "size" in obj:
-        try:
-            return FinSetObj(_int(obj["size"], "size"))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: expected 'size' or 'elements'")
+        size = len(labels)
+    elif isinstance(obj, dict) and "size" in obj:
+        labels = None
+        size = _int(obj["size"], "size")
+    else:
+        raise ParseError(f"{where}: expected 'size' or 'elements'")
+    if size > MAX_SET_SIZE:
+        raise ParseError(f"{where}: size {size} exceeds the limit of "
+                         f"{MAX_SET_SIZE} elements")
+    try:
+        return FinSetObj(size, None if labels is None
+                         else tuple(str(s) for s in labels))
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def finset_to_json(o: FinSetObj) -> dict:

@@ -1,17 +1,22 @@
 """Deciding emptiness of diagram limits.
 
-The paper's reduction, as one core over masks on the base diagram.  Every
-vertex of a feedback vertex set S is pinned to a single element, and one
-section test runs per combination of pinned values; the limit is empty iff
-every test is empty.  The BFS plan of the forest G - S is built once per
-solve, and its edge count is the check that S is a feedback vertex set.
-A test copies the full masks, writes the pinned elements, filters the
-pinned vertices' edges, and runs the leaves-to-root pass over the plan:
+The paper's reduction, as one core over the base diagram.  Every vertex of
+a feedback vertex set S is pinned to a single element, and one section test
+runs per combination of pinned values; the limit is empty iff every test is
+empty.  The BFS plan of the forest G - S is built once per solve, and its
+edge count is the check that S is a feedback vertex set.  A test filters
+the pinned vertices' edges and runs the leaves-to-root pass over the plan:
 on a tree, the root mask after that pass is nonempty iff a matching family
 exists, so that pass alone decides the test, and the witness of the first
 nonempty test is read straight off its masks.  The root-to-leaves pass,
 which turns the masks into the image subdiagram, runs only in image_tree.
-Total cost O(w^k * w^2 * n).
+
+inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
+says whether combination j keeps the element, so each edge filter serves B
+combinations at once.  That is ceil(w^k / B) sweeps of O(w^2 * n) B-bit
+word operations, in Sum |d(v)| * B bits of state, for the paper's
+O(w^k * w^2 * n) in total.  section_tests, forest_initial and image_tree
+run one test at a time on SubMasks, through diagram.filter_edges.
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -20,6 +25,7 @@ overflow the recursion limit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .diagram import (
@@ -29,6 +35,7 @@ from .diagram import (
     filter_edges,
     restrict_to_subgraph,
 )
+from .finset import full_mask
 from .graphs import SimpleGraph, VertexSet, fvs_exact
 
 
@@ -164,22 +171,6 @@ def forest_initial(d: CoDecomposition, m: SubMask) -> Verdict:
     return Verdict(not _leaves_to_root(d, m.copy(), _forest_plan(d.shape)))
 
 
-def _pinned_masks(d: CoDecomposition, s: VertexSet):
-    """Per way of pinning every vertex of s to one element, in lexicographic
-    order: (the choices, the full masks with the pinned elements written and
-    the pinned vertices' edges filtered, or None if a mask emptied)."""
-    pinned = list(s)
-    inc = d.shape.incidence
-    pin_edges = [e for v in pinned for e, _ in inc[v]]
-    base = d.full_mask()
-    for combo in itertools.product(*(range(d.vertex_obj[v].size) for v in pinned)):
-        choices = tuple(zip(pinned, combo))
-        m = base.copy()
-        for v, a in choices:
-            m.vertex[v] = 1 << a
-        yield choices, (m if filter_edges(d, m, pin_edges) else None)
-
-
 def section_tests(d: CoDecomposition, s: VertexSet):
     """Lazily yield one SectionTest per way of pinning every vertex of the
     feedback vertex set s to a single element.
@@ -188,8 +179,8 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     every edge incident to a pinned vertex is filtered (per vertex in
     ascending index order, edges by ascending id); if a mask empties, the
     test is tagged immediately_empty, otherwise the diagram is restricted
-    to the forest obtained by dropping s.  inlim runs the same tests on
-    masks over d, without restricting.
+    to the forest obtained by dropping s.  inlim runs the same tests
+    bit-sliced, without restricting.
     """
     _forest_plan(d.shape, s)
     if not s:
@@ -198,9 +189,15 @@ def section_tests(d: CoDecomposition, s: VertexSet):
                           list(range(d.shape.n)), list(range(d.shape.m)))
         return
     keep = s.complement()
-    for choices, m in _pinned_masks(d, s):
-        assignment = SectionAssignment(choices)
-        if m is None:
+    pinned = list(s)
+    pin_edges = [e for v in pinned for e, _ in d.shape.incidence[v]]
+    base = d.full_mask()
+    for combo in itertools.product(*(range(d.vertex_obj[v].size) for v in pinned)):
+        assignment = SectionAssignment(tuple(zip(pinned, combo)))
+        m = base.copy()
+        for v, a in assignment.choices:
+            m.vertex[v] = 1 << a
+        if not filter_edges(d, m, pin_edges):
             yield SectionTest(assignment, True, None, None, None, None)
         else:
             r = restrict_to_subgraph(d, m, keep)
@@ -221,6 +218,104 @@ def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
     return found
 
 
+# Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // Sum |d(v)|),
+# so the rows of a block hold about 2 MB of bits.
+_MIN_BLOCK = 64
+_STATE_BITS = 2 ** 24
+
+
+def _digit_rows(lo: int, width: int, stride: int, size: int) -> list[int]:
+    """Per element a of one pinned vertex: the bits b < width of the
+    combinations lo + b that pin it to a, i.e. whose digit
+    (lo + b) // stride % size is a."""
+    rows = [0] * size
+    period = stride * size
+    span = min(period, width)
+    b = 0
+    while b < span:  # one run of equal digits per step
+        j = lo + b
+        run = min(stride - j % stride, span - b)
+        rows[j // stride % size] |= ((1 << run) - 1) << b
+        b += run
+    if span < width:  # tile the first period by doubling
+        keep = (1 << width) - 1
+        for a, row in enumerate(rows):
+            filled = period
+            while filled < width:
+                row |= row << filled
+                filled *= 2
+            rows[a] = row & keep
+    return rows
+
+
+def _sliced_sweep(d: CoDecomposition, pinned: list[int],
+                  plan: tuple[list[int], list[int]], lo: int, width: int):
+    """Run the combinations lo .. lo + width - 1 as one sweep.
+
+    Pin, filter the pinned vertices' edges, then the plan leaves-to-root,
+    each edge once for the whole block.  Returns (state, start, the bits of
+    the combinations whose test is nonempty): state[start[v] + a] has bit b
+    set iff combination lo + b keeps element a at v.  start[v] is -1 for an
+    unpinned vertex without edges, which keeps all of its elements.  The
+    rows share one flat list, so a sweep leaves no per-vertex containers
+    for the garbage collector to trace.
+    """
+    shape = d.shape
+    inc = shape.incidence
+    sizes = [o.size for o in d.vertex_obj]
+    full = (1 << width) - 1
+    state: list[int] = []
+    start = [-1] * shape.n
+    stride = 1
+    for v in reversed(pinned):
+        start[v] = len(state)
+        state += _digit_rows(lo, width, stride, sizes[v])
+        stride *= sizes[v]
+    for v in range(shape.n):
+        if start[v] < 0 and inc[v]:
+            start[v] = len(state)
+            state += [full] * sizes[v]
+    edges = shape.edges
+    legs = d.legs
+    up, roots = plan
+    for e in itertools.chain((e for v in pinned for e, _ in inc[v]), up):
+        u, v = edges[e]
+        fu, fv = legs[e]
+        tu = fu.table
+        tv = fv.table
+        su = start[u]
+        sv = start[v]
+        eu = su + len(tu)
+        ev = sv + len(tv)
+        ru = state[su:eu]
+        rv = state[sv:ev]
+        hit_u = [0] * fu.target_size
+        hit_v = [0] * fv.target_size
+        for row, x in zip(ru, tu):
+            hit_u[x] |= row
+        for row, x in zip(rv, tv):
+            hit_v[x] |= row
+        common = [p & q for p, q in zip(hit_u, hit_v)]
+        if not any(common):  # every test of the block is empty
+            return state, start, 0
+        # a side whose hits are all shared keeps every row as it is
+        if common != hit_u:
+            state[su:eu] = [row & common[x] for row, x in zip(ru, tu)]
+        if common != hit_v:
+            state[sv:ev] = [row & common[x] for row, x in zip(rv, tv)]
+    alive = full
+    for v in itertools.chain(roots, pinned):
+        if start[v] < 0:
+            if not sizes[v]:
+                return state, start, 0
+            continue
+        survive = 0
+        for row in state[start[v]:start[v] + sizes[v]]:
+            survive |= row
+        alive &= survive
+    return state, start, alive
+
+
 def inlim(
     d: CoDecomposition,
     fvs: VertexSet | None = None,
@@ -231,29 +326,55 @@ def inlim(
     """Decide whether the limit of the diagram is empty.
 
     A feedback vertex set S is taken as given or found by exact search
-    within k_max.  One forest plan of G - S is built; each pinned
-    combination then runs on copied masks over d: pin, filter the pinned
-    vertices' edges, and decide by the leaves-to-root pass.  The verdict is
-    the conjunction of the test verdicts; early_exit stops at the first
-    nonempty test.  The witness is deterministic: extract_witness reads the
-    lowest-index extension off the masks of the lexicographically first
+    within k_max, and one forest plan of G - S is built.  The w^k pinned
+    combinations, numbered lexicographically, run bit-sliced in blocks of
+    B: one int per (vertex, element) whose bit j says whether combination
+    j keeps that element, so each edge is filtered once per block with
+    B-bit word operations.  That is ceil(w^k / B) sweeps in Sum |d(v)| * B
+    bits of state, where B = max(64, 2^24 // Sum |d(v)|).  The limit is
+    empty iff no combination survives, so the blocks stop at the first one
+    with a survivor.  section_test_count is the index of the first
+    survivor plus one, or every combination when early_exit is off or the
+    limit is empty.  The witness is deterministic: extract_witness reads
+    the lowest-index extension off the masks of the lexicographically first
     nonempty combination.
     """
     s = _resolve_fvs(d.shape, fvs, k_max)
     plan = _forest_plan(d.shape, s)
-    empty = True
-    witness = None
-    count = 0
-    for choices, m in _pinned_masks(d, s):
-        count += 1
-        if m is None or not _leaves_to_root(d, m, plan):
-            continue
-        if want_witness and empty:
-            witness = extract_witness(d, m, SectionAssignment(choices))
-        empty = False
-        if early_exit:
+    pinned = list(s)
+    total = math.prod(d.vertex_obj[v].size for v in pinned)
+    block = max(_MIN_BLOCK,
+                _STATE_BITS // max(1, sum(o.size for o in d.vertex_obj)))
+    lo = 0
+    while lo < total:
+        width = min(block, total - lo)
+        state, start, alive = _sliced_sweep(d, pinned, plan, lo, width)
+        if alive:
             break
-    return InLimResult(Verdict(empty), witness, tuple(s), count)
+        lo += width
+    else:
+        return InLimResult(Verdict(True), None, tuple(s), total)
+    first = alive & -alive
+    witness = None
+    if want_witness:
+        masks = []
+        for o, i in zip(d.vertex_obj, start):
+            if i < 0:
+                masks.append(full_mask(o.size))
+                continue
+            m = 0
+            for a, row in enumerate(state[i:i + o.size]):
+                if row & first:
+                    m |= 1 << a
+            masks.append(m)
+        # a surviving combination keeps exactly its own element at a pinned
+        # vertex; extract_witness reads vertex masks only
+        sigma = SectionAssignment(tuple((v, masks[v].bit_length() - 1)
+                                        for v in pinned))
+        image = SubMask(masks, [full_mask(o.size) for o in d.edge_obj])
+        witness = extract_witness(d, image, sigma)
+    return InLimResult(Verdict(False), witness, tuple(s),
+                       lo + first.bit_length() if early_exit else total)
 
 
 def extract_witness(
@@ -265,9 +386,9 @@ def extract_witness(
     over this shape's plan (an image mask is one).
 
     The shape minus the pinned vertices (if any) must be a forest, else
-    ValueError.  The walk runs root-to-leaves over its forest plan: each
-    root takes its lowest surviving element, and each child its lowest
-    surviving element in the fibre over the parent's leg value.  That
+    ValueError.  The walk runs root-to-leaves over its forest plan, reading
+    leg tables: each root takes its lowest surviving element, and each child
+    its lowest surviving element whose leg value matches the parent's.  That
     element exists, and is the image mask's lowest there too, because after
     the leaves-to-root pass a child's mask within that fibre is exactly its
     image mask within it.  The family is checked against every edge of d
@@ -281,7 +402,7 @@ def extract_witness(
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
         vertex[v] = a
     up, roots = _forest_plan(d.shape, VertexSet.of(n, pinned))
-    edge_data = d.edge_data
+    edges = d.shape.edges
     legs = d.legs
     image = image_mask.vertex
     for r in roots:
@@ -289,20 +410,23 @@ def extract_witness(
             raise ValueError(f"empty image mask at vertex {r}")
         vertex[r] = (image[r] & -image[r]).bit_length() - 1
     for e in reversed(up):
-        u, v, fib_u, fib_v = edge_data[e]
+        u, v = edges[e]
+        fu, fv = legs[e]
         if vertex[v] is None:
-            c = v
-            pick = image[v] & fib_v[legs[e][0].table[vertex[u]]]
+            c, table, x = v, fv.table, fu.table[vertex[u]]
         else:
-            c = u
-            pick = image[u] & fib_u[legs[e][1].table[vertex[v]]]
-        if not pick:
+            c, table, x = u, fu.table, fv.table[vertex[v]]
+        mask = image[c]
+        for a, y in enumerate(table):
+            if y == x and mask >> a & 1:
+                vertex[c] = a
+                break
+        else:
             raise ValueError(
                 f"no element of vertex {c} matches the parent across "
                 f"edge {e}; mask is not swept leaves-to-root")
-        vertex[c] = (pick & -pick).bit_length() - 1
-    edges = tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(d.shape.edges))
-    w = Witness(tuple(vertex), edges)
+    w = Witness(tuple(vertex),
+                tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(edges)))
     problems = witness_violations(d, w)
     if problems:
         raise ValueError("extracted family violates edge constraints: "

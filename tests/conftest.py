@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from limsolve import CoDecomposition, FinFn, FinSetObj, SimpleGraph, SubMask
+from limsolve import (CoDecomposition, FinFn, FinSetObj, SimpleGraph, SubMask,
+                      VertexSet)
 from limsolve.generate import random_diagram, random_graph, random_tree
 
 
@@ -76,6 +77,31 @@ def edgeless_diagram(sizes) -> CoDecomposition:
         [],
         [],
     )
+
+
+def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
+    """An EMPTY diagram on a spider: root 0 with k equal branches, and hub
+    n - k + i closing a cycle through the tip and the base of branch i.
+    Every leg is the identity on w elements except one per hub cycle, which
+    shifts by one, so no cycle carries a matching family.  Returns the
+    diagram and its feedback vertex set, the k hubs."""
+    b = (n - 1 - k) // k
+    if 1 + k * b + k != n or b < 2:
+        raise ValueError(f"n={n} does not split into {k} branches")
+    ident = FinFn.identity(w)
+    shift = FinFn(w, w, tuple((a + 1) % w for a in range(w)))
+    edges = []
+    legs = []
+    for i in range(k):
+        branch = range(1 + i * b, 1 + (i + 1) * b)
+        hub = n - k + i
+        edges += [(0, branch[0]), (hub, branch[-1])]
+        edges += [(branch[j], branch[j + 1]) for j in range(b - 1)]
+        edges.append((branch[0], hub))
+        legs += [(ident, ident)] * (b + 1) + [(ident, shift)]
+    d = CoDecomposition(SimpleGraph(n, edges), [FinSetObj(w)] * n,
+                        [FinSetObj(w)] * len(edges), legs)
+    return d, VertexSet.of(n, range(n - k, n))
 
 
 def random_tree_diagram(seed: int, n_max: int = 10, w: int = 4) -> CoDecomposition:

@@ -65,6 +65,32 @@ def test_solve_supplied_fvs(tmp_path, capsys):
     assert code == 2 and "feedback vertex set" in err
 
 
+def _huge_edge_set(doc):
+    # 1-entry legs into 10^7 edge elements: fibre tables of that size
+    doc["edge_sets"] = [{"size": 10 ** 7}]
+    doc["legs"][1]["map"] = [0]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_set_above_size_cap_is_an_error(tmp_path, capsys, command):
+    path = write(tmp_path, "big.json",
+                 _huge_edge_set(jsonio.diagram_to_json(cospan_example())))
+    code, out, err = run(capsys, [command, path])
+    assert code == 2 and out == []
+    assert err.startswith("error:") and "edge set 0" in err and "limit" in err
+
+
+def test_cset_set_above_size_cap_is_an_error(tmp_path, capsys):
+    doc = jsonio.cset_diagram_to_json(lift_to_terminal_cset(cospan_example()))
+    doc["edge_csets"][0]["objects"] = [{"size": 10 ** 7}]
+    cat_path = write(tmp_path, "cat.json", jsonio.fincat_to_json(FinCat.terminal()))
+    dia_path = write(tmp_path, "cd.json", doc)
+    code, _, err = run(capsys, ["cset-solve", cat_path, dia_path])
+    assert code == 2
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_oracle_command(tmp_path, capsys):
     path = write(tmp_path, "path.json", jsonio.diagram_to_json(path_example()))
     code, out, _ = run(capsys, ["oracle", path])

@@ -122,6 +122,19 @@ def test_set_size_must_be_an_integer():
             jsonio.parse_finset({"size": size})
 
 
+def test_set_size_is_capped():
+    cap = jsonio.MAX_SET_SIZE
+    assert cap == 2 ** 20
+    assert jsonio.parse_finset({"size": cap}) == FinSetObj(cap)
+    with pytest.raises(jsonio.ParseError, match="edge set 0: size 10000000"):
+        jsonio.parse_finset({"size": 10 ** 7}, "edge set 0")
+    doc = jsonio.diagram_to_json(cospan_example())
+    doc["edge_sets"] = [{"size": cap + 1}]
+    doc["legs"][1]["map"] = [0]
+    with pytest.raises(jsonio.ParseError, match="edge set 0.*limit"):
+        jsonio.parse_diagram(doc)
+
+
 def test_cset_diagram_round_trip():
     rng = random.Random(3)
     d = random_walking_arrow_diagram(rng, SimpleGraph(3, [(0, 1), (1, 2)]), 3)

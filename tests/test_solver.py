@@ -1,4 +1,7 @@
 import random
+import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -10,6 +13,7 @@ from conftest import (
     path_example,
     random_graph_diagram,
     random_tree_diagram,
+    shifted_spider,
 )
 from limsolve import (
     CoDecomposition,
@@ -276,6 +280,107 @@ def test_inlim_rejects_non_fvs_by_name():
     with pytest.raises(ValueError, match="feedback vertex set"):
         inlim(d, fvs=VertexSet.of(6, [0]))
     assert len(inlim(d, fvs=VertexSet.of(6, [0, 3]), early_exit=False).fvs) == 2
+
+
+def _seeded_diagrams(seeds):
+    for seed in range(seeds):
+        yield random_graph_diagram(seed)
+        yield random_graph_diagram(seed, n_max=7)
+
+
+def _outputs(d, **kwargs):
+    return [(r.verdict, r.fvs, r.section_test_count, r.witness)
+            for r in (inlim(d, want_witness=ww, early_exit=ee, **kwargs)
+                      for ww in (False, True) for ee in (True, False))]
+
+
+def test_inlim_matches_section_tests_per_combination():
+    # each combination decided on its own through the inspection path
+    pinned = {True: 0, False: 0}
+    for d in _seeded_diagrams(400):
+        result = inlim(d, want_witness=True)
+        tests = list(section_tests(d, VertexSet.of(d.shape.n, result.fvs)))
+        nonempty = [i for i, t in enumerate(tests)
+                    if not t.immediately_empty
+                    and not forest_initial(t.tau, t.tau_mask).empty_limit]
+        assert result.verdict.empty_limit == (not nonempty)
+        assert inlim(d, early_exit=False).section_test_count == len(tests)
+        if result.fvs:
+            pinned[result.verdict.empty_limit] += 1
+        if not nonempty:
+            assert result.section_test_count == len(tests)
+            continue
+        assert result.section_test_count == nonempty[0] + 1
+        assert all(result.witness.vertex_elements[v] == a
+                   for v, a in tests[nonempty[0]].assignment.choices)
+    assert min(pinned.values()) > 30, pinned
+
+
+# 5 per block also tiles a digit period of 3 inside blocks that start past 0
+@pytest.mark.parametrize("per_block", [1, 2, 5])
+def test_inlim_block_width_does_not_change_outputs(monkeypatch, per_block):
+    import limsolve.solver
+
+    cases = list(_seeded_diagrams(200))
+    spider, hubs = shifted_spider(4, 41)
+    want = [_outputs(d) for d in cases] + [_outputs(spider, fvs=hubs)]
+    monkeypatch.setattr(limsolve.solver, "_MIN_BLOCK", per_block)
+    monkeypatch.setattr(limsolve.solver, "_STATE_BITS", 0)
+    got = [_outputs(d) for d in cases] + [_outputs(spider, fvs=hubs)]
+    assert got == want
+    # the spider is EMPTY after all 3^4 tests, with or without early exit
+    assert all(out[0].empty_limit and out[2] == 81 for out in want[-1])
+
+
+def test_inlim_pinned_combinations_share_one_sweep():
+    # 729 combinations at k = 6 against 3 at k = 1: one sweep per block,
+    # not one per combination, keeps the ratio near 1 (about 90-160 when
+    # every combination runs its own sweep)
+    def median_s(k):
+        times = []
+        for _ in range(3):
+            d, hubs = shifted_spider(k, 601)
+            start = time.perf_counter()
+            result = inlim(d, fvs=hubs)
+            times.append(time.perf_counter() - start)
+            assert result.verdict.empty_limit
+            assert result.section_test_count == 3 ** k
+        return statistics.median(times)
+
+    assert median_s(6) / median_s(1) <= 20
+
+
+def test_inlim_never_builds_fibres(monkeypatch):
+    import limsolve.diagram
+    import limsolve.solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inlim built fibres or filtered a SubMask")
+
+    monkeypatch.setattr(CoDecomposition, "edge_data", property(refuse))
+    for module in (limsolve.diagram, limsolve.solver):
+        monkeypatch.setattr(module, "filter_edges", refuse)
+    for d, empty in ((path_example(), False), (c4_example(), True),
+                     (c4_untwisted_example(), False)):
+        for want_witness in (False, True):
+            result = inlim(d, want_witness=want_witness)
+            assert result.verdict.empty_limit == empty
+            if want_witness and not empty:
+                assert result.witness in enumerate_limit(d)
+
+
+def test_inlim_edgeless_vertex_state_stays_small():
+    # an unpinned vertex without edges keeps no per-element row
+    d = edgeless_diagram([10 ** 6])
+    for want_witness in (False, True):
+        tracemalloc.start()
+        try:
+            result = inlim(d, want_witness=want_witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.verdict.empty_limit
+        assert peak < 2 * 2 ** 20, peak
 
 
 def test_extract_witness_path_example():
