@@ -240,7 +240,6 @@ def cset_inlim(
     d: CSetCoDecomposition,
     fvs: VertexSet | None = None,
     k_max: int | None = None,
-    early_exit: bool = True,
 ) -> Verdict:
     """Emptiness for C-set diagrams: the limit is the initial (everywhere
     empty) C-set iff every pointwise slice has an empty limit."""
@@ -250,7 +249,7 @@ def cset_inlim(
     # the slices share the shape, so one feedback vertex set serves them all
     s = _resolve_fvs(d.shape, fvs, k_max)
     for c in range(d.cat.object_count):
-        result = inlim(pointwise_slice(d, c), fvs=s, early_exit=early_exit)
+        result = inlim(pointwise_slice(d, c), fvs=s)
         if not result.verdict.empty_limit:
             return Verdict(False)
     return Verdict(True)

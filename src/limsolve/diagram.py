@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinFn, FinSetObj, bits, full_mask
+from .finset import FinFn, FinSetObj, bits, full_mask, image, mask_of
 from .graphs import SimpleGraph, VertexSet, remove_vertices
 
 
@@ -53,14 +53,13 @@ class CoDecomposition:
         raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
 
     @property
-    def edge_data(self) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        """Per edge: (u, v, leg-at-u fibers, leg-at-v fibers); cached, this
-        is the view filter_edges reads."""
+    def edge_data(self) -> list[tuple[int, int, FinFn, FinFn]]:
+        """Per edge: (u, v, leg at u, leg at v); cached.  This is the view
+        filter_edges reads: it works on the legs' own tables and builds no
+        index of its own."""
         if self._edge_data is None:
-            self._edge_data = [
-                (u, v, self.legs[e][0].fibers, self.legs[e][1].fibers)
-                for e, (u, v) in enumerate(self.shape.edges)
-            ]
+            self._edge_data = [(u, v, fu, fv) for (u, v), (fu, fv)
+                               in zip(self.shape.edges, self.legs)]
         return self._edge_data
 
     def width(self) -> int:
@@ -163,45 +162,33 @@ def filter_edge(d: CoDecomposition, m: SubMask, e: int) -> SubMask:
 def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
     """Apply the edge filter of ``filter_edge`` to each edge of eids in turn.
 
+    Each side's hit set is the image of its mask under its leg table; a
+    side keeps the elements whose table value lands in the shared image.
     Returns False at the first edge whose shared image is empty; that edge
     and both its endpoints are then zeroed, so the mask stays leg-closed.
     image_tree, forest_initial and section_tests run on this loop; inlim
-    filters many section tests at once over leg tables instead.
+    filters many section tests at once over the same leg tables instead.
     """
     vert = m.vertex
     edge = m.edge
     edge_data = d.edge_data
     for e in eids:
-        u, v, fib_u, fib_v = edge_data[e]
-        mu = vert[u]
-        mv = vert[v]
-        hit_u = 0
-        hit_v = 0
-        for t in range(len(fib_u)):
-            if fib_u[t] & mu:
-                hit_u |= 1 << t
-            if fib_v[t] & mv:
-                hit_v |= 1 << t
+        u, v, fu, fv = edge_data[e]
+        hit_u = image(fu, vert[u])
+        hit_v = image(fv, vert[v])
         common = hit_u & hit_v
         edge[e] = common
         if not common:
             vert[u] = 0
             vert[v] = 0
             return False
-        if common == hit_u and common == hit_v:
-            # every masked element already has a partner
-            continue
-        new_u = 0
-        new_v = 0
-        c = common
-        while c:
-            low = c & -c
-            t = low.bit_length() - 1
-            new_u |= fib_u[t]
-            new_v |= fib_v[t]
-            c ^= low
-        vert[u] = mu & new_u
-        vert[v] = mv & new_v
+        # a side whose hits are all shared keeps its mask as it is
+        if common != hit_u:
+            tu = fu.table
+            vert[u] = mask_of(a for a in bits(vert[u]) if common >> tu[a] & 1)
+        if common != hit_v:
+            tv = fv.table
+            vert[v] = mask_of(a for a in bits(vert[v]) if common >> tv[a] & 1)
     return True
 
 

@@ -7,7 +7,6 @@ bit i set means element i belongs to the subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 def bits(mask: int):
@@ -74,14 +73,6 @@ class FinFn:
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    @cached_property
-    def fibers(self) -> tuple[int, ...]:
-        """Per target element, the bitmask of its preimage."""
-        fib = [0] * self.target_size
-        for s, t in enumerate(self.table):
-            fib[t] |= 1 << s
-        return tuple(fib)
 
     @classmethod
     def identity(cls, n: int) -> "FinFn":

@@ -19,6 +19,8 @@ class SimpleGraph:
         # ids are never coerced: bool is an int subclass but no vertex id
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is not an integer")
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         edges = tuple((u, v) for u, v in edges)
         seen = set()
         for u, v in edges:

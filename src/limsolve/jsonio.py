@@ -28,8 +28,9 @@ class ParseError(ValueError):
     pass
 
 
-# Largest set a diagram may hold.  Fibres and section-test state are sized
-# by the sets, so one {"size": 10**9} would exhaust memory before a sweep.
+# Largest set a diagram may hold.  Edge masks and section-test state are
+# sized by the sets, so one {"size": 10**9} would exhaust memory before a
+# sweep.
 MAX_SET_SIZE = 2 ** 20
 
 
@@ -49,9 +50,14 @@ def _int(value, where: str) -> int:
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
     edges = _require(obj, "edges", where)
+    if not isinstance(edges, list):
+        raise ParseError(f"{where}: edges must be a list")
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"{where}: edge {i} is not a pair of vertex ids")
     try:
-        return SimpleGraph(n, [(e[0], e[1]) for e in edges])
-    except (ValueError, TypeError, IndexError) as exc:
+        return SimpleGraph(n, edges)
+    except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

@@ -7,16 +7,19 @@ empty.  The BFS plan of the forest G - S is built once per solve, and its
 edge count is the check that S is a feedback vertex set.  A test filters
 the pinned vertices' edges and runs the leaves-to-root pass over the plan:
 on a tree, the root mask after that pass is nonempty iff a matching family
-exists, so that pass alone decides the test, and the witness of the first
-nonempty test is read straight off its masks.  The root-to-leaves pass,
-which turns the masks into the image subdiagram, runs only in image_tree.
+exists, so that pass alone decides the test, and one root-to-leaves walk
+over the same plan reads the witness off the first nonempty test.  The
+root-to-leaves filter pass, which turns masks into the image subdiagram,
+runs only in image_tree.
 
 inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
 says whether combination j keeps the element, so each edge filter serves B
 combinations at once.  That is ceil(w^k / B) sweeps of O(w^2 * n) B-bit
 word operations, in Sum |d(v)| * B bits of state, for the paper's
 O(w^k * w^2 * n) in total.  section_tests, forest_initial and image_tree
-run one test at a time on SubMasks, through diagram.filter_edges.
+run one test at a time on SubMasks, through diagram.filter_edges: they are
+the per-combination reference that the tests check the sliced sweep
+against.
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -35,7 +38,6 @@ from .diagram import (
     filter_edges,
     restrict_to_subgraph,
 )
-from .finset import full_mask
 from .graphs import SimpleGraph, VertexSet, fvs_exact
 
 
@@ -335,9 +337,9 @@ def inlim(
     empty iff no combination survives, so the blocks stop at the first one
     with a survivor.  section_test_count is the index of the first
     survivor plus one, or every combination when early_exit is off or the
-    limit is empty.  The witness is deterministic: extract_witness reads
-    the lowest-index extension off the masks of the lexicographically first
-    nonempty combination.
+    limit is empty.  The witness is deterministic: one root-to-leaves walk
+    over the same plan reads the lowest-index extension off the rows of
+    the lexicographically first surviving combination.
     """
     s = _resolve_fvs(d.shape, fvs, k_max)
     plan = _forest_plan(d.shape, s)
@@ -355,60 +357,36 @@ def inlim(
     else:
         return InLimResult(Verdict(True), None, tuple(s), total)
     first = alive & -alive
-    witness = None
-    if want_witness:
-        masks = []
-        for o, i in zip(d.vertex_obj, start):
-            if i < 0:
-                masks.append(full_mask(o.size))
-                continue
-            m = 0
-            for a, row in enumerate(state[i:i + o.size]):
-                if row & first:
-                    m |= 1 << a
-            masks.append(m)
-        # a surviving combination keeps exactly its own element at a pinned
-        # vertex; extract_witness reads vertex masks only
-        sigma = SectionAssignment(tuple((v, masks[v].bit_length() - 1)
-                                        for v in pinned))
-        image = SubMask(masks, [full_mask(o.size) for o in d.edge_obj])
-        witness = extract_witness(d, image, sigma)
+    witness = (_read_family(d, plan, pinned, state, start, first)
+               if want_witness else None)
     return InLimResult(Verdict(False), witness, tuple(s),
                        lo + first.bit_length() if early_exit else total)
 
 
-def extract_witness(
-    d: CoDecomposition,
-    image_mask: SubMask,
-    sigma: SectionAssignment | None = None,
-) -> Witness:
-    """Read one matching family off a mask after the leaves-to-root pass
-    over this shape's plan (an image mask is one).
+def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
+                 pinned: list[int], state: list[int], start: list[int],
+                 first: int) -> Witness:
+    """One matching family, read root-to-leaves over the plan off rows laid
+    out as _sliced_sweep leaves them: element a of vertex c is kept iff
+    start[c] < 0 or bit first is set in state[start[c] + a].
 
-    The shape minus the pinned vertices (if any) must be a forest, else
-    ValueError.  The walk runs root-to-leaves over its forest plan, reading
-    leg tables: each root takes its lowest surviving element, and each child
-    its lowest surviving element whose leg value matches the parent's.  That
-    element exists, and is the image mask's lowest there too, because after
-    the leaves-to-root pass a child's mask within that fibre is exactly its
-    image mask within it.  The family is checked against every edge of d
-    before it is returned.
+    Each root and pinned vertex takes its lowest kept element, and each
+    child its lowest kept element whose leg value matches the parent's.
+    That element exists when the rows went through the leaves-to-root pass:
+    every kept parent element then has a partner among the child's kept
+    ones.  The family is checked against every edge of d before it is
+    returned.
     """
-    pinned = sigma.as_dict() if sigma is not None else {}
-    n = d.shape.n
-    vertex: list[int | None] = [None] * n
-    for v, a in pinned.items():
-        if not 0 <= a < d.vertex_obj[v].size:
-            raise ValueError(f"pinned element {a} out of range at vertex {v}")
-        vertex[v] = a
-    up, roots = _forest_plan(d.shape, VertexSet.of(n, pinned))
+    vertex: list[int | None] = [None] * d.shape.n
+    up, roots = plan
+    for r in itertools.chain(roots, pinned):
+        i = start[r]
+        vertex[r] = next((a for a in range(d.vertex_obj[r].size)
+                          if i < 0 or state[i + a] & first), None)
+        if vertex[r] is None:
+            raise ValueError(f"empty image mask at vertex {r}")
     edges = d.shape.edges
     legs = d.legs
-    image = image_mask.vertex
-    for r in roots:
-        if not image[r]:
-            raise ValueError(f"empty image mask at vertex {r}")
-        vertex[r] = (image[r] & -image[r]).bit_length() - 1
     for e in reversed(up):
         u, v = edges[e]
         fu, fv = legs[e]
@@ -416,9 +394,9 @@ def extract_witness(
             c, table, x = v, fv.table, fu.table[vertex[u]]
         else:
             c, table, x = u, fu.table, fv.table[vertex[v]]
-        mask = image[c]
+        i = start[c]  # a child has an edge, so it has rows
         for a, y in enumerate(table):
-            if y == x and mask >> a & 1:
+            if y == x and state[i + a] & first:
                 vertex[c] = a
                 break
         else:
@@ -432,3 +410,33 @@ def extract_witness(
         raise ValueError("extracted family violates edge constraints: "
                          + "; ".join(problems))
     return w
+
+
+def extract_witness(
+    d: CoDecomposition,
+    image_mask: SubMask,
+    sigma: SectionAssignment | None = None,
+) -> Witness:
+    """Read one matching family off a mask after the leaves-to-root pass
+    over this shape's plan (an image mask is one).
+
+    The shape minus the pinned vertices (if any) must be a forest, else
+    ValueError.  The vertex masks go as width-1 rows, a pinned vertex's
+    holding only its pinned element, through the walk inlim reads its
+    witness with.  After the leaves-to-root pass, a child's mask and its
+    image mask agree on the elements that match a parent element of the
+    image, so both give the same family.
+    """
+    pinned = sigma.as_dict() if sigma is not None else {}
+    n = d.shape.n
+    for v, a in pinned.items():
+        if not 0 <= a < d.vertex_obj[v].size:
+            raise ValueError(f"pinned element {a} out of range at vertex {v}")
+    plan = _forest_plan(d.shape, VertexSet.of(n, pinned))
+    state: list[int] = []
+    start = []
+    for v, o in enumerate(d.vertex_obj):
+        start.append(len(state))
+        mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]
+        state += [mask >> a & 1 for a in range(o.size)]
+    return _read_family(d, plan, list(pinned), state, start, 1)

@@ -66,7 +66,7 @@ def test_solve_supplied_fvs(tmp_path, capsys):
 
 
 def _huge_edge_set(doc):
-    # 1-entry legs into 10^7 edge elements: fibre tables of that size
+    # 1-entry legs into 10^7 edge elements: per-edge hit lists of that size
     doc["edge_sets"] = [{"size": 10 ** 7}]
     doc["legs"][1]["map"] = [0]
     return doc
@@ -282,10 +282,15 @@ def _shape_vertex_string(doc):
     doc["shape"]["edges"][0][1] = "1"
 
 
+def _shape_edge_triple(doc):
+    doc["shape"]["edges"][0].append(7)
+
+
 @pytest.mark.parametrize("mutate", [
     _leg_edge_not_an_id, _map_entry(0.5), _map_entry(True),
-    _shape_vertex_string,
-], ids=["leg-edge-x", "map-entry-0.5", "map-entry-true", "shape-vertex-str"])
+    _shape_vertex_string, _shape_edge_triple,
+], ids=["leg-edge-x", "map-entry-0.5", "map-entry-true", "shape-vertex-str",
+        "shape-edge-triple"])
 def test_solve_malformed_input_is_an_error(tmp_path, capsys, mutate):
     doc = jsonio.diagram_to_json(cospan_example())
     mutate(doc)
@@ -293,4 +298,17 @@ def test_solve_malformed_input_is_an_error(tmp_path, capsys, mutate):
     code, _, err = run(capsys, ["solve", path])
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("hom", {"X": {"n": -1, "edges": []}, "shape": {"n": 0, "edges": []},
+             "bags": []}),
+    ("fvs", {"n": -1, "edges": []}),
+], ids=["hom", "fvs"])
+def test_negative_vertex_count_is_an_error(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "neg.json", doc)
+    code, out, err = run(capsys, [command, path])
+    assert code == 2 and out == []
+    assert err.startswith("error:") and "vertex count -1" in err
     assert "Traceback" not in err

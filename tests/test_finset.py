@@ -92,16 +92,6 @@ def test_image_of_composite_inside_image():
         assert image(compose(f, g)) & ~image(g) == 0
 
 
-def test_fibers_partition_source():
-    rng = random.Random(4)
-    for _ in range(30):
-        f = random_fn(rng, rng.randint(0, 6), rng.randint(1, 5))
-        assert sum(fib.bit_count() for fib in f.fibers) == f.source_size
-        for t, fib in enumerate(f.fibers):
-            for s in bits(fib):
-                assert f(s) == t
-
-
 def test_bit_helpers():
     assert list(bits(0b1011)) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011

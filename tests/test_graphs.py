@@ -41,6 +41,8 @@ def test_simple_graph_rejects_loops_and_duplicates():
         SimpleGraph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(2, [(0, 5)])
+    with pytest.raises(ValueError, match="vertex count -3"):
+        SimpleGraph(-3, [])
 
 
 def test_components_disjoint_edges():

@@ -24,6 +24,15 @@ def test_graph_rejects_loop_and_duplicate():
         jsonio.parse_graph({"n": 2, "edges": [[0, 1], [1, 0]]})
     with pytest.raises(jsonio.ParseError):
         jsonio.parse_graph({"edges": []})
+    with pytest.raises(jsonio.ParseError, match="edges must be a list"):
+        jsonio.parse_graph({"n": 2, "edges": 5})
+
+
+@pytest.mark.parametrize("edge", [[0, 1, 2], [0], {"a": 0}, 1])
+def test_graph_edges_must_be_pairs(edge):
+    with pytest.raises(jsonio.ParseError,
+                       match="graph: edge 1 is not a pair of vertex ids"):
+        jsonio.parse_graph({"n": 3, "edges": [[0, 1], edge]})
 
 
 def test_finset_forms():

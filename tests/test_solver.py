@@ -1,3 +1,4 @@
+import itertools
 import random
 import statistics
 import time
@@ -32,6 +33,7 @@ from limsolve import (
     section_tests,
     witness_violations,
 )
+from limsolve.generate import random_tree
 
 
 def test_inlim_edgeless_shapes():
@@ -369,6 +371,46 @@ def test_inlim_never_builds_fibres(monkeypatch):
                 assert result.witness in enumerate_limit(d)
 
 
+def _planted_tree(seed, n, w):
+    """A random tree diagram whose legs agree on one planted family."""
+    rng = random.Random(seed)
+    shape = random_tree(rng, n)
+    fam = [rng.randrange(w) for _ in range(n)]
+    legs = []
+    for u, v in shape.edges:
+        tu = [rng.randrange(w) for _ in range(w)]
+        tv = [rng.randrange(w) for _ in range(w)]
+        tv[fam[v]] = tu[fam[u]]
+        legs.append((FinFn(w, w, tu), FinFn(w, w, tv)))
+    return CoDecomposition(shape, [FinSetObj(w)] * n,
+                           [FinSetObj(w)] * shape.m, legs)
+
+
+def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
+    # one forest plan per solve, and no masks or assignment objects
+    import limsolve.solver
+
+    plans = []
+    forest_plan = limsolve.solver._forest_plan
+
+    def counted(*args):
+        plans.append(args)
+        return forest_plan(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inlim built a SubMask or a SectionAssignment")
+
+    monkeypatch.setattr(limsolve.solver, "_forest_plan", counted)
+    monkeypatch.setattr(limsolve.solver, "SubMask", refuse)
+    monkeypatch.setattr(limsolve.solver, "SectionAssignment", refuse)
+    for d in (c4_untwisted_example(), _planted_tree(5, 300, 4)):
+        plans.clear()
+        result = inlim(d, want_witness=True)
+        assert not result.verdict.empty_limit
+        assert witness_violations(d, result.witness) == []
+        assert len(plans) == 1
+
+
 def test_inlim_edgeless_vertex_state_stays_small():
     # an unpinned vertex without edges keeps no per-element row
     d = edgeless_diagram([10 ** 6])
@@ -415,6 +457,19 @@ def test_extract_witness_with_pinned_vertices():
     sigma = SectionAssignment(((0, result.witness.vertex_elements[0]),))
     w = extract_witness(d, _image_on_base(d, sigma), sigma)
     assert witness_violations(d, w) == []
+    # over image masks the walk picks what inlim picks off its sweep rows
+    nonempty = 0
+    trees = (random_tree_diagram(seed) for seed in range(400))
+    for d in itertools.chain(_seeded_diagrams(400), trees):
+        result = inlim(d, want_witness=True)
+        if result.verdict.empty_limit:
+            continue
+        nonempty += 1
+        sigma = SectionAssignment(tuple(
+            (v, result.witness.vertex_elements[v]) for v in result.fvs))
+        assert extract_witness(d, _image_on_base(d, sigma), sigma) \
+            == result.witness
+    assert nonempty == 722
 
 
 def test_extract_witness_rejects_cyclic_shape():
