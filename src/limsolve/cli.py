@@ -37,11 +37,15 @@ def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
     return VertexSet.of(n, ids)
 
 
+def _labels(labels: dict, elements) -> str:
+    """Each element's label, or its index in an unlabelled set."""
+    return ",".join(labels[i][a] if i in labels else str(a)
+                    for i, a in enumerate(elements))
+
+
 def _witness_lines(d: CoDecomposition, w: Witness) -> list[str]:
-    verts = ",".join(d.vertex_obj[x].label(a)
-                     for x, a in enumerate(w.vertex_elements))
-    edges = ",".join(d.edge_obj[e].label(a)
-                     for e, a in enumerate(w.edge_elements))
+    verts = _labels(d.vertex_labels, w.vertex_elements)
+    edges = _labels(d.edge_labels, w.edge_elements)
     return [f"witness_vertices={verts}", f"witness_edges={edges}"]
 
 

@@ -6,6 +6,13 @@ endpoint's elements into the edge set.  An element of the limit picks one
 element per vertex so that for every edge both endpoint choices map to the
 same edge element.
 
+A diagram is stored as columns: the vertex and edge set sizes as int
+lists, one (table at u, table at v) pair of leg tables per edge, and
+labels only for the sets that have them.  The FinSetObj and FinFn objects
+(vertex_obj, edge_obj, legs, leg()) are views, built from the columns the
+first time they are read; the solver and the kernels here read only the
+columns, so loading and solving a diagram builds no per-set objects.
+
 Subdiagrams never copy the base diagram: they are bitmasks over its
 objects (one mask per vertex set, one per edge set).  The mask invariant is
 leg-closure: masked vertex elements must map into the masked edge set.
@@ -17,31 +24,94 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinFn, FinSetObj, bits, full_mask, image, mask_of
+from .finset import FinFn, FinSetObj, bits, full_mask, mask_of, table_image
 from .graphs import SimpleGraph, VertexSet, remove_vertices
 
 
 class CoDecomposition:
     """A diagram over a simple graph shape.
 
-    legs[e] holds the pair of leg functions of edge e, in the same order as
-    the endpoints in shape.edges[e].
+    The storage is columnar.  vertex_size[x] and edge_size[e] are the set
+    sizes; tables[e] is the pair of leg tables of edge e, in the same order
+    as the endpoints in shape.edges[e], and tables[e][i][a] is the edge
+    element that element a of that endpoint maps to.  vertex_labels and
+    edge_labels map a set's index to its labels, for the labelled sets
+    only.  A leg's target is its edge set.
+
+    vertex_obj, edge_obj, legs and leg() are views of the columns as
+    FinSetObj and FinFn objects, each built on its first read.  The
+    constructor takes those objects and keeps them as the views;
+    from_columns takes the columns.
     """
 
-    __slots__ = ("shape", "vertex_obj", "edge_obj", "legs", "_edge_data")
+    __slots__ = ("shape", "vertex_size", "edge_size", "tables",
+                 "vertex_labels", "edge_labels",
+                 "_vertex_obj", "_edge_obj", "_legs", "_edge_data")
 
     def __init__(self, shape: SimpleGraph, vertex_obj, edge_obj, legs):
-        self.shape = shape
-        self.vertex_obj = tuple(vertex_obj)
-        self.edge_obj = tuple(edge_obj)
-        self.legs = tuple((fu, fv) for fu, fv in legs)
-        self._edge_data = None
-        if len(self.vertex_obj) != shape.n:
+        vertex_obj = tuple(vertex_obj)
+        edge_obj = tuple(edge_obj)
+        legs = tuple((fu, fv) for fu, fv in legs)
+        self._set_columns(
+            shape, [o.size for o in vertex_obj], [o.size for o in edge_obj],
+            [(fu.table, fv.table) for fu, fv in legs],
+            _labels_of(vertex_obj), _labels_of(edge_obj))
+        self._vertex_obj = vertex_obj
+        self._edge_obj = edge_obj
+        self._legs = legs
+
+    @classmethod
+    def from_columns(cls, shape: SimpleGraph, vertex_size: list[int],
+                     edge_size: list[int], tables: list[tuple],
+                     vertex_labels: dict | None = None,
+                     edge_labels: dict | None = None) -> "CoDecomposition":
+        """A diagram over the given columns, which are kept, not copied.
+        Only their lengths are checked; validate(d) checks the tables."""
+        d = cls.__new__(cls)
+        d._set_columns(shape, vertex_size, edge_size, tables,
+                       vertex_labels or {}, edge_labels or {})
+        d._vertex_obj = d._edge_obj = d._legs = None
+        return d
+
+    def _set_columns(self, shape, vertex_size, edge_size, tables,
+                     vertex_labels, edge_labels):
+        if len(vertex_size) != shape.n:
             raise ValueError("one set per shape vertex required")
-        if len(self.edge_obj) != shape.m:
+        if len(edge_size) != shape.m:
             raise ValueError("one set per shape edge required")
-        if len(self.legs) != shape.m:
+        if len(tables) != shape.m:
             raise ValueError("exactly two legs per shape edge required")
+        self.shape = shape
+        self.vertex_size = vertex_size
+        self.edge_size = edge_size
+        self.tables = tables
+        self.vertex_labels = vertex_labels
+        self.edge_labels = edge_labels
+        self._edge_data = None
+
+    @property
+    def vertex_obj(self) -> tuple[FinSetObj, ...]:
+        """The vertex sets as FinSetObj views; built on first read."""
+        if self._vertex_obj is None:
+            self._vertex_obj = _sets_of(self.vertex_size, self.vertex_labels)
+        return self._vertex_obj
+
+    @property
+    def edge_obj(self) -> tuple[FinSetObj, ...]:
+        """The edge sets as FinSetObj views; built on first read."""
+        if self._edge_obj is None:
+            self._edge_obj = _sets_of(self.edge_size, self.edge_labels)
+        return self._edge_obj
+
+    @property
+    def legs(self) -> tuple[tuple[FinFn, FinFn], ...]:
+        """Per edge, its (leg at u, leg at v) as FinFn views; built on
+        first read."""
+        if self._legs is None:
+            self._legs = tuple(
+                (FinFn(len(tu), size, tu), FinFn(len(tv), size, tv))
+                for size, (tu, tv) in zip(self.edge_size, self.tables))
+        return self._legs
 
     def leg(self, e: int, x: int) -> FinFn:
         """The leg of edge e at its endpoint x."""
@@ -53,28 +123,33 @@ class CoDecomposition:
         raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
 
     @property
-    def edge_data(self) -> list[tuple[int, int, FinFn, FinFn]]:
-        """Per edge: (u, v, leg at u, leg at v); cached.  This is the view
-        filter_edges reads: it works on the legs' own tables and builds no
-        index of its own."""
+    def edge_data(self) -> list[tuple[int, int, tuple, tuple]]:
+        """Per edge: (u, v, table at u, table at v); cached.  This is the
+        view filter_edges reads."""
         if self._edge_data is None:
-            self._edge_data = [(u, v, fu, fv) for (u, v), (fu, fv)
-                               in zip(self.shape.edges, self.legs)]
+            self._edge_data = [(u, v, tu, tv) for (u, v), (tu, tv)
+                               in zip(self.shape.edges, self.tables)]
         return self._edge_data
 
     def width(self) -> int:
         """Largest vertex set size (the w of the running-time bounds)."""
-        return max((o.size for o in self.vertex_obj), default=0)
+        return max(self.vertex_size, default=0)
 
     def full_mask(self) -> "SubMask":
-        return SubMask(
-            [full_mask(o.size) for o in self.vertex_obj],
-            [full_mask(o.size) for o in self.edge_obj],
-        )
+        return SubMask([full_mask(s) for s in self.vertex_size],
+                       [full_mask(s) for s in self.edge_size])
 
     def __repr__(self):
         return (f"CoDecomposition(n={self.shape.n}, m={self.shape.m}, "
                 f"w={self.width()})")
+
+
+def _labels_of(objs) -> dict[int, tuple[str, ...]]:
+    return {i: o.labels for i, o in enumerate(objs) if o.labels is not None}
+
+
+def _sets_of(sizes, labels) -> tuple[FinSetObj, ...]:
+    return tuple(FinSetObj(s, labels.get(i)) for i, s in enumerate(sizes))
 
 
 class SubMask:
@@ -118,16 +193,18 @@ class Verdict:
 def validate(d: CoDecomposition) -> list[str]:
     """All diagram invariants; returns a list of violations, empty when ok."""
     problems = []
-    for e, (u, v) in enumerate(d.shape.edges):
-        for x, fn in ((u, d.legs[e][0]), (v, d.legs[e][1])):
-            if fn.source_size != d.vertex_obj[x].size:
+    for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
+        size = d.edge_size[e]
+        for x, table in zip((u, v), pair):
+            if len(table) != d.vertex_size[x]:
                 problems.append(
                     f"leg of edge {e} at vertex {x}: source size "
-                    f"{fn.source_size} != vertex set size {d.vertex_obj[x].size}")
-            if fn.target_size != d.edge_obj[e].size:
+                    f"{len(table)} != vertex set size {d.vertex_size[x]}")
+            reach = max(table, default=-1) + 1
+            if reach > size:
                 problems.append(
-                    f"leg of edge {e} at vertex {x}: target size "
-                    f"{fn.target_size} != edge set size {d.edge_obj[e].size}")
+                    f"leg of edge {e} at vertex {x}: table needs target "
+                    f"size {reach} > edge set size {size}")
     return problems
 
 
@@ -135,14 +212,14 @@ def check_leg_closure(d: CoDecomposition, m: SubMask) -> list[str]:
     """Violations of the mask invariant: masked vertex elements must map
     into the masked edge set."""
     problems = []
-    for e, (u, v) in enumerate(d.shape.edges):
+    for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
         em = m.edge[e]
-        for x, fn in ((u, d.legs[e][0]), (v, d.legs[e][1])):
+        for x, table in zip((u, v), pair):
             for a in bits(m.vertex[x]):
-                if not em >> fn.table[a] & 1:
+                if not em >> table[a] & 1:
                     problems.append(
                         f"edge {e}, vertex {x}: element {a} maps to "
-                        f"{fn.table[a]} outside the edge mask")
+                        f"{table[a]} outside the edge mask")
     return problems
 
 
@@ -173,9 +250,9 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
     edge = m.edge
     edge_data = d.edge_data
     for e in eids:
-        u, v, fu, fv = edge_data[e]
-        hit_u = image(fu, vert[u])
-        hit_v = image(fv, vert[v])
+        u, v, tu, tv = edge_data[e]
+        hit_u = table_image(tu, vert[u])
+        hit_v = table_image(tv, vert[v])
         common = hit_u & hit_v
         edge[e] = common
         if not common:
@@ -184,10 +261,8 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
             return False
         # a side whose hits are all shared keeps its mask as it is
         if common != hit_u:
-            tu = fu.table
             vert[u] = mask_of(a for a in bits(vert[u]) if common >> tu[a] & 1)
         if common != hit_v:
-            tv = fv.table
             vert[v] = mask_of(a for a in bits(vert[v]) if common >> tv[a] & 1)
     return True
 
@@ -202,9 +277,9 @@ def glue(
     Vertex and edge ids of d1 are kept; d2's are shifted by d1's counts; the
     fresh edge comes last and gets delta1, delta2 as its legs and a full mask.
     """
-    if delta1.source_size != d1.vertex_obj[x1].size:
+    if delta1.source_size != d1.vertex_size[x1]:
         raise ValueError("delta1 does not start at the boundary vertex set of d1")
-    if delta2.source_size != d2.vertex_obj[x2].size:
+    if delta2.source_size != d2.vertex_size[x2]:
         raise ValueError("delta2 does not start at the boundary vertex set of d2")
     if delta1.target_size != e_obj.size or delta2.target_size != e_obj.size:
         raise ValueError("boundary maps must land in the fresh edge set")
@@ -260,33 +335,18 @@ def as_subdiagram(d: CoDecomposition, m: SubMask) -> CoDecomposition:
     problems = check_leg_closure(d, m)
     if problems:
         raise ValueError("mask is not leg-closed: " + "; ".join(problems))
-
-    def shrink(obj: FinSetObj, mask: int) -> tuple[FinSetObj, dict[int, int]]:
-        kept = list(bits(mask))
+    vertex_kept = [list(bits(mask)) for mask in m.vertex]
+    edge_kept = [list(bits(mask)) for mask in m.edge]
+    tables = []
+    for (u, v), (tu, tv), kept in zip(d.shape.edges, d.tables, edge_kept):
         index = {old: new for new, old in enumerate(kept)}
-        labels = None
-        if obj.labels is not None:
-            labels = tuple(obj.labels[i] for i in kept)
-        return FinSetObj(len(kept), labels), index
+        tables.append((tuple(index[tu[a]] for a in vertex_kept[u]),
+                       tuple(index[tv[a]] for a in vertex_kept[v])))
+    return CoDecomposition.from_columns(
+        d.shape, [len(k) for k in vertex_kept], [len(k) for k in edge_kept],
+        tables, _kept_labels(d.vertex_labels, vertex_kept),
+        _kept_labels(d.edge_labels, edge_kept))
 
-    vertex_obj = []
-    vertex_index = []
-    for x, obj in enumerate(d.vertex_obj):
-        small, index = shrink(obj, m.vertex[x])
-        vertex_obj.append(small)
-        vertex_index.append(index)
-    edge_obj = []
-    edge_index = []
-    for e, obj in enumerate(d.edge_obj):
-        small, index = shrink(obj, m.edge[e])
-        edge_obj.append(small)
-        edge_index.append(index)
-    legs = []
-    for e, (u, v) in enumerate(d.shape.edges):
-        eix = edge_index[e]
-        new_pair = []
-        for x, fn in ((u, d.legs[e][0]), (v, d.legs[e][1])):
-            table = tuple(eix[fn.table[a]] for a in bits(m.vertex[x]))
-            new_pair.append(FinFn(len(table), edge_obj[e].size, table))
-        legs.append(tuple(new_pair))
-    return CoDecomposition(d.shape, vertex_obj, edge_obj, legs)
+
+def _kept_labels(labels, kept) -> dict[int, tuple[str, ...]]:
+    return {i: tuple(lab[a] for a in kept[i]) for i, lab in labels.items()}

@@ -96,8 +96,12 @@ def image(f: FinFn, source_mask: int | None = None) -> int:
     """Bitmask of target elements hit by f, optionally from a masked source."""
     if source_mask is None:
         source_mask = full_mask(f.source_size)
+    return table_image(f.table, source_mask)
+
+
+def table_image(table, source_mask: int) -> int:
+    """Bitmask of the values table[s] over the set bits s of source_mask."""
     out = 0
-    table = f.table
     for s in bits(source_mask):
         out |= 1 << table[s]
     return out

@@ -40,6 +40,13 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _require_list(obj, key, where):
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: {key} must be a list")
+    return value
+
+
 def _int(value, where: str) -> int:
     # JSON true/false load as bool, a subclass of int; neither is an id
     if type(value) is not int:
@@ -49,9 +56,7 @@ def _int(value, where: str) -> int:
 
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
-    edges = _require(obj, "edges", where)
-    if not isinstance(edges, list):
-        raise ParseError(f"{where}: edges must be a list")
+    edges = _require_list(obj, "edges", where)
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 2:
             raise ParseError(f"{where}: edge {i} is not a pair of vertex ids")
@@ -68,18 +73,20 @@ def graph_to_json(g: SimpleGraph) -> dict:
 def parse_finset(obj, where: str = "set") -> FinSetObj:
     if isinstance(obj, dict) and "elements" in obj:
         labels = obj["elements"]
+        if not (isinstance(labels, list)
+                and all(type(s) is str for s in labels)):
+            raise ParseError(f"{where}: elements must be a list of strings")
         size = len(labels)
     elif isinstance(obj, dict) and "size" in obj:
         labels = None
-        size = _int(obj["size"], "size")
+        size = _int(obj["size"], f"{where} size")
     else:
         raise ParseError(f"{where}: expected 'size' or 'elements'")
     if size > MAX_SET_SIZE:
         raise ParseError(f"{where}: size {size} exceeds the limit of "
                          f"{MAX_SET_SIZE} elements")
     try:
-        return FinSetObj(size, None if labels is None
-                         else tuple(str(s) for s in labels))
+        return FinSetObj(size, None if labels is None else tuple(labels))
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -124,39 +131,78 @@ def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
 
     Each entry of raw names its edge and endpoint; parse_leg(entry, e, x,
     where) reads that leg's map(s).  Exactly one leg per edge endpoint."""
-    legs: list[dict] = [{} for _ in range(shape.m)]
+    m = shape.m
+    edges = shape.edges
+    at_u = [None] * m
+    at_v = [None] * m
     for i, leg in enumerate(raw):
-        e = _require(leg, "edge", f"leg {i}")
-        x = _require(leg, "endpoint", f"leg {i}")
-        if type(e) is not int or not 0 <= e < shape.m:
-            raise ParseError(f"leg {i}: no edge with id {e!r}")
-        if type(x) is not int or x not in shape.edges[e]:
-            raise ParseError(f"leg {i}: vertex {x!r} is not an endpoint of edge {e}")
-        if x in legs[e]:
-            raise ParseError(f"leg {i}: duplicate leg for edge {e} at vertex {x}")
-        legs[e][x] = parse_leg(leg, e, x, f"leg {i}")
-    pairs = []
-    for e, (u, v) in enumerate(shape.edges):
-        if u not in legs[e] or v not in legs[e]:
+        where = f"leg {i}"
+        e = _require(leg, "edge", where)
+        x = _require(leg, "endpoint", where)
+        if type(e) is not int or not 0 <= e < m:
+            raise ParseError(f"{where}: no edge with id {e!r}")
+        u, v = edges[e]
+        if type(x) is not int or x != u and x != v:
+            raise ParseError(f"{where}: vertex {x!r} is not an endpoint of edge {e}")
+        side = at_u if x == u else at_v
+        if side[e] is not None:
+            raise ParseError(f"{where}: duplicate leg for edge {e} at vertex {x}")
+        side[e] = parse_leg(leg, e, x, where)
+    for e in range(m):
+        if at_u[e] is None or at_v[e] is None:
             raise ParseError(f"edge {e}: exactly two legs required")
-        pairs.append((legs[e][u], legs[e][v]))
-    return pairs
+    return list(zip(at_u, at_v))
+
+
+def _parse_sizes(raw, where: str) -> tuple[list[int], dict]:
+    """The sizes of a list of sets, and the labels of the labelled ones.
+    A {"size": s} with 0 <= s <= MAX_SET_SIZE is read directly; any other
+    entry goes through parse_finset, which names what is wrong with it."""
+    sizes = []
+    labels = {}
+    for i, o in enumerate(raw):
+        size = o.get("size") if type(o) is dict and "elements" not in o else None
+        if type(size) is not int or not 0 <= size <= MAX_SET_SIZE:
+            obj = parse_finset(o, f"{where} {i}")
+            size = obj.size
+            if obj.labels is not None:
+                labels[i] = obj.labels
+        sizes.append(size)
+    return sizes, labels
 
 
 def parse_diagram(obj) -> CoDecomposition:
+    """Read a diagram straight into the columns of a CoDecomposition.
+
+    An index-form table of the right length whose entries are integers in
+    range is read directly, into a tuple; any other map (label form
+    included) goes through parse_fn, so every error is found, and named,
+    as parse_fn names it."""
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
-    vsets = [parse_finset(o, f"vertex set {i}")
-             for i, o in enumerate(_require(obj, "vertex_sets", "diagram"))]
-    esets = [parse_finset(o, f"edge set {i}")
-             for i, o in enumerate(_require(obj, "edge_sets", "diagram"))]
-    if len(vsets) != shape.n:
+    vsizes, vlabels = _parse_sizes(
+        _require_list(obj, "vertex_sets", "diagram"), "vertex set")
+    esizes, elabels = _parse_sizes(
+        _require_list(obj, "edge_sets", "diagram"), "edge set")
+    if len(vsizes) != shape.n:
         raise ParseError("diagram: one vertex set per shape vertex required")
-    if len(esets) != shape.m:
+    if len(esizes) != shape.m:
         raise ParseError("diagram: one edge set per shape edge required")
-    pairs = _parse_legs(
-        _require(obj, "legs", "diagram"), shape,
-        lambda leg, e, x, where: parse_fn(leg, vsets[x], esets[e], where))
-    return CoDecomposition(shape, vsets, esets, pairs)
+
+    def parse_leg(leg, e, x, where):
+        table = leg.get("map")
+        # min and max need a nonempty table; an empty one takes parse_fn
+        if (type(table) is list and len(table) == vsizes[x] and table
+                and set(map(type, table)) == {int}
+                and min(table) >= 0 and max(table) < esizes[e]):
+            return tuple(table)
+        source = FinSetObj(vsizes[x], vlabels.get(x))
+        target = FinSetObj(esizes[e], elabels.get(e))
+        return parse_fn(leg, source, target, where).table
+
+    tables = _parse_legs(_require_list(obj, "legs", "diagram"), shape,
+                         parse_leg)
+    return CoDecomposition.from_columns(shape, vsizes, esizes, tables,
+                                        vlabels, elabels)
 
 
 def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
@@ -256,7 +302,8 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
                      f"{where} component {c}")
             for c, m in enumerate(maps))
 
-    pairs = _parse_legs(_require(obj, "legs", "cset diagram"), shape, parse_leg)
+    pairs = _parse_legs(_require_list(obj, "legs", "cset diagram"), shape,
+                        parse_leg)
     return CSetCoDecomposition(cat, shape, vcs, ecs, pairs)
 
 

@@ -91,9 +91,9 @@ def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
     problems = []
     if len(w.vertex_elements) != d.shape.n or len(w.edge_elements) != d.shape.m:
         return ["witness arity differs from shape"]
-    for e, (u, v) in enumerate(d.shape.edges):
-        au = d.legs[e][0](w.vertex_elements[u])
-        av = d.legs[e][1](w.vertex_elements[v])
+    for e, ((u, v), (tu, tv)) in enumerate(zip(d.shape.edges, d.tables)):
+        au = tu[w.vertex_elements[u]]
+        av = tv[w.vertex_elements[v]]
         if not au == av == w.edge_elements[e]:
             problems.append(
                 f"edge {e}: endpoint values map to {au} and {av}, "
@@ -194,7 +194,7 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     pinned = list(s)
     pin_edges = [e for v in pinned for e, _ in d.shape.incidence[v]]
     base = d.full_mask()
-    for combo in itertools.product(*(range(d.vertex_obj[v].size) for v in pinned)):
+    for combo in itertools.product(*(range(d.vertex_size[v]) for v in pinned)):
         assignment = SectionAssignment(tuple(zip(pinned, combo)))
         m = base.copy()
         for v, a in assignment.choices:
@@ -264,7 +264,7 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     """
     shape = d.shape
     inc = shape.incidence
-    sizes = [o.size for o in d.vertex_obj]
+    sizes = d.vertex_size
     full = (1 << width) - 1
     state: list[int] = []
     start = [-1] * shape.n
@@ -278,21 +278,20 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
             start[v] = len(state)
             state += [full] * sizes[v]
     edges = shape.edges
-    legs = d.legs
+    tables = d.tables
+    edge_size = d.edge_size
     up, roots = plan
     for e in itertools.chain((e for v in pinned for e, _ in inc[v]), up):
         u, v = edges[e]
-        fu, fv = legs[e]
-        tu = fu.table
-        tv = fv.table
+        tu, tv = tables[e]
         su = start[u]
         sv = start[v]
         eu = su + len(tu)
         ev = sv + len(tv)
         ru = state[su:eu]
         rv = state[sv:ev]
-        hit_u = [0] * fu.target_size
-        hit_v = [0] * fv.target_size
+        hit_u = [0] * edge_size[e]
+        hit_v = [0] * edge_size[e]
         for row, x in zip(ru, tu):
             hit_u[x] |= row
         for row, x in zip(rv, tv):
@@ -344,9 +343,8 @@ def inlim(
     s = _resolve_fvs(d.shape, fvs, k_max)
     plan = _forest_plan(d.shape, s)
     pinned = list(s)
-    total = math.prod(d.vertex_obj[v].size for v in pinned)
-    block = max(_MIN_BLOCK,
-                _STATE_BITS // max(1, sum(o.size for o in d.vertex_obj)))
+    total = math.prod(d.vertex_size[v] for v in pinned)
+    block = max(_MIN_BLOCK, _STATE_BITS // max(1, sum(d.vertex_size)))
     lo = 0
     while lo < total:
         width = min(block, total - lo)
@@ -381,19 +379,19 @@ def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
     up, roots = plan
     for r in itertools.chain(roots, pinned):
         i = start[r]
-        vertex[r] = next((a for a in range(d.vertex_obj[r].size)
+        vertex[r] = next((a for a in range(d.vertex_size[r])
                           if i < 0 or state[i + a] & first), None)
         if vertex[r] is None:
             raise ValueError(f"empty image mask at vertex {r}")
     edges = d.shape.edges
-    legs = d.legs
+    tables = d.tables
     for e in reversed(up):
         u, v = edges[e]
-        fu, fv = legs[e]
+        tu, tv = tables[e]
         if vertex[v] is None:
-            c, table, x = v, fv.table, fu.table[vertex[u]]
+            c, table, x = v, tv, tu[vertex[u]]
         else:
-            c, table, x = u, fu.table, fv.table[vertex[v]]
+            c, table, x = u, tu, tv[vertex[v]]
         i = start[c]  # a child has an edge, so it has rows
         for a, y in enumerate(table):
             if y == x and state[i + a] & first:
@@ -404,7 +402,7 @@ def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
                 f"no element of vertex {c} matches the parent across "
                 f"edge {e}; mask is not swept leaves-to-root")
     w = Witness(tuple(vertex),
-                tuple(legs[e][0].table[vertex[u]] for e, (u, _) in enumerate(edges)))
+                tuple(tu[vertex[u]] for (u, _), (tu, _) in zip(edges, tables)))
     problems = witness_violations(d, w)
     if problems:
         raise ValueError("extracted family violates edge constraints: "
@@ -430,13 +428,13 @@ def extract_witness(
     pinned = sigma.as_dict() if sigma is not None else {}
     n = d.shape.n
     for v, a in pinned.items():
-        if not 0 <= a < d.vertex_obj[v].size:
+        if not 0 <= a < d.vertex_size[v]:
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
     plan = _forest_plan(d.shape, VertexSet.of(n, pinned))
     state: list[int] = []
     start = []
-    for v, o in enumerate(d.vertex_obj):
+    for v, size in enumerate(d.vertex_size):
         start.append(len(state))
         mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]
-        state += [mask >> a & 1 for a in range(o.size)]
+        state += [mask >> a & 1 for a in range(size)]
     return _read_family(d, plan, list(pinned), state, start, 1)

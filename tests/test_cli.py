@@ -286,11 +286,33 @@ def _shape_edge_triple(doc):
     doc["shape"]["edges"][0].append(7)
 
 
+def _edge_set(value):
+    def mutate(doc):
+        doc["edge_sets"][0] = value
+    return mutate
+
+
+def _not_a_list(key):
+    def mutate(doc):
+        doc[key] = 3
+    return mutate
+
+
+def _size_string(doc):
+    doc["vertex_sets"][1] = {"size": "1"}
+
+
 @pytest.mark.parametrize("mutate", [
     _leg_edge_not_an_id, _map_entry(0.5), _map_entry(True),
     _shape_vertex_string, _shape_edge_triple,
+    _edge_set({"elements": "ab"}), _edge_set({"elements": {"a": 1, "b": 2}}),
+    _edge_set({"elements": [["x"], "y"]}), _edge_set({"elements": 5}),
+    _not_a_list("vertex_sets"), _not_a_list("edge_sets"), _not_a_list("legs"),
+    _size_string,
 ], ids=["leg-edge-x", "map-entry-0.5", "map-entry-true", "shape-vertex-str",
-        "shape-edge-triple"])
+        "shape-edge-triple", "elements-str", "elements-object",
+        "elements-nested", "elements-int", "vertex-sets-int", "edge-sets-int",
+        "legs-int", "size-str"])
 def test_solve_malformed_input_is_an_error(tmp_path, capsys, mutate):
     doc = jsonio.diagram_to_json(cospan_example())
     mutate(doc)

@@ -44,6 +44,19 @@ def test_validate_reports_out_of_range_leg():
     assert len(problems) == 1 and "target size 7" in problems[0]
 
 
+def test_validate_reads_the_columns():
+    # from_columns checks only the column lengths; validate checks the tables
+    d = CoDecomposition.from_columns(SimpleGraph(2, [(0, 1)]), [2, 1], [2],
+                                     [((0,), (2,))])
+    assert validate(d) == [
+        "leg of edge 0 at vertex 0: source size 1 != vertex set size 2",
+        "leg of edge 0 at vertex 1: table needs target size 3 > edge set size 2",
+    ]
+    with pytest.raises(ValueError, match="one set per shape vertex"):
+        CoDecomposition.from_columns(SimpleGraph(2, [(0, 1)]), [1], [2],
+                                     [((0,), (1,))])
+
+
 def test_constructor_checks_arity():
     with pytest.raises(ValueError):
         CoDecomposition(SimpleGraph(2, [(0, 1)]), [FinSetObj(1)],

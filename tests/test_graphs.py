@@ -173,18 +173,20 @@ def test_fvs_golden_digest():
 
 
 def test_fvs_linear_on_long_cycle():
-    def median_seconds(n):
+    def best_seconds(n):
+        # the best of 5: a run can only be slowed by other work on the
+        # machine, so the fastest one is the closest to the search's cost
         g = cycle_graph(n)
         times = []
-        for _ in range(3):
+        for _ in range(5):
             t0 = time.perf_counter()
             assert len(fvs_exact(g, 1)) == 1
             times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+        return min(times)
 
     # ten times the vertices: linear time gives about 10x, and 20 leaves
     # room for timing noise
-    assert median_seconds(100_000) / median_seconds(10_000) <= 20
+    assert best_seconds(100_000) / best_seconds(10_000) <= 20
 
 
 def disjoint_union(rng, parts):

@@ -199,3 +199,108 @@ def test_dumps_deterministic():
     doc = jsonio.diagram_to_json(path_example())
     assert jsonio.dumps(doc) == jsonio.dumps(
         jsonio.diagram_to_json(path_example()))
+
+
+def _size_form_doc():
+    """A size-form diagram on the path 0 - 1 - 2, its second edge written
+    as (2, 1), in the key and leg order diagram_to_json writes."""
+    return {"shape": {"n": 3, "edges": [[0, 1], [2, 1]]},
+            "vertex_sets": [{"size": 2}, {"size": 3}, {"size": 1}],
+            "edge_sets": [{"size": 2}, {"size": 3}],
+            "legs": [{"edge": 0, "endpoint": 0, "map": [0, 1]},
+                     {"edge": 0, "endpoint": 1, "map": [0, 1, 1]},
+                     {"edge": 1, "endpoint": 2, "map": [2]},
+                     {"edge": 1, "endpoint": 1, "map": [0, 1, 2]}]}
+
+
+def _set_map(i, value):
+    def mutate(doc):
+        doc["legs"][i]["map"] = value
+    return mutate
+
+
+# Each malformed input with the exact ParseError text the loader gave
+# before diagrams were read into columns; the columnar fast path must fall
+# back to the same checks in the same order.
+_PARSE_ERRORS = {
+    "entry-true": (_set_map(1, [0, True, 1]),
+                   "leg 1: table entry True at 1 is not an integer below "
+                   "target size 2"),
+    "entry-negative": (_set_map(1, [0, -1, 1]),
+                       "leg 1: table entry -1 at 1 is not an integer below "
+                       "target size 2"),
+    "entry-float": (_set_map(1, [0, 1.0, 1]),
+                    "leg 1: table entry 1.0 at 1 is not an integer below "
+                    "target size 2"),
+    "entry-edge-size": (_set_map(1, [0, 2, 1]),
+                        "leg 1: table entry 2 at 1 is not an integer below "
+                        "target size 2"),
+    "table-short": (_set_map(1, [0, 1]),
+                    "leg 1: table length differs from source size"),
+    "table-long": (_set_map(1, [0, 1, 1, 0]),
+                   "leg 1: table length differs from source size"),
+    "map-string": (_set_map(2, "2"),
+                   "leg 2: table entry '2' at 0 is not an integer below "
+                   "target size 3"),
+    "map-missing": (lambda doc: doc["legs"][3].pop("map"),
+                    "leg 3: missing key 'map'"),
+    "label-map-unlabelled": (_set_map(2, {"0": "2"}),
+                             "leg 2: label-form map needs labeled source and "
+                             "target sets"),
+    "duplicate-leg": (lambda doc: doc["legs"].append(dict(doc["legs"][2])),
+                      "leg 4: duplicate leg for edge 1 at vertex 2"),
+    "bad-endpoint": (lambda doc: doc["legs"][2].__setitem__("endpoint", 0),
+                     "leg 2: vertex 0 is not an endpoint of edge 1"),
+    "missing-leg": (lambda doc: doc["legs"].pop(3),
+                    "edge 1: exactly two legs required"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARSE_ERRORS))
+def test_diagram_parse_error_texts(case):
+    mutate, text = _PARSE_ERRORS[case]
+    doc = _size_form_doc()
+    mutate(doc)
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("doc", [
+    _size_form_doc(), jsonio.diagram_to_json(path_example()),
+], ids=["size-form", "label-form"])
+def test_diagram_json_round_trip_is_exact(doc):
+    assert jsonio.diagram_to_json(jsonio.parse_diagram(doc)) == doc
+
+
+@pytest.mark.parametrize("elements", ["ab", {"a": 1, "b": 2}, [["x"], "y"], 5],
+                         ids=["string", "object", "nested-list", "integer"])
+def test_set_elements_must_be_a_list_of_strings(elements):
+    text = "vertex set 0: elements must be a list of strings"
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_finset({"elements": elements}, "vertex set 0")
+    assert str(err.value) == text
+    doc = _size_form_doc()
+    doc["vertex_sets"][0] = {"elements": elements}
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("key", ["vertex_sets", "edge_sets", "legs"])
+def test_diagram_lists_must_be_lists(key):
+    doc = _size_form_doc()
+    doc[key] = 3
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    assert str(err.value) == f"diagram: {key} must be a list"
+
+
+@pytest.mark.parametrize("size", ["3", 3.0, True])
+def test_diagram_non_integer_size_names_its_set(size):
+    doc = _size_form_doc()
+    doc["vertex_sets"][1] = {"size": size}
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    assert str(err.value) == \
+        f"vertex set 1 size: expected an integer, got {size!r}"

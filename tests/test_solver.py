@@ -411,6 +411,26 @@ def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
         assert len(plans) == 1
 
 
+def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
+    # parse_diagram fills the columns and inlim reads only them: neither
+    # builds a FinSetObj or FinFn view, also with a witness
+    from limsolve import jsonio
+
+    planted = _planted_tree(7, 300, 5)
+    doc = jsonio.diagram_to_json(planted)
+    expected = inlim(planted, want_witness=True)
+
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(FinSetObj, "__post_init__", refuse)
+    monkeypatch.setattr(FinFn, "__post_init__", refuse)
+    d = jsonio.parse_diagram(doc)
+    result = inlim(d, want_witness=True)
+    assert result == expected and not result.verdict.empty_limit
+    assert witness_violations(d, result.witness) == []
+
+
 def test_inlim_edgeless_vertex_state_stays_small():
     # an unpinned vertex without edges keeps no per-element row
     d = edgeless_diagram([10 ** 6])
