@@ -6,15 +6,16 @@ endpoint's elements into the edge set.  An element of the limit picks one
 element per vertex so that for every edge both endpoint choices map to the
 same edge element.
 
-A diagram is stored as columns: the vertex and edge set sizes as int
-lists, one (table at u, table at v) pair of leg tables per edge, and
-labels only for the sets that have them.  The FinSetObj and FinFn objects
-(vertex_obj, edge_obj, legs, leg()) are views, built from the columns the
-first time they are read; the solver and the kernels here read only the
-columns, so loading and solving a diagram builds no per-set objects.
+A diagram is stored as columns only: the vertex and edge set sizes as
+int lists, one (table at u, table at v) pair of leg tables per edge, and
+labels only for the sets that have them.  Every builder writes these
+columns.  The FinSetObj and FinFn objects (vertex_obj, edge_obj, legs) are
+views derived from the columns the first time they are read; the solver,
+the oracle and the kernels here read only the columns, so building,
+loading and solving a diagram makes no per-set objects.
 
 Subdiagrams never copy the base diagram: they are bitmasks over its
-objects (one mask per vertex set, one per edge set).  The mask invariant is
+sets (one mask per vertex set, one per edge set).  The mask invariant is
 leg-closure: masked vertex elements must map into the masked edge set.
 Narrowing masks edge by edge is what the solver's whole running-time story
 rests on, so ``filter_edge`` mutates its mask in place.
@@ -36,12 +37,12 @@ class CoDecomposition:
     as the endpoints in shape.edges[e], and tables[e][i][a] is the edge
     element that element a of that endpoint maps to.  vertex_labels and
     edge_labels map a set's index to its labels, for the labelled sets
-    only.  A leg's target is its edge set.
+    only.
 
-    vertex_obj, edge_obj, legs and leg() are views of the columns as
-    FinSetObj and FinFn objects, each built on its first read.  The
-    constructor takes those objects and keeps them as the views;
-    from_columns takes the columns.
+    vertex_obj, edge_obj and legs are views of the columns as FinSetObj
+    and FinFn objects, each derived on its first read; a leg's target is
+    its edge set.  The constructor takes such objects and converts them to
+    columns, keeping none of them; from_columns takes the columns.
     """
 
     __slots__ = ("shape", "vertex_size", "edge_size", "tables",
@@ -51,14 +52,10 @@ class CoDecomposition:
     def __init__(self, shape: SimpleGraph, vertex_obj, edge_obj, legs):
         vertex_obj = tuple(vertex_obj)
         edge_obj = tuple(edge_obj)
-        legs = tuple((fu, fv) for fu, fv in legs)
         self._set_columns(
             shape, [o.size for o in vertex_obj], [o.size for o in edge_obj],
             [(fu.table, fv.table) for fu, fv in legs],
             _labels_of(vertex_obj), _labels_of(edge_obj))
-        self._vertex_obj = vertex_obj
-        self._edge_obj = edge_obj
-        self._legs = legs
 
     @classmethod
     def from_columns(cls, shape: SimpleGraph, vertex_size: list[int],
@@ -70,7 +67,6 @@ class CoDecomposition:
         d = cls.__new__(cls)
         d._set_columns(shape, vertex_size, edge_size, tables,
                        vertex_labels or {}, edge_labels or {})
-        d._vertex_obj = d._edge_obj = d._legs = None
         return d
 
     def _set_columns(self, shape, vertex_size, edge_size, tables,
@@ -87,6 +83,7 @@ class CoDecomposition:
         self.tables = tables
         self.vertex_labels = vertex_labels
         self.edge_labels = edge_labels
+        self._vertex_obj = self._edge_obj = self._legs = None
         self._edge_data = None
 
     @property
@@ -112,15 +109,6 @@ class CoDecomposition:
                 (FinFn(len(tu), size, tu), FinFn(len(tv), size, tv))
                 for size, (tu, tv) in zip(self.edge_size, self.tables))
         return self._legs
-
-    def leg(self, e: int, x: int) -> FinFn:
-        """The leg of edge e at its endpoint x."""
-        u, v = self.shape.edges[e]
-        if x == u:
-            return self.legs[e][0]
-        if x == v:
-            return self.legs[e][1]
-        raise ValueError(f"vertex {x} is not an endpoint of edge {e}")
 
     @property
     def edge_data(self) -> list[tuple[int, int, tuple, tuple]]:
@@ -170,9 +158,6 @@ class SubMask:
 
     def vertex_elements(self, x: int) -> list[int]:
         return list(bits(self.vertex[x]))
-
-    def edge_elements(self, e: int) -> list[int]:
-        return list(bits(self.edge[e]))
 
     def __eq__(self, other):
         if not isinstance(other, SubMask):
@@ -267,40 +252,6 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
     return True
 
 
-def glue(
-    d1: CoDecomposition, m1: SubMask, x1: int, delta1: FinFn,
-    d2: CoDecomposition, m2: SubMask, x2: int, delta2: FinFn,
-    e_obj: FinSetObj,
-) -> tuple[CoDecomposition, SubMask]:
-    """Join two diagrams along a fresh edge between boundary vertices x1, x2.
-
-    Vertex and edge ids of d1 are kept; d2's are shifted by d1's counts; the
-    fresh edge comes last and gets delta1, delta2 as its legs and a full mask.
-    """
-    if delta1.source_size != d1.vertex_size[x1]:
-        raise ValueError("delta1 does not start at the boundary vertex set of d1")
-    if delta2.source_size != d2.vertex_size[x2]:
-        raise ValueError("delta2 does not start at the boundary vertex set of d2")
-    if delta1.target_size != e_obj.size or delta2.target_size != e_obj.size:
-        raise ValueError("boundary maps must land in the fresh edge set")
-    n1 = d1.shape.n
-    edges = list(d1.shape.edges)
-    edges += [(u + n1, v + n1) for u, v in d2.shape.edges]
-    edges.append((x1, x2 + n1))
-    shape = SimpleGraph(n1 + d2.shape.n, edges)
-    diagram = CoDecomposition(
-        shape,
-        d1.vertex_obj + d2.vertex_obj,
-        d1.edge_obj + d2.edge_obj + (e_obj,),
-        d1.legs + d2.legs + ((delta1, delta2),),
-    )
-    mask = SubMask(
-        m1.vertex + m2.vertex,
-        m1.edge + m2.edge + [full_mask(e_obj.size)],
-    )
-    return diagram, mask
-
-
 @dataclass
 class Restriction:
     """A diagram restricted to an induced shape subgraph, with index maps
@@ -314,7 +265,8 @@ class Restriction:
 
 def restrict_to_subgraph(d: CoDecomposition, m: SubMask, keep: VertexSet) -> Restriction:
     """Restrict to the induced subgraph on keep; only edges with both
-    endpoints kept survive.  Objects and legs are shared, not copied."""
+    endpoints kept survive.  The leg tables are shared, not copied, and the
+    labels are re-indexed."""
     sub_shape, vmap = remove_vertices(d.shape, keep.complement())
     kept = list(keep)
     eids = [e for e, (u, v) in enumerate(d.shape.edges)
@@ -322,11 +274,17 @@ def restrict_to_subgraph(d: CoDecomposition, m: SubMask, keep: VertexSet) -> Res
     emap: list[int | None] = [None] * d.shape.m
     for new_e, e in enumerate(eids):
         emap[e] = new_e
-    diagram = CoDecomposition(sub_shape, [d.vertex_obj[v] for v in kept],
-                              [d.edge_obj[e] for e in eids],
-                              [d.legs[e] for e in eids])
+    diagram = CoDecomposition.from_columns(
+        sub_shape, [d.vertex_size[v] for v in kept],
+        [d.edge_size[e] for e in eids], [d.tables[e] for e in eids],
+        _reindexed(d.vertex_labels, kept), _reindexed(d.edge_labels, eids))
     mask = SubMask([m.vertex[v] for v in kept], [m.edge[e] for e in eids])
     return Restriction(diagram, mask, vmap, emap)
+
+
+def _reindexed(labels, old_ids) -> dict[int, tuple[str, ...]]:
+    return {new: labels[old] for new, old in enumerate(old_ids)
+            if old in labels}
 
 
 def as_subdiagram(d: CoDecomposition, m: SubMask) -> CoDecomposition:

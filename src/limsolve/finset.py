@@ -46,11 +46,6 @@ class FinSetObj:
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be pairwise distinct")
 
-    def label(self, i: int) -> str:
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        return self.labels[i] if self.labels is not None else str(i)
-
 
 @dataclass(frozen=True)
 class FinFn:

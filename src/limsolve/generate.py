@@ -57,18 +57,12 @@ def random_diagram(
     if w < 1:
         raise ValueError("w must be >= 1")
     size = (lambda: w) if fixed_size else (lambda: rng.randint(1, w))
-    vertex_obj = [FinSetObj(size()) for _ in range(shape.n)]
-    edge_obj = [FinSetObj(size()) for _ in range(shape.m)]
-    legs = []
-    for e, (u, v) in enumerate(shape.edges):
-        te = edge_obj[e].size
-        legs.append((
-            FinFn(vertex_obj[u].size, te,
-                  tuple(rng.randrange(te) for _ in range(vertex_obj[u].size))),
-            FinFn(vertex_obj[v].size, te,
-                  tuple(rng.randrange(te) for _ in range(vertex_obj[v].size))),
-        ))
-    return CoDecomposition(shape, vertex_obj, edge_obj, legs)
+    vertex_size = [size() for _ in range(shape.n)]
+    edge_size = [size() for _ in range(shape.m)]
+    tables = [(tuple(rng.randrange(te) for _ in range(vertex_size[u])),
+               tuple(rng.randrange(te) for _ in range(vertex_size[v])))
+              for (u, v), te in zip(shape.edges, edge_size)]
+    return CoDecomposition.from_columns(shape, vertex_size, edge_size, tables)
 
 
 def generate_instance(kind: str, n: int, w: int, seed: int,

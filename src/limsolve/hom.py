@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import CoDecomposition
-from .finset import FinFn, FinSetObj
 from .graphs import SimpleGraph, VertexSet
 from .solver import InLimResult, inlim
 
@@ -102,10 +101,6 @@ class HomSet:
     vertices: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
 
-    @property
-    def obj(self) -> FinSetObj:
-        return FinSetObj(len(self.maps))
-
     def index(self) -> dict[tuple[int, ...], int]:
         return {m: i for i, m in enumerate(self.maps)}
 
@@ -189,7 +184,7 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     legs the restriction maps."""
     bag_homs = tuple(hom_set(b.x, bag, h) for bag in b.bags)
     adhesion_homs = tuple(hom_set(b.x, adh, h) for adh in b.adhesions)
-    legs = []
+    tables = []
     for e, (p, q) in enumerate(b.shape.edges):
         target = adhesion_homs[e]
         lookup = target.index()
@@ -197,16 +192,12 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
         for end in (p, q):
             source = bag_homs[end]
             sel = [source.vertices.index(v) for v in target.vertices]
-            table = tuple(
-                lookup[tuple(m[i] for i in sel)] for m in source.maps)
-            pair.append(FinFn(len(source.maps), len(target.maps), table))
-        legs.append(tuple(pair))
-    diagram = CoDecomposition(
-        b.shape,
-        [hs.obj for hs in bag_homs],
-        [hs.obj for hs in adhesion_homs],
-        legs,
-    )
+            pair.append(tuple(
+                lookup[tuple(m[i] for i in sel)] for m in source.maps))
+        tables.append(tuple(pair))
+    diagram = CoDecomposition.from_columns(
+        b.shape, [len(hs.maps) for hs in bag_homs],
+        [len(hs.maps) for hs in adhesion_homs], tables)
     return HomInstance(diagram, bag_homs, adhesion_homs)
 
 

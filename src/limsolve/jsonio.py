@@ -16,6 +16,7 @@ Decomposition: {"X": g, "shape": g, "bags": [[...], ...],
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .cset import CSet, CSetCoDecomposition, FinCat, validate_fincat
 from .diagram import CoDecomposition
@@ -42,8 +43,12 @@ def _require(obj, key, where):
 
 def _require_list(obj, key, where):
     value = _require(obj, key, where)
+    return value if isinstance(value, list) else _list(value, where, key)
+
+
+def _list(value, where: str, what: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{where}: {key} must be a list")
+        raise ParseError(f"{where}: {what} must be a list")
     return value
 
 
@@ -225,7 +230,7 @@ def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
 
 def parse_fincat(obj) -> FinCat:
     n = _int(_require(obj, "objects", "category"), "category objects")
-    morphisms = _require(obj, "morphisms", "category")
+    morphisms = _require_list(obj, "morphisms", "category")
     src = [0] * len(morphisms)
     tgt = [0] * len(morphisms)
     seen = set()
@@ -236,12 +241,13 @@ def parse_fincat(obj) -> FinCat:
         seen.add(i)
         src[i] = _int(_require(m, "src", "morphism"), "morphism src")
         tgt[i] = _int(_require(m, "tgt", "morphism"), "morphism tgt")
-    identities = _require(obj, "identities", "category")
-    comp = _require(obj, "comp", "category")
+    identities = _require_list(obj, "identities", "category")
+    comp = _require_list(obj, "comp", "category")
     cat = FinCat(n, tuple(src), tuple(tgt),
                  tuple(_int(i, "identity") for i in identities),
-                 tuple(tuple(_int(gf, "comp entry") for gf in row)
-                       for row in comp))
+                 tuple(tuple(_int(gf, "comp entry")
+                             for gf in _list(row, "category", f"comp row {g}"))
+                       for g, row in enumerate(comp)))
     problems = validate_fincat(cat)
     if problems:
         raise ParseError("invalid category: " + "; ".join(problems))
@@ -260,11 +266,11 @@ def fincat_to_json(c: FinCat) -> dict:
 
 def _parse_cset(obj, cat: FinCat, where: str) -> CSet:
     sets = [parse_finset(o, f"{where} object {c}")
-            for c, o in enumerate(_require(obj, "objects", where))]
+            for c, o in enumerate(_require_list(obj, "objects", where))]
     if len(sets) != cat.object_count:
         raise ParseError(f"{where}: one set per C-object required")
     actions = []
-    raw = _require(obj, "actions", where)
+    raw = _require_list(obj, "actions", where)
     if len(raw) != cat.morphism_count:
         raise ParseError(f"{where}: one action per C-morphism required")
     for f, a in enumerate(raw):
@@ -284,17 +290,17 @@ def _cset_to_json(x: CSet, cat: FinCat) -> dict:
 
 def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
-    vcs = [_parse_cset(o, cat, f"vertex C-set {i}")
-           for i, o in enumerate(_require(obj, "vertex_csets", "cset diagram"))]
-    ecs = [_parse_cset(o, cat, f"edge C-set {i}")
-           for i, o in enumerate(_require(obj, "edge_csets", "cset diagram"))]
+    vcs = [_parse_cset(o, cat, f"vertex C-set {i}") for i, o in
+           enumerate(_require_list(obj, "vertex_csets", "cset diagram"))]
+    ecs = [_parse_cset(o, cat, f"edge C-set {i}") for i, o in
+           enumerate(_require_list(obj, "edge_csets", "cset diagram"))]
     if len(vcs) != shape.n:
         raise ParseError("cset diagram: one vertex C-set per shape vertex required")
     if len(ecs) != shape.m:
         raise ParseError("cset diagram: one edge C-set per shape edge required")
 
     def parse_leg(leg, e, x, where):
-        maps = _require(leg, "maps", where)
+        maps = _require_list(leg, "maps", where)
         if len(maps) != cat.object_count:
             raise ParseError(f"{where}: one map per C-object required")
         return tuple(
@@ -328,16 +334,27 @@ def cset_diagram_to_json(d: CSetCoDecomposition) -> dict:
     }
 
 
+def _id_lists(obj, key: str) -> list:
+    """A decomposition's bags or adhesions, lists of integer vertex ids, as
+    given; on a failed type check the lists are walked to name the entry."""
+    raw = _require_list(obj, key, "decomposition")
+    if not (set(map(type, raw)) <= {list}
+            and set(map(type, chain.from_iterable(raw))) <= {int}):
+        for i, ids in enumerate(raw):
+            for v in _list(ids, "decomposition", f"{key[:-1]} {i}"):
+                _int(v, f"decomposition {key[:-1]} {i}")
+    return raw
+
+
 def parse_decomposition(obj) -> BagDecomposition:
     x = parse_graph(_require(obj, "X", "decomposition"), "decomposition X")
     shape = parse_graph(_require(obj, "shape", "decomposition"),
                         "decomposition shape")
-    bags = tuple(tuple(bag) for bag in _require(obj, "bags", "decomposition"))
-    adhesions = tuple(tuple(a) for a in obj.get("adhesions", ()))
-    try:
-        return BagDecomposition(x, shape, bags, adhesions)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"decomposition: {exc}") from exc
+    bags = _id_lists(obj, "bags")
+    if len(bags) != shape.n:
+        raise ParseError("decomposition: one bag per shape vertex required")
+    adhesions = _id_lists(obj, "adhesions") if "adhesions" in obj else ()
+    return BagDecomposition(x, shape, bags, adhesions)
 
 
 def decomposition_to_json(b: BagDecomposition) -> dict:

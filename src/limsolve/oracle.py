@@ -19,8 +19,8 @@ class CapExceeded(RuntimeError):
 
 def _product_guard(d: CoDecomposition, cap: int) -> None:
     prod = 1
-    for obj in d.vertex_obj:
-        prod *= obj.size
+    for size in d.vertex_size:
+        prod *= size
         if prod > cap:
             raise CapExceeded(
                 f"vertex tuple space exceeds cap {cap}")
@@ -36,15 +36,14 @@ def enumerate_limit(d: CoDecomposition, cap: int = CAP_DEFAULT) -> list[Witness]
     if n == 0:
         # empty product: the single empty family
         return [Witness((), ())]
-    sizes = [o.size for o in d.vertex_obj]
+    sizes = d.vertex_size
     # per vertex, constraints against already-assigned lower-index vertices
     constraints: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in range(n)
     ]
-    for e, (u, v) in enumerate(d.shape.edges):
-        hi, lo = (u, v) if u > v else (v, u)
-        constraints[hi].append(
-            (lo, d.leg(e, hi).table, d.leg(e, lo).table))
+    for (u, v), (tu, tv) in zip(d.shape.edges, d.tables):
+        hi, lo, t_hi, t_lo = (u, v, tu, tv) if u > v else (v, u, tv, tu)
+        constraints[hi].append((lo, t_hi, t_lo))
     out = []
     assign = [-1] * n
     level = 0
@@ -63,10 +62,8 @@ def enumerate_limit(d: CoDecomposition, cap: int = CAP_DEFAULT) -> list[Witness]
         if not ok:
             continue
         if level == n - 1:
-            edges = tuple(
-                d.legs[e][0](assign[u])
-                for e, (u, _) in enumerate(d.shape.edges)
-            )
+            edges = tuple(tu[assign[u]] for (u, _), (tu, _)
+                          in zip(d.shape.edges, d.tables))
             out.append(Witness(tuple(assign), edges))
         else:
             level += 1
@@ -109,19 +106,19 @@ def pullback_limit(d: CoDecomposition, cap: int = CAP_DEFAULT) -> int:
                 position[w] = len(position)
                 steps.append((v, w, e))
                 queue.append(w)
-    tuples: list[tuple[int, ...]] = [(a,) for a in range(d.vertex_obj[0].size)]
+    tuples: list[tuple[int, ...]] = [(a,) for a in range(d.vertex_size[0])]
     for parent, child, e in steps:
-        f_parent = d.leg(e, parent)
-        f_child = d.leg(e, child)
-        child_size = d.vertex_obj[child].size
+        tu, tv = d.tables[e]
+        t_parent, t_child = (tu, tv) if d.shape.edges[e][0] == parent else (tv, tu)
+        child_size = d.vertex_size[child]
         if len(tuples) * max(child_size, 1) > cap:
             raise CapExceeded(f"intermediate pullback exceeds cap {cap}")
         pos = position[parent]
         new = []
         for tup in tuples:
-            want = f_parent(tup[pos])
+            want = t_parent[tup[pos]]
             for b in range(child_size):
-                if f_child(b) == want:
+                if t_child[b] == want:
                     new.append(tup + (b,))
         tuples = new
     return len(tuples)

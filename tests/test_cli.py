@@ -334,3 +334,35 @@ def test_negative_vertex_count_is_an_error(tmp_path, capsys, command, doc):
     assert code == 2 and out == []
     assert err.startswith("error:") and "vertex count -1" in err
     assert "Traceback" not in err
+
+
+_ONE_BAG = {"X": {"n": 2, "edges": [[0, 1]]}, "shape": {"n": 1, "edges": []}}
+
+
+@pytest.mark.parametrize("bags, named", [
+    ([[0, 1, True]], "bag 0"), (5, "bags"), (["ab"], "bag 0"),
+], ids=["bag-true", "bags-int", "bag-string"])
+def test_hom_malformed_bags_are_an_error(tmp_path, capsys, bags, named):
+    # a JSON true once read as vertex 1, so this printed a colouring and HOM
+    path = write(tmp_path, "bad.json", dict(_ONE_BAG, bags=bags))
+    code, out, err = run(capsys, ["hom", path, "--witness"])
+    assert code == 2 and out == []
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, key, value", [
+    ("category", "morphisms", 5), ("category", "comp", 5),
+    ("diagram", "vertex_csets", 3), ("diagram", "edge_csets", 3),
+], ids=["morphisms-int", "comp-int", "vertex-csets-int", "edge-csets-int"])
+def test_cset_solve_non_list_is_an_error(tmp_path, capsys, target, key, value):
+    docs = {"category": jsonio.fincat_to_json(FinCat.terminal()),
+            "diagram": jsonio.cset_diagram_to_json(
+                lift_to_terminal_cset(path_example()))}
+    docs[target][key] = value
+    cat_path = write(tmp_path, "cat.json", docs["category"])
+    dia_path = write(tmp_path, "cd.json", docs["diagram"])
+    code, out, err = run(capsys, ["cset-solve", cat_path, dia_path])
+    assert code == 2 and out == []
+    assert err.startswith("error:") and f"{key} must be a list" in err
+    assert "Traceback" not in err

@@ -20,11 +20,9 @@ from limsolve import (
     as_subdiagram,
     check_leg_closure,
     filter_edge,
-    glue,
     restrict_to_subgraph,
     validate,
 )
-from limsolve.generate import random_diagram, random_tree
 
 
 def test_validate_worked_examples_ok():
@@ -168,90 +166,6 @@ def test_filter_commutes_on_disjoint_edges():
         assert first == second
 
 
-def single_vertex_diagram(size):
-    return CoDecomposition(SimpleGraph(1, []), [FinSetObj(size)], [], [])
-
-
-def test_glue_two_points_makes_cospan():
-    d1 = single_vertex_diagram(1)
-    d2 = single_vertex_diagram(1)
-    e_obj = FinSetObj(2, ("a", "b"))
-    glued, mask = glue(
-        d1, d1.full_mask(), 0, FinFn(1, 2, (0,)),
-        d2, d2.full_mask(), 0, FinFn(1, 2, (1,)),
-        e_obj,
-    )
-    assert diagrams_equal(glued, cospan_example())
-    assert mask.vertex == [1, 1] and mask.edge == [0b11]
-
-
-def test_glue_rejects_size_mismatch():
-    d1 = single_vertex_diagram(2)
-    d2 = single_vertex_diagram(1)
-    with pytest.raises(ValueError):
-        glue(d1, d1.full_mask(), 0, FinFn(1, 2, (0,)),
-             d2, d2.full_mask(), 0, FinFn(1, 2, (1,)), FinSetObj(2))
-
-
-def test_glue_reassembles_path_example():
-    d = path_example()
-    m = d.full_mask()
-    r1 = restrict_to_subgraph(d, m, VertexSet.of(3, [0, 1]))
-    r2 = restrict_to_subgraph(d, m, VertexSet.of(3, [2]))
-    glued, _ = glue(
-        r1.diagram, r1.mask, 1, d.legs[1][0],
-        r2.diagram, r2.mask, 0, d.legs[1][1],
-        d.edge_obj[1],
-    )
-    assert diagrams_equal(glued, d)
-
-
-def test_glue_round_trip_random_trees():
-    for seed in range(30):
-        rng = random.Random(seed)
-        n = rng.randint(2, 9)
-        d = random_diagram(rng, random_tree(rng, n), 4)
-        e = rng.randrange(d.shape.m)
-        u, v = d.shape.edges[e]
-        # vertices on u's side of the cut edge
-        inc = d.shape.incidence
-        side = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for ee, w in inc[x]:
-                if ee != e and w not in side:
-                    side.add(w)
-                    stack.append(w)
-        keep1 = VertexSet.of(n, side)
-        r1 = restrict_to_subgraph(d, d.full_mask(), keep1)
-        r2 = restrict_to_subgraph(d, d.full_mask(), keep1.complement())
-        glued, _ = glue(
-            r1.diagram, r1.mask, r1.vertex_map[u], d.legs[e][0],
-            r2.diagram, r2.mask, r2.vertex_map[v], d.legs[e][1],
-            d.edge_obj[e],
-        )
-        assert validate(glued) == []
-        # same vertex sets through the index maps
-        n1 = r1.diagram.shape.n
-        for old in range(n):
-            new = (r1.vertex_map[old] if old in side
-                   else r2.vertex_map[old] + n1)
-            assert glued.vertex_obj[new].size == d.vertex_obj[old].size
-        # every original edge appears exactly once with its legs intact
-        m1 = r1.diagram.shape.m
-        for old_e in range(d.shape.m):
-            if old_e == e:
-                new_e = glued.shape.m - 1
-            elif r1.edge_map[old_e] is not None:
-                new_e = r1.edge_map[old_e]
-            else:
-                new_e = r2.edge_map[old_e] + m1
-            assert glued.edge_obj[new_e].size == d.edge_obj[old_e].size
-            tables = {f.table for f in glued.legs[new_e]}
-            assert tables == {f.table for f in d.legs[old_e]}
-
-
 def test_restrict_keep_all_is_identity():
     d = path_example()
     r = restrict_to_subgraph(d, d.full_mask(), VertexSet.of(3, range(3)))
@@ -265,6 +179,9 @@ def test_restrict_c4_to_forest():
     assert r.diagram.shape == SimpleGraph(3, [(0, 1), (1, 2)])
     assert [o.size for o in r.diagram.vertex_obj] == [2, 2, 2]
     assert r.edge_map == [None, 0, 1, None]
+    # labels follow their sets to the new indices
+    assert r.diagram.vertex_obj == d.vertex_obj[1:]
+    assert r.diagram.edge_obj == d.edge_obj[1:3]
 
 
 def test_restrict_preserves_legs():
@@ -278,7 +195,7 @@ def test_restrict_preserves_legs():
             if new_e is None:
                 continue
             assert r.diagram.legs[new_e] == d.legs[old_e]
-            assert r.diagram.edge_obj[new_e] is d.edge_obj[old_e]
+            assert r.diagram.tables[new_e] is d.tables[old_e]
 
 
 def test_as_subdiagram_full_mask_copy():

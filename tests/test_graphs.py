@@ -1,6 +1,5 @@
 import hashlib
 import random
-import statistics
 import time
 from itertools import combinations
 
@@ -224,19 +223,21 @@ def test_fvs_budget_shared_across_components():
 
 
 def test_fvs_linear_in_disjoint_cycles():
-    def median_seconds(length):
+    def best_seconds(length):
+        # the best of 5, as in test_fvs_linear_on_long_cycle: at L = 100 a
+        # search takes under a millisecond, so one slowed run skews a median
         c = cycle_graph(length).edges
         g = SimpleGraph(2 * length, c + tuple((length + u, length + v) for u, v in c))
         times = []
-        for _ in range(3):
+        for _ in range(5):
             t0 = time.perf_counter()
             assert len(fvs_exact(g, 2)) == 2
             times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+        return min(times)
 
     # ten times the length: one linear pass per cycle gives about 10x, where
     # branching over one cycle per vertex of the other gives about 100x
-    assert median_seconds(1000) / median_seconds(100) <= 20
+    assert best_seconds(1000) / best_seconds(100) <= 20
 
 
 def test_remove_vertices_c4_minus_one():

@@ -304,3 +304,74 @@ def test_diagram_non_integer_size_names_its_set(size):
         jsonio.parse_diagram(doc)
     assert str(err.value) == \
         f"vertex set 1 size: expected an integer, got {size!r}"
+
+
+def _decomposition_doc(**changes):
+    doc = {"X": {"n": 2, "edges": [[0, 1]]}, "shape": {"n": 1, "edges": []},
+           "bags": [[0, 1]]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, text", [
+    (_decomposition_doc(bags=[[0, 1, True]]),
+     "decomposition bag 0: expected an integer, got True"),
+    (_decomposition_doc(bags=5), "decomposition: bags must be a list"),
+    (_decomposition_doc(bags=["ab"]), "decomposition: bag 0 must be a list"),
+    (_decomposition_doc(bags=[[0, 1], [1]]),
+     "decomposition: one bag per shape vertex required"),
+    (_decomposition_doc(adhesions=3),
+     "decomposition: adhesions must be a list"),
+    (_decomposition_doc(shape={"n": 2, "edges": [[0, 1]]},
+                        bags=[[0, 1], [1]], adhesions=[[1.0]]),
+     "decomposition adhesion 0: expected an integer, got 1.0"),
+], ids=["bag-true", "bags-int", "bag-string", "bag-count", "adhesions-int",
+        "adhesion-float"])
+def test_decomposition_parse_error_texts(doc, text):
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_decomposition(doc)
+    assert str(err.value) == text
+
+
+def _fincat_doc(key, value):
+    doc = jsonio.fincat_to_json(FinCat.walking_arrow())
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, text", [
+    (_fincat_doc("morphisms", 5), "category: morphisms must be a list"),
+    (_fincat_doc("identities", 5), "category: identities must be a list"),
+    (_fincat_doc("comp", 5), "category: comp must be a list"),
+    (_fincat_doc("comp", [[0, -1, -1], 5, [2, -1, -1]]),
+     "category: comp row 1 must be a list"),
+], ids=["morphisms-int", "identities-int", "comp-int", "comp-row-int"])
+def test_fincat_parse_error_texts(doc, text):
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_fincat(doc)
+    assert str(err.value) == text
+
+
+def _cset_doc(mutate):
+    doc = jsonio.cset_diagram_to_json(lift_to_terminal_cset(path_example()))
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("mutate, text", [
+    (lambda doc: doc.__setitem__("vertex_csets", 3),
+     "cset diagram: vertex_csets must be a list"),
+    (lambda doc: doc.__setitem__("edge_csets", 3),
+     "cset diagram: edge_csets must be a list"),
+    (lambda doc: doc["vertex_csets"][1].__setitem__("objects", 3),
+     "vertex C-set 1: objects must be a list"),
+    (lambda doc: doc["edge_csets"][0].__setitem__("actions", 5),
+     "edge C-set 0: actions must be a list"),
+    (lambda doc: doc["legs"][2].__setitem__("maps", 5),
+     "leg 2: maps must be a list"),
+], ids=["vertex-csets-int", "edge-csets-int", "objects-int", "actions-int",
+        "maps-int"])
+def test_cset_diagram_parse_error_texts(mutate, text):
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_cset_diagram(_cset_doc(mutate), FinCat.terminal())
+    assert str(err.value) == text

@@ -412,13 +412,24 @@ def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
 
 
 def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
-    # parse_diagram fills the columns and inlim reads only them: neither
-    # builds a FinSetObj or FinFn view, also with a witness
-    from limsolve import jsonio
+    # every builder writes columns and every reader here reads only them:
+    # parsing, generating, the hom frontend, section tests (which restrict)
+    # and the oracle build no FinSetObj or FinFn view, also with a witness
+    from limsolve import enumerate_limit, hom_exists, jsonio
+    from limsolve.generate import (elimination_decomposition,
+                                   generate_instance, random_graph)
 
     planted = _planted_tree(7, 300, 5)
     doc = jsonio.diagram_to_json(planted)
     expected = inlim(planted, want_witness=True)
+    cycle_doc = jsonio.diagram_to_json(
+        generate_instance("cycle", 40, 3, 2, fixed_size=True))
+    small_doc = jsonio.diagram_to_json(generate_instance("cycle", 6, 2, 4))
+    small_families = enumerate_limit(jsonio.parse_diagram(small_doc))
+    rng = random.Random(3)
+    bags = elimination_decomposition(rng, random_graph(rng, 12, 0.3))
+    k3 = SimpleGraph(3, [(0, 1), (0, 2), (1, 2)])
+    expected_hom = hom_exists(bags, k3, want_coloring=True)
 
     def refuse(self):
         raise AssertionError(f"built a {type(self).__name__}")
@@ -429,6 +440,20 @@ def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     result = inlim(d, want_witness=True)
     assert result == expected and not result.verdict.empty_limit
     assert witness_violations(d, result.witness) == []
+
+    generated = generate_instance("tree", 50, 4, 1)
+    result = inlim(generated, want_witness=True)
+    if result.witness is not None:
+        assert witness_violations(generated, result.witness) == []
+
+    cycle = jsonio.parse_diagram(cycle_doc)
+    tests = list(section_tests(cycle, VertexSet.of(cycle.shape.n, [0])))
+    assert len(tests) == 3 and any(not t.immediately_empty for t in tests)
+
+    assert enumerate_limit(jsonio.parse_diagram(small_doc)) == small_families
+
+    assert hom_exists(bags, k3, want_coloring=True) == expected_hom
+    assert expected_hom[0]
 
 
 def test_inlim_edgeless_vertex_state_stays_small():
