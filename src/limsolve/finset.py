@@ -8,6 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Largest set a diagram may hold, and largest hom-set the hom frontend
+# enumerates.  Edge masks and section-test state are sized by the sets, so
+# one {"size": 10**9} would exhaust memory before a sweep.
+MAX_SET_SIZE = 2 ** 20
+
 
 def bits(mask: int):
     """Yield the indices of the set bits of mask, ascending."""

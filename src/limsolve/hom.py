@@ -9,9 +9,12 @@ admits a homomorphism into H iff the diagram's limit is nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 
 from .diagram import CoDecomposition
+from .finset import MAX_SET_SIZE
 from .graphs import SimpleGraph, VertexSet
 from .solver import InLimResult, inlim
 
@@ -20,17 +23,19 @@ from .solver import InLimResult, inlim
 class BagDecomposition:
     """Bags of X-vertices per shape vertex, adhesions per shape edge.
 
-    Adhesions default to the intersection of the endpoint bags.
+    Adhesions not given (None) default to the intersection of the endpoint
+    bags; given ones are kept, even an empty tuple on a shape with edges,
+    which validate_decomposition then refuses.
     """
 
     x: SimpleGraph
     shape: SimpleGraph
     bags: tuple[tuple[int, ...], ...]
-    adhesions: tuple[tuple[int, ...], ...] = field(default=())
+    adhesions: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         self.bags = tuple(tuple(sorted(set(b))) for b in self.bags)
-        if self.adhesions:
+        if self.adhesions is not None:
             self.adhesions = tuple(tuple(sorted(set(a))) for a in self.adhesions)
         else:
             self.adhesions = tuple(
@@ -105,37 +110,112 @@ class HomSet:
         return {m: i for i, m in enumerate(self.maps)}
 
 
+class _HomSets:
+    """Hom-sets into h of induced subgraphs of x, and restriction tables
+    between them, each computed once per labelled pattern.
+
+    The pattern of a sorted vertex list is, per position, the tuple of
+    earlier positions adjacent to it in x.  The hom-set depends only on the
+    pattern, so the maps of every prefix are memoised under the prefix's
+    pattern and a new pattern extends its longest memoised prefix.  A
+    restriction table depends only on the bag pattern and the positions of
+    the adhesion inside the bag.  The memo lives as long as the object:
+    one hom_set or build_hom_codecomp call.
+    """
+
+    def __init__(self, x: SimpleGraph, h: SimpleGraph):
+        self.incidence = x.incidence
+        self.h_n = h.n
+        nbrs = [0] * h.n
+        for u, v in h.edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        self.h_nbrs = nbrs
+        # one-colour tuples appended to a map, per mask of allowed colours
+        self.allowed: dict[int, tuple[tuple[int], ...]] = {}
+        self.prefixes: dict[tuple, tuple] = {(): ((),)}
+        self.tables: dict[tuple, tuple] = {}
+
+    def pattern(self, verts: tuple[int, ...]) -> tuple[tuple, dict]:
+        """The pattern of a sorted vertex list, and each vertex's position."""
+        pos = {v: i for i, v in enumerate(verts)}
+        inc = self.incidence
+        return tuple(tuple(sorted(pos[w] for _, w in inc[v]
+                                  if w < v and w in pos))
+                     for v in verts), pos
+
+    def maps(self, pattern: tuple, where: str) -> tuple:
+        """The hom-set of a pattern, lexicographic by vertex map."""
+        prefixes = self.prefixes
+        maps = prefixes.get(pattern)
+        if maps is None:
+            start = len(pattern) - 1
+            while pattern[:start] not in prefixes:
+                start -= 1
+            maps = prefixes[pattern[:start]]
+            for j in range(start, len(pattern)):
+                maps = self._extend(maps, pattern[j], where)
+                prefixes[pattern[:j + 1]] = maps
+        return maps
+
+    def _extend(self, maps: tuple, earlier: tuple[int, ...],
+                where: str) -> tuple:
+        """The maps of a prefix extended by one vertex adjacent to the
+        positions earlier, lexicographic: each map in turn, with every
+        colour its earlier neighbours allow, ascending.  Refuses a level
+        that could exceed MAX_SET_SIZE maps."""
+        h_n = self.h_n
+        if len(maps) * h_n > MAX_SET_SIZE:
+            raise ValueError(
+                f"{where}: hom-set may exceed the limit of {MAX_SET_SIZE} "
+                f"maps ({len(maps)} partial maps times {h_n} template "
+                f"vertices)")
+        allowed = self.allowed
+        nbrs = self.h_nbrs
+        full = (1 << h_n) - 1
+        out = []
+        for m in maps:
+            mask = full
+            for j in earlier:
+                mask &= nbrs[m[j]]
+            cs = allowed.get(mask)
+            if cs is None:
+                cs = allowed[mask] = tuple((c,) for c in range(h_n)
+                                           if mask >> c & 1)
+            out += [m + c for c in cs]
+        return tuple(out)
+
+    def table(self, pattern: tuple, sel: tuple[int, ...], where: str) -> tuple:
+        """The restriction of a bag hom-set to the positions sel, and the
+        hom-set it lands in: (table, adhesion maps)."""
+        key = (pattern, sel)
+        got = self.tables.get(key)
+        if got is None:
+            # the adhesion's own pattern, read off the bag's
+            rank = {i: r for r, i in enumerate(sel)}
+            sub = tuple(tuple(rank[j] for j in pattern[i] if j in rank)
+                        for i in sel)
+            target = self.maps(sub, where)
+            source = self.maps(pattern, where)
+            if sel:
+                # restriction keys made in C by one itemgetter per table
+                lookup = dict(zip(map(itemgetter(*range(len(sel))), target),
+                                  count()))
+                table = tuple(map(lookup.__getitem__,
+                                  map(itemgetter(*sel), source)))
+            else:
+                table = (0,) * len(source)
+            got = self.tables[key] = (table, target)
+        return got
+
+
 def hom_set(x: SimpleGraph, vertices, h: SimpleGraph) -> HomSet:
     """Enumerate homomorphisms from the subgraph of x induced on the given
-    vertices into h, lexicographic by vertex map."""
+    vertices into h, lexicographic by vertex map.  Raises ValueError when
+    the enumeration could exceed MAX_SET_SIZE maps."""
     verts = tuple(sorted(set(vertices)))
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [[False] * h.n for _ in range(h.n)]
-    for u, v in h.edges:
-        adj[u][v] = adj[v][u] = True
-    # per position, earlier positions it must respect an edge with
-    inc = x.incidence
-    constraints = [[pos[w] for _, w in inc[v] if w in pos and pos[w] < j]
-                   for j, v in enumerate(verts)]
-    maps = []
-    assign = [-1] * len(verts)
-    level = 0
-    if not verts:
-        return HomSet((), ((),))
-    while level >= 0:
-        assign[level] += 1
-        if assign[level] >= h.n:
-            assign[level] = -1
-            level -= 1
-            continue
-        c = assign[level]
-        if any(not adj[c][assign[j]] for j in constraints[level]):
-            continue
-        if level == len(verts) - 1:
-            maps.append(tuple(assign))
-        else:
-            level += 1
-    return HomSet(verts, tuple(maps))
+    homs = _HomSets(x, h)
+    return HomSet(verts, homs.maps(homs.pattern(verts)[0], "vertex set"))
 
 
 def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
@@ -181,24 +261,37 @@ class HomInstance:
 
 def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     """Vertex sets are the bag hom-sets, edge sets the adhesion hom-sets,
-    legs the restriction maps."""
-    bag_homs = tuple(hom_set(b.x, bag, h) for bag in b.bags)
-    adhesion_homs = tuple(hom_set(b.x, adh, h) for adh in b.adhesions)
+    legs the restriction maps.  Bags with one pattern share one maps tuple,
+    and equal restrictions one table.  Raises ValueError when a hom-set
+    could exceed MAX_SET_SIZE maps."""
+    homs = _HomSets(b.x, h)
+    patterns = []
+    positions = []
+    bag_homs = []
+    for x, bag in enumerate(b.bags):
+        pattern, pos = homs.pattern(bag)
+        patterns.append(pattern)
+        positions.append(pos)
+        bag_homs.append(HomSet(bag, homs.maps(pattern, f"bag {x}")))
+    adhesion_homs = []
     tables = []
-    for e, (p, q) in enumerate(b.shape.edges):
-        target = adhesion_homs[e]
-        lookup = target.index()
+    for e, ((p, q), adh) in enumerate(zip(b.shape.edges, b.adhesions)):
+        where = f"adhesion of shape edge {e}"
         pair = []
         for end in (p, q):
-            source = bag_homs[end]
-            sel = [source.vertices.index(v) for v in target.vertices]
-            pair.append(tuple(
-                lookup[tuple(m[i] for i in sel)] for m in source.maps))
+            pos = positions[end]
+            try:
+                sel = tuple([pos[v] for v in adh])
+            except KeyError:
+                raise ValueError(f"{where} is not contained in bag {end}")
+            table, target = homs.table(patterns[end], sel, where)
+            pair.append(table)
+        adhesion_homs.append(HomSet(adh, target))
         tables.append(tuple(pair))
     diagram = CoDecomposition.from_columns(
         b.shape, [len(hs.maps) for hs in bag_homs],
         [len(hs.maps) for hs in adhesion_homs], tables)
-    return HomInstance(diagram, bag_homs, adhesion_homs)
+    return HomInstance(diagram, tuple(bag_homs), tuple(adhesion_homs))
 
 
 def _stitch_coloring(b: BagDecomposition, inst: HomInstance,

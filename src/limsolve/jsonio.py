@@ -20,19 +20,13 @@ from itertools import chain
 
 from .cset import CSet, CSetCoDecomposition, FinCat, validate_fincat
 from .diagram import CoDecomposition
-from .finset import FinFn, FinSetObj
+from .finset import MAX_SET_SIZE, FinFn, FinSetObj
 from .graphs import SimpleGraph
 from .hom import BagDecomposition
 
 
 class ParseError(ValueError):
     pass
-
-
-# Largest set a diagram may hold.  Edge masks and section-test state are
-# sized by the sets, so one {"size": 10**9} would exhaust memory before a
-# sweep.
-MAX_SET_SIZE = 2 ** 20
 
 
 def _require(obj, key, where):
@@ -97,9 +91,13 @@ def parse_finset(obj, where: str = "set") -> FinSetObj:
 
 
 def finset_to_json(o: FinSetObj) -> dict:
-    if o.labels is not None:
-        return {"elements": list(o.labels)}
-    return {"size": o.size}
+    return _set_to_json(o.size, o.labels)
+
+
+def _set_to_json(size: int, labels) -> dict:
+    if labels is not None:
+        return {"elements": list(labels)}
+    return {"size": size}
 
 
 def parse_fn(obj, source: FinSetObj, target: FinSetObj, where: str = "map") -> FinFn:
@@ -125,10 +123,15 @@ def parse_fn(obj, source: FinSetObj, target: FinSetObj, where: str = "map") -> F
 
 
 def fn_to_json(f: FinFn, source: FinSetObj, target: FinSetObj) -> dict:
-    if source.labels is not None and target.labels is not None:
-        return {"map": {source.labels[i]: target.labels[t]
-                        for i, t in enumerate(f.table)}}
-    return {"map": list(f.table)}
+    return {"map": _table_to_json(f.table, source.labels, target.labels)}
+
+
+def _table_to_json(table, source_labels, target_labels):
+    """Label form when both sets are labelled, index form otherwise."""
+    if source_labels is not None and target_labels is not None:
+        return {source_labels[i]: target_labels[t]
+                for i, t in enumerate(table)}
+    return list(table)
 
 
 def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
@@ -211,16 +214,20 @@ def parse_diagram(obj) -> CoDecomposition:
 
 
 def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
+    """The diagram's JSON document, written from its columns."""
+    vlabels = d.vertex_labels
+    elabels = d.edge_labels
     legs = []
-    for e, (u, v) in enumerate(d.shape.edges):
-        for x, fn in ((u, d.legs[e][0]), (v, d.legs[e][1])):
-            entry = {"edge": e, "endpoint": x}
-            entry.update(fn_to_json(fn, d.vertex_obj[x], d.edge_obj[e]))
-            legs.append(entry)
+    for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
+        for x, table in zip((u, v), pair):
+            legs.append({"edge": e, "endpoint": x, "map": _table_to_json(
+                table, vlabels.get(x), elabels.get(e))})
     out = {
         "shape": graph_to_json(d.shape),
-        "vertex_sets": [finset_to_json(o) for o in d.vertex_obj],
-        "edge_sets": [finset_to_json(o) for o in d.edge_obj],
+        "vertex_sets": [_set_to_json(s, vlabels.get(x))
+                        for x, s in enumerate(d.vertex_size)],
+        "edge_sets": [_set_to_json(s, elabels.get(e))
+                      for e, s in enumerate(d.edge_size)],
         "legs": legs,
     }
     if meta:
@@ -353,7 +360,7 @@ def parse_decomposition(obj) -> BagDecomposition:
     bags = _id_lists(obj, "bags")
     if len(bags) != shape.n:
         raise ParseError("decomposition: one bag per shape vertex required")
-    adhesions = _id_lists(obj, "adhesions") if "adhesions" in obj else ()
+    adhesions = _id_lists(obj, "adhesions") if "adhesions" in obj else None
     return BagDecomposition(x, shape, bags, adhesions)
 
 

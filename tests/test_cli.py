@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,79 @@ def test_hom_bad_template(tmp_path, capsys):
     path = write(tmp_path, "one.json", doc)
     code, _, err = run(capsys, ["hom", path, "--template", "nope"])
     assert code == 2 and "template" in err
+
+
+def test_hom_explicit_empty_adhesions(tmp_path, capsys):
+    # adhesions: [] on a shape with an edge was once read as "omitted",
+    # defaulted to the bag intersections, and gave a colouring and HOM
+    doc = {"X": {"n": 3, "edges": [[0, 1], [1, 2]]},
+           "shape": {"n": 2, "edges": [[0, 1]]},
+           "bags": [[0, 1], [1, 2]], "adhesions": []}
+    path = write(tmp_path, "adh.json", doc)
+    code, out, err = run(capsys, ["hom", path, "--witness"])
+    assert code == 2 and out == []
+    assert err.startswith("error:")
+    assert "one adhesion per shape edge required" in err
+    assert "Traceback" not in err
+    edgeless = {"X": {"n": 2, "edges": []}, "shape": {"n": 2, "edges": []},
+                "bags": [[0], [1]], "adhesions": []}
+    path = write(tmp_path, "edgeless.json", edgeless)
+    code, out, _ = run(capsys, ["hom", path])
+    assert code == 1 and out[-1] == "HOM"
+
+
+def test_hom_set_above_cap_is_an_error(tmp_path, capsys):
+    # 1025 colours for each of two free vertices: the second level of the
+    # enumeration could exceed 2**20 maps and is refused before it is built
+    doc = {"X": {"n": 2, "edges": []}, "shape": {"n": 1, "edges": []},
+           "bags": [[0, 1]]}
+    path = write(tmp_path, "two.json", doc)
+    template = write(tmp_path, "h.json", {"n": 1025, "edges": []})
+    code, out, err = run(capsys, ["hom", path, "--template", "file:" + template])
+    assert code == 2 and out == []
+    assert err.startswith("error: bag 0: hom-set may exceed the limit of "
+                          "1048576 maps")
+    assert "Traceback" not in err
+
+
+# sha256 prefixes of `gen <kind> --n 30 --w 4 --seed 7`, as written before
+# diagram_to_json read the columns instead of the set and function views
+GEN_DIGESTS = [
+    ("tree", False, "bfa8fd7acd6468ed"),
+    ("tree", True, "f579bffeb6a964ee"),
+    ("path", False, "7e74462104aea803"),
+    ("path", True, "29e4ee8d1d3e4aee"),
+    ("cycle", False, "12afa409183713bc"),
+    ("cycle", True, "7150eaf3e4388f67"),
+    ("random", False, "f9287294ecd1fb81"),
+    ("random", True, "760a1ecd4f4064df"),
+]
+
+
+@pytest.mark.parametrize("kind, fixed, digest", GEN_DIGESTS)
+def test_gen_output_is_pinned(capsys, kind, fixed, digest):
+    argv = ["gen", kind, "--n", "30", "--w", "4", "--seed", "7"]
+    code, out, _ = run(capsys, argv + ["--fixed-size"] * fixed)
+    assert code == 0 and len(out) == 1
+    assert hashlib.sha256(out[0].encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_image_output_round_trips(tmp_path, capsys, labelled):
+    if labelled:
+        doc = jsonio.diagram_to_json(path_example())
+    else:
+        _, out, _ = run(capsys, ["gen", "tree", "--n", "5", "--w", "3",
+                                 "--seed", "3", "--fixed-size"])
+        doc = json.loads(out[0])
+    code, out, _ = run(capsys, ["image", write(tmp_path, "d.json", doc)])
+    assert code == 0 and len(out) == 1
+    if not labelled:
+        # pinned as written from the set and function views
+        assert hashlib.sha256(out[0].encode()).hexdigest()[:16] == \
+            "e92283d2affb7d25"
+    again = jsonio.diagram_to_json(jsonio.parse_diagram(json.loads(out[0])))
+    assert jsonio.dumps(again) == out[0]
 
 
 def test_cset_solve_command(tmp_path, capsys):

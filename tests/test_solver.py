@@ -413,8 +413,9 @@ def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
 
 def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     # every builder writes columns and every reader here reads only them:
-    # parsing, generating, the hom frontend, section tests (which restrict)
-    # and the oracle build no FinSetObj or FinFn view, also with a witness
+    # parsing, generating, writing JSON, the hom frontend, section tests
+    # (which restrict) and the oracle build no FinSetObj or FinFn view, also
+    # with a witness
     from limsolve import enumerate_limit, hom_exists, jsonio
     from limsolve.generate import (elimination_decomposition,
                                    generate_instance, random_graph)
@@ -440,6 +441,7 @@ def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     result = inlim(d, want_witness=True)
     assert result == expected and not result.verdict.empty_limit
     assert witness_violations(d, result.witness) == []
+    assert jsonio.diagram_to_json(d) == doc
 
     generated = generate_instance("tree", 50, 4, 1)
     result = inlim(generated, want_witness=True)
@@ -447,6 +449,7 @@ def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
         assert witness_violations(generated, result.witness) == []
 
     cycle = jsonio.parse_diagram(cycle_doc)
+    assert jsonio.diagram_to_json(cycle) == cycle_doc
     tests = list(section_tests(cycle, VertexSet.of(cycle.shape.n, [0])))
     assert len(tests) == 3 and any(not t.immediately_empty for t in tests)
 
