@@ -11,7 +11,7 @@ from .graphs import (
     is_forest,
     remove_vertices,
 )
-from .finset import FinFn, FinSetObj, compose, image
+from .finset import FinFn, FinSetObj
 from .diagram import (
     CoDecomposition,
     Restriction,
@@ -82,7 +82,6 @@ __all__ = [
     "build_hom_codecomp",
     "check_leg_closure",
     "components",
-    "compose",
     "cset_inlim",
     "enumerate_limit",
     "extract_witness",
@@ -93,7 +92,6 @@ __all__ = [
     "fvs_exact",
     "hom_exists",
     "hom_set",
-    "image",
     "image_tree",
     "inlim",
     "is_forest",

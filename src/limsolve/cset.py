@@ -228,12 +228,16 @@ def pointwise_slice(d: CSetCoDecomposition, c: int) -> CoDecomposition:
     C-object."""
     if not 0 <= c < d.cat.object_count:
         raise ValueError(f"no C-object {c}")
+    vertex = [x.objects[c] for x in d.vertex_cs]
+    edge = [x.objects[c] for x in d.edge_cs]
     return CoDecomposition(
-        d.shape,
-        [x.objects[c] for x in d.vertex_cs],
-        [x.objects[c] for x in d.edge_cs],
-        [(lu[c], lv[c]) for lu, lv in d.legs],
-    )
+        d.shape, [o.size for o in vertex], [o.size for o in edge],
+        [(lu[c].table, lv[c].table) for lu, lv in d.legs],
+        _labels_of(vertex), _labels_of(edge))
+
+
+def _labels_of(objs) -> dict[int, tuple[str, ...]]:
+    return {i: o.labels for i, o in enumerate(objs) if o.labels is not None}
 
 
 def cset_inlim(

@@ -9,10 +9,8 @@ same edge element.
 A diagram is stored as columns only: the vertex and edge set sizes as
 int lists, one (table at u, table at v) pair of leg tables per edge, and
 labels only for the sets that have them.  Every builder writes these
-columns.  The FinSetObj and FinFn objects (vertex_obj, edge_obj, legs) are
-views derived from the columns the first time they are read; the solver,
-the oracle and the kernels here read only the columns, so building,
-loading and solving a diagram makes no per-set objects.
+columns and every reader reads them, so building, loading and solving a
+diagram makes no per-set objects.
 
 Subdiagrams never copy the base diagram: they are bitmasks over its
 sets (one mask per vertex set, one per edge set).  The mask invariant is
@@ -25,52 +23,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinFn, FinSetObj, bits, full_mask, mask_of, table_image
+from .finset import bits, full_mask, mask_of, table_image
 from .graphs import SimpleGraph, VertexSet, remove_vertices
 
 
 class CoDecomposition:
-    """A diagram over a simple graph shape.
+    """A diagram over a simple graph shape, stored as columns.
 
-    The storage is columnar.  vertex_size[x] and edge_size[e] are the set
-    sizes; tables[e] is the pair of leg tables of edge e, in the same order
-    as the endpoints in shape.edges[e], and tables[e][i][a] is the edge
-    element that element a of that endpoint maps to.  vertex_labels and
-    edge_labels map a set's index to its labels, for the labelled sets
-    only.
-
-    vertex_obj, edge_obj and legs are views of the columns as FinSetObj
-    and FinFn objects, each derived on its first read; a leg's target is
-    its edge set.  The constructor takes such objects and converts them to
-    columns, keeping none of them; from_columns takes the columns.
+    vertex_size[x] and edge_size[e] are the set sizes; tables[e] is the
+    pair of leg tables of edge e, in the same order as the endpoints in
+    shape.edges[e], and tables[e][i][a] is the edge element that element a
+    of that endpoint maps to.  vertex_labels and edge_labels map a set's
+    index to its labels, for the labelled sets only.  The columns are
+    kept, not copied; only their lengths are checked here, and validate(d)
+    checks the tables.
     """
 
     __slots__ = ("shape", "vertex_size", "edge_size", "tables",
-                 "vertex_labels", "edge_labels",
-                 "_vertex_obj", "_edge_obj", "_legs", "_edge_data")
+                 "vertex_labels", "edge_labels", "_edge_data")
 
-    def __init__(self, shape: SimpleGraph, vertex_obj, edge_obj, legs):
-        vertex_obj = tuple(vertex_obj)
-        edge_obj = tuple(edge_obj)
-        self._set_columns(
-            shape, [o.size for o in vertex_obj], [o.size for o in edge_obj],
-            [(fu.table, fv.table) for fu, fv in legs],
-            _labels_of(vertex_obj), _labels_of(edge_obj))
-
-    @classmethod
-    def from_columns(cls, shape: SimpleGraph, vertex_size: list[int],
-                     edge_size: list[int], tables: list[tuple],
-                     vertex_labels: dict | None = None,
-                     edge_labels: dict | None = None) -> "CoDecomposition":
-        """A diagram over the given columns, which are kept, not copied.
-        Only their lengths are checked; validate(d) checks the tables."""
-        d = cls.__new__(cls)
-        d._set_columns(shape, vertex_size, edge_size, tables,
-                       vertex_labels or {}, edge_labels or {})
-        return d
-
-    def _set_columns(self, shape, vertex_size, edge_size, tables,
-                     vertex_labels, edge_labels):
+    def __init__(self, shape: SimpleGraph, vertex_size: list[int],
+                 edge_size: list[int], tables: list[tuple],
+                 vertex_labels: dict | None = None,
+                 edge_labels: dict | None = None):
         if len(vertex_size) != shape.n:
             raise ValueError("one set per shape vertex required")
         if len(edge_size) != shape.m:
@@ -81,34 +56,9 @@ class CoDecomposition:
         self.vertex_size = vertex_size
         self.edge_size = edge_size
         self.tables = tables
-        self.vertex_labels = vertex_labels
-        self.edge_labels = edge_labels
-        self._vertex_obj = self._edge_obj = self._legs = None
+        self.vertex_labels = vertex_labels or {}
+        self.edge_labels = edge_labels or {}
         self._edge_data = None
-
-    @property
-    def vertex_obj(self) -> tuple[FinSetObj, ...]:
-        """The vertex sets as FinSetObj views; built on first read."""
-        if self._vertex_obj is None:
-            self._vertex_obj = _sets_of(self.vertex_size, self.vertex_labels)
-        return self._vertex_obj
-
-    @property
-    def edge_obj(self) -> tuple[FinSetObj, ...]:
-        """The edge sets as FinSetObj views; built on first read."""
-        if self._edge_obj is None:
-            self._edge_obj = _sets_of(self.edge_size, self.edge_labels)
-        return self._edge_obj
-
-    @property
-    def legs(self) -> tuple[tuple[FinFn, FinFn], ...]:
-        """Per edge, its (leg at u, leg at v) as FinFn views; built on
-        first read."""
-        if self._legs is None:
-            self._legs = tuple(
-                (FinFn(len(tu), size, tu), FinFn(len(tv), size, tv))
-                for size, (tu, tv) in zip(self.edge_size, self.tables))
-        return self._legs
 
     @property
     def edge_data(self) -> list[tuple[int, int, tuple, tuple]]:
@@ -130,14 +80,6 @@ class CoDecomposition:
     def __repr__(self):
         return (f"CoDecomposition(n={self.shape.n}, m={self.shape.m}, "
                 f"w={self.width()})")
-
-
-def _labels_of(objs) -> dict[int, tuple[str, ...]]:
-    return {i: o.labels for i, o in enumerate(objs) if o.labels is not None}
-
-
-def _sets_of(sizes, labels) -> tuple[FinSetObj, ...]:
-    return tuple(FinSetObj(s, labels.get(i)) for i, s in enumerate(sizes))
 
 
 class SubMask:
@@ -176,7 +118,9 @@ class Verdict:
 
 
 def validate(d: CoDecomposition) -> list[str]:
-    """All diagram invariants; returns a list of violations, empty when ok."""
+    """All diagram invariants; returns a list of violations, empty when ok.
+    A leg table entry must be an int (not a bool) in [0, edge set size),
+    and a labelled set needs one distinct label per element."""
     problems = []
     for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
         size = d.edge_size[e]
@@ -185,11 +129,22 @@ def validate(d: CoDecomposition) -> list[str]:
                 problems.append(
                     f"leg of edge {e} at vertex {x}: source size "
                     f"{len(table)} != vertex set size {d.vertex_size[x]}")
-            reach = max(table, default=-1) + 1
+            problems += [f"leg of edge {e} at vertex {x}: entry {t!r} at "
+                         f"position {i} is not a non-negative integer"
+                         for i, t in enumerate(table)
+                         if type(t) is not int or t < 0]
+            reach = max((t for t in table if type(t) is int), default=-1) + 1
             if reach > size:
                 problems.append(
                     f"leg of edge {e} at vertex {x}: table needs target "
                     f"size {reach} > edge set size {size}")
+    for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
+                                ("edge", d.edge_size, d.edge_labels)):
+        for i, size in enumerate(sizes):
+            lab = labels.get(i)
+            if lab is not None and not len(lab) == len(set(lab)) == size:
+                problems.append(f"{kind} set {i}: labels {lab!r} are not "
+                                f"{size} distinct names")
     return problems
 
 
@@ -274,7 +229,7 @@ def restrict_to_subgraph(d: CoDecomposition, m: SubMask, keep: VertexSet) -> Res
     emap: list[int | None] = [None] * d.shape.m
     for new_e, e in enumerate(eids):
         emap[e] = new_e
-    diagram = CoDecomposition.from_columns(
+    diagram = CoDecomposition(
         sub_shape, [d.vertex_size[v] for v in kept],
         [d.edge_size[e] for e in eids], [d.tables[e] for e in eids],
         _reindexed(d.vertex_labels, kept), _reindexed(d.edge_labels, eids))
@@ -300,7 +255,7 @@ def as_subdiagram(d: CoDecomposition, m: SubMask) -> CoDecomposition:
         index = {old: new for new, old in enumerate(kept)}
         tables.append((tuple(index[tu[a]] for a in vertex_kept[u]),
                        tuple(index[tv[a]] for a in vertex_kept[v])))
-    return CoDecomposition.from_columns(
+    return CoDecomposition(
         d.shape, [len(k) for k in vertex_kept], [len(k) for k in edge_kept],
         tables, _kept_labels(d.vertex_labels, vertex_kept),
         _kept_labels(d.edge_labels, edge_kept))

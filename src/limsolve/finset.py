@@ -83,22 +83,6 @@ class FinFn:
         return cls(source_size, target_size, (value,) * source_size)
 
 
-def compose(f: FinFn, g: FinFn) -> FinFn:
-    """The composite g after f, applying f first."""
-    if f.target_size != g.source_size:
-        raise ValueError(f"cannot compose: target size {f.target_size} != "
-                         f"source size {g.source_size}")
-    gt = g.table
-    return FinFn(f.source_size, g.target_size, tuple(gt[t] for t in f.table))
-
-
-def image(f: FinFn, source_mask: int | None = None) -> int:
-    """Bitmask of target elements hit by f, optionally from a masked source."""
-    if source_mask is None:
-        source_mask = full_mask(f.source_size)
-    return table_image(f.table, source_mask)
-
-
 def table_image(table, source_mask: int) -> int:
     """Bitmask of the values table[s] over the set bits s of source_mask."""
     out = 0

@@ -62,7 +62,7 @@ def random_diagram(
     tables = [(tuple(rng.randrange(te) for _ in range(vertex_size[u])),
                tuple(rng.randrange(te) for _ in range(vertex_size[v])))
               for (u, v), te in zip(shape.edges, edge_size)]
-    return CoDecomposition.from_columns(shape, vertex_size, edge_size, tables)
+    return CoDecomposition(shape, vertex_size, edge_size, tables)
 
 
 def generate_instance(kind: str, n: int, w: int, seed: int,
@@ -136,15 +136,16 @@ def lift_to_terminal_cset(d: CoDecomposition) -> CSetCoDecomposition:
     one-morphism category."""
     cat = FinCat.terminal()
 
-    def wrap(obj: FinSetObj) -> CSet:
-        return CSet((obj,), (FinFn.identity(obj.size),))
+    def wrap(size: int, labels) -> CSet:
+        return CSet((FinSetObj(size, labels),), (FinFn.identity(size),))
 
     return CSetCoDecomposition(
         cat,
         d.shape,
-        [wrap(o) for o in d.vertex_obj],
-        [wrap(o) for o in d.edge_obj],
-        [((fu,), (fv,)) for fu, fv in d.legs],
+        [wrap(s, d.vertex_labels.get(x)) for x, s in enumerate(d.vertex_size)],
+        [wrap(s, d.edge_labels.get(e)) for e, s in enumerate(d.edge_size)],
+        [((FinFn(len(tu), s, tu),), (FinFn(len(tv), s, tv),))
+         for s, (tu, tv) in zip(d.edge_size, d.tables)],
     )
 
 

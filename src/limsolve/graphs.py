@@ -56,9 +56,6 @@ class SimpleGraph:
     def neighbors(self, v: int) -> list[int]:
         return [w for _, w in self.incidence[v]]
 
-    def degree(self, v: int) -> int:
-        return len(self.incidence[v])
-
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
             return NotImplemented

@@ -288,7 +288,7 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
             pair.append(table)
         adhesion_homs.append(HomSet(adh, target))
         tables.append(tuple(pair))
-    diagram = CoDecomposition.from_columns(
+    diagram = CoDecomposition(
         b.shape, [len(hs.maps) for hs in bag_homs],
         [len(hs.maps) for hs in adhesion_homs], tables)
     return HomInstance(diagram, tuple(bag_homs), tuple(adhesion_homs))

@@ -209,8 +209,7 @@ def parse_diagram(obj) -> CoDecomposition:
 
     tables = _parse_legs(_require_list(obj, "legs", "diagram"), shape,
                          parse_leg)
-    return CoDecomposition.from_columns(shape, vsizes, esizes, tables,
-                                        vlabels, elabels)
+    return CoDecomposition(shape, vsizes, esizes, tables, vlabels, elabels)
 
 
 def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from limsolve import (CoDecomposition, FinFn, FinSetObj, SimpleGraph, SubMask,
-                      VertexSet)
+from limsolve import CoDecomposition, SimpleGraph, SubMask, VertexSet
 from limsolve.generate import random_diagram, random_graph, random_tree
 
 
@@ -16,15 +15,10 @@ def path_example() -> CoDecomposition:
     subdiagram is {c}, {y}, {β}, {v}, {r,s}.
     """
     return CoDecomposition(
-        SimpleGraph(3, [(0, 1), (1, 2)]),
-        [FinSetObj(3, ("a", "b", "c")),
-         FinSetObj(2, ("α", "β")),
-         FinSetObj(2, ("r", "s"))],
-        [FinSetObj(2, ("x", "y")), FinSetObj(2, ("u", "v"))],
-        [
-            (FinFn(3, 2, (0, 0, 1)), FinFn(2, 2, (0, 1))),
-            (FinFn(2, 2, (0, 1)), FinFn(2, 2, (1, 1))),
-        ],
+        SimpleGraph(3, [(0, 1), (1, 2)]), [3, 2, 2], [2, 2],
+        [((0, 0, 1), (0, 1)), ((0, 1), (1, 1))],
+        vertex_labels={0: ("a", "b", "c"), 1: ("α", "β"), 2: ("r", "s")},
+        edge_labels={0: ("x", "y"), 1: ("u", "v")},
     )
 
 
@@ -36,47 +30,33 @@ def c4_example() -> CoDecomposition:
     Vertices 0..3 are the cycle 0-1-2-3-0; sets are {a,b} at 0 and 3,
     {c,d} at 1 and 2.  Edge 0 is the twisted one.
     """
-    ab = FinSetObj(2, ("a", "b"))
-    cd = FinSetObj(2, ("c", "d"))
-    return CoDecomposition(
-        SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        [ab, cd, cd, ab],
-        [FinSetObj(2, ("3", "4")), cd, FinSetObj(2, ("1", "2")), ab],
-        [
-            (FinFn(2, 2, (0, 1)), FinFn(2, 2, (1, 0))),
-            (FinFn.identity(2), FinFn.identity(2)),
-            (FinFn(2, 2, (0, 1)), FinFn(2, 2, (0, 1))),
-            (FinFn.identity(2), FinFn.identity(2)),
-        ],
-    )
+    return _c4((1, 0))
 
 
 def c4_untwisted_example() -> CoDecomposition:
     """The same shape with the bottom leg at vertex 1 straightened
     (c -> 3, d -> 4): matching families exist."""
-    d = c4_example()
-    legs = list(d.legs)
-    legs[0] = (legs[0][0], FinFn(2, 2, (0, 1)))
-    return CoDecomposition(d.shape, d.vertex_obj, d.edge_obj, legs)
+    return _c4((0, 1))
+
+
+def _c4(leg_at_1) -> CoDecomposition:
+    ab, cd = ("a", "b"), ("c", "d")
+    return CoDecomposition(
+        SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), [2] * 4, [2] * 4,
+        [((0, 1), leg_at_1)] + [((0, 1), (0, 1))] * 3,
+        vertex_labels={0: ab, 1: cd, 2: cd, 3: ab},
+        edge_labels={0: ("3", "4"), 1: cd, 2: ("1", "2"), 3: ab},
+    )
 
 
 def cospan_example() -> CoDecomposition:
     """1 -> {a,b} <- 1 hitting distinct elements: empty limit."""
-    return CoDecomposition(
-        SimpleGraph(2, [(0, 1)]),
-        [FinSetObj(1), FinSetObj(1)],
-        [FinSetObj(2, ("a", "b"))],
-        [(FinFn(1, 2, (0,)), FinFn(1, 2, (1,)))],
-    )
+    return CoDecomposition(SimpleGraph(2, [(0, 1)]), [1, 1], [2],
+                           [((0,), (1,))], edge_labels={0: ("a", "b")})
 
 
 def edgeless_diagram(sizes) -> CoDecomposition:
-    return CoDecomposition(
-        SimpleGraph(len(sizes), []),
-        [FinSetObj(s) for s in sizes],
-        [],
-        [],
-    )
+    return CoDecomposition(SimpleGraph(len(sizes), []), list(sizes), [], [])
 
 
 def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
@@ -88,19 +68,19 @@ def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexS
     b = (n - 1 - k) // k
     if 1 + k * b + k != n or b < 2:
         raise ValueError(f"n={n} does not split into {k} branches")
-    ident = FinFn.identity(w)
-    shift = FinFn(w, w, tuple((a + 1) % w for a in range(w)))
+    ident = tuple(range(w))
+    shift = tuple((a + 1) % w for a in range(w))
     edges = []
-    legs = []
+    tables = []
     for i in range(k):
         branch = range(1 + i * b, 1 + (i + 1) * b)
         hub = n - k + i
         edges += [(0, branch[0]), (hub, branch[-1])]
         edges += [(branch[j], branch[j + 1]) for j in range(b - 1)]
         edges.append((branch[0], hub))
-        legs += [(ident, ident)] * (b + 1) + [(ident, shift)]
-    d = CoDecomposition(SimpleGraph(n, edges), [FinSetObj(w)] * n,
-                        [FinSetObj(w)] * len(edges), legs)
+        tables += [(ident, ident)] * (b + 1) + [(ident, shift)]
+    d = CoDecomposition(SimpleGraph(n, edges), [w] * n, [w] * len(edges),
+                        tables)
     return d, VertexSet.of(n, range(n - k, n))
 
 
@@ -121,8 +101,8 @@ def random_closed_mask(rng: random.Random, d: CoDecomposition) -> SubMask:
     """Random leg-closed submask: vertex masks narrowed at random, edge
     masks left full."""
     m = d.full_mask()
-    for x, obj in enumerate(d.vertex_obj):
-        m.vertex[x] = rng.getrandbits(obj.size) if obj.size else 0
+    for x, size in enumerate(d.vertex_size):
+        m.vertex[x] = rng.getrandbits(size) if size else 0
     return m
 
 
@@ -130,11 +110,7 @@ def diagrams_equal(d1: CoDecomposition, d2: CoDecomposition) -> bool:
     """Structural equality: same shape, set sizes, and leg tables."""
     if d1.shape != d2.shape:
         return False
-    if [o.size for o in d1.vertex_obj] != [o.size for o in d2.vertex_obj]:
-        return False
-    if [o.size for o in d1.edge_obj] != [o.size for o in d2.edge_obj]:
-        return False
-    return all(
-        a.table == b.table and c.table == e.table
-        for (a, c), (b, e) in zip(d1.legs, d2.legs)
-    )
+    return (list(d1.vertex_size) == list(d2.vertex_size)
+            and list(d1.edge_size) == list(d2.edge_size)
+            and [tuple(map(tuple, p)) for p in d1.tables]
+            == [tuple(map(tuple, p)) for p in d2.tables])

@@ -105,10 +105,10 @@ def test_pointwise_slice_walking_arrow():
     d = two_parallel_diagrams_example()
     assert validate_cset_codecomp(d) == []
     s0 = pointwise_slice(d, 0)
-    assert [o.size for o in s0.vertex_obj] == [2, 2]
-    assert s0.legs[0][0] == FinFn.identity(2)
+    assert s0.vertex_size == [2, 2] and s0.edge_size == [2]
+    assert s0.tables == [((0, 1), (0, 1))]
     s1 = pointwise_slice(d, 1)
-    assert [o.size for o in s1.vertex_obj] == [1, 1]
+    assert s1.vertex_size == [1, 1] and s1.tables == [((0,), (0,))]
 
 
 def test_pointwise_slice_terminal_is_underlying():
@@ -116,9 +116,10 @@ def test_pointwise_slice_terminal_is_underlying():
     lifted = lift_to_terminal_cset(d)
     assert validate_cset_codecomp(lifted) == []
     s = pointwise_slice(lifted, 0)
-    assert s.vertex_obj == d.vertex_obj
-    assert s.edge_obj == d.edge_obj
-    assert s.legs == d.legs
+    assert s.vertex_size == d.vertex_size and s.edge_size == d.edge_size
+    assert s.tables == d.tables
+    assert s.vertex_labels == d.vertex_labels
+    assert s.edge_labels == d.edge_labels
 
 
 def test_naturality_violation_rejected():
@@ -151,13 +152,13 @@ def walking_arrow_golden() -> CSetCoDecomposition:
     c4 = c4_example()
 
     def vertex_cset(x):
-        big = c4.vertex_obj[x]
+        big = FinSetObj(c4.vertex_size[x], c4.vertex_labels.get(x))
         return CSet((FinSetObj(1), big),
                     (FinFn.identity(1), FinFn.identity(big.size),
                      FinFn.constant(1, big.size, 0)))
 
     def edge_cset(e, action_table):
-        big = c4.edge_obj[e]
+        big = FinSetObj(c4.edge_size[e], c4.edge_labels.get(e))
         small = FinSetObj(len(action_table))
         return CSet((small, big),
                     (FinFn.identity(small.size), FinFn.identity(big.size),
@@ -169,8 +170,9 @@ def walking_arrow_golden() -> CSetCoDecomposition:
     edge_cs = []
     legs = []
     for e, (u, v) in enumerate(c4.shape.edges):
-        leg_u1 = c4.legs[e][0]
-        leg_v1 = c4.legs[e][1]
+        tu, tv = c4.tables[e]
+        leg_u1 = FinFn(2, c4.edge_size[e], tu)
+        leg_v1 = FinFn(2, c4.edge_size[e], tv)
         if e == 0:
             slice0_size = 2
             pick_u, pick_v = 0, 1

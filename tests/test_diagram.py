@@ -1,19 +1,21 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import (
     c4_example,
+    c4_untwisted_example,
     cospan_example,
     diagrams_equal,
+    edgeless_diagram,
     path_example,
     random_closed_mask,
     random_tree_diagram,
+    shifted_spider,
 )
 from limsolve import (
     CoDecomposition,
-    FinFn,
-    FinSetObj,
     SimpleGraph,
     SubMask,
     VertexSet,
@@ -31,34 +33,68 @@ def test_validate_worked_examples_ok():
 
 
 def test_validate_reports_out_of_range_leg():
-    # leg internally total, but sized against the wrong edge set
-    d = CoDecomposition(
-        SimpleGraph(2, [(0, 1)]),
-        [FinSetObj(1), FinSetObj(1)],
-        [FinSetObj(2)],
-        [(FinFn(1, 7, (6,)), FinFn(1, 2, (0,)))],
-    )
+    # a leg table that needs a larger edge set than it has
+    d = CoDecomposition(SimpleGraph(2, [(0, 1)]), [1, 1], [2], [((6,), (0,))])
     problems = validate(d)
     assert len(problems) == 1 and "target size 7" in problems[0]
 
 
 def test_validate_reads_the_columns():
-    # from_columns checks only the column lengths; validate checks the tables
-    d = CoDecomposition.from_columns(SimpleGraph(2, [(0, 1)]), [2, 1], [2],
-                                     [((0,), (2,))])
+    # the constructor checks only the column lengths; validate checks the
+    # tables and the labels
+    edge = SimpleGraph(2, [(0, 1)])
+    d = CoDecomposition(edge, [2, 1], [2], [((0,), (2,))])
     assert validate(d) == [
         "leg of edge 0 at vertex 0: source size 1 != vertex set size 2",
         "leg of edge 0 at vertex 1: table needs target size 3 > edge set size 2",
     ]
+    # a negative entry and a bool are no element indices
+    d = CoDecomposition(edge, [2, 1], [2], [((0, -1), (1,))])
+    assert validate(d) == [
+        "leg of edge 0 at vertex 0: entry -1 at position 1 is not a "
+        "non-negative integer",
+    ]
+    d = CoDecomposition(edge, [1, 1], [2], [((0,), (True,))])
+    assert validate(d) == [
+        "leg of edge 0 at vertex 1: entry True at position 0 is not a "
+        "non-negative integer",
+    ]
+    d = CoDecomposition(edge, [1, 1], [2], [((0,), (1,))],
+                        vertex_labels={0: ("a", "b")},
+                        edge_labels={0: ("x", "x")})
+    assert validate(d) == [
+        "vertex set 0: labels ('a', 'b') are not 1 distinct names",
+        "edge set 0: labels ('x', 'x') are not 2 distinct names",
+    ]
     with pytest.raises(ValueError, match="one set per shape vertex"):
-        CoDecomposition.from_columns(SimpleGraph(2, [(0, 1)]), [1], [2],
-                                     [((0,), (1,))])
+        CoDecomposition(edge, [1], [2], [((0,), (1,))])
 
 
 def test_constructor_checks_arity():
-    with pytest.raises(ValueError):
-        CoDecomposition(SimpleGraph(2, [(0, 1)]), [FinSetObj(1)],
-                        [FinSetObj(1)], [(FinFn(1, 1, (0,)),) * 2])
+    edge = SimpleGraph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="one set per shape edge"):
+        CoDecomposition(edge, [1, 1], [], [((0,), (0,))])
+    with pytest.raises(ValueError, match="exactly two legs per shape edge"):
+        CoDecomposition(edge, [1, 1], [1], [])
+
+
+def test_fixtures_keep_their_columns():
+    # sha256 of the fixtures' columns, recorded when they were still built
+    # from set and function objects; a rewrite of a builder must not move it
+    def columns(d):
+        return (tuple(d.shape.edges), tuple(d.vertex_size),
+                tuple(d.edge_size),
+                tuple((tuple(tu), tuple(tv)) for tu, tv in d.tables),
+                sorted((i, tuple(lab)) for i, lab in d.vertex_labels.items()),
+                sorted((i, tuple(lab)) for i, lab in d.edge_labels.items()))
+
+    fixtures = [path_example(), c4_example(), c4_untwisted_example(),
+                cospan_example(), edgeless_diagram([3, 0, 2]),
+                shifted_spider(3, 31)[0]]
+    digest = hashlib.sha256(
+        repr([columns(d) for d in fixtures]).encode()).hexdigest()
+    assert digest == ("5a14791a9b1bc99dcab25d830b1d1977"
+                      "507e848f8e0e453134eeb8202c008b98")
 
 
 def test_filter_c4_full_mask_unchanged():
@@ -130,7 +166,7 @@ def masked_families(d, m):
     pools = [m.vertex_elements(x) for x in range(d.shape.n)]
     out = []
     for combo in itertools.product(*pools):
-        if all(d.legs[e][0](combo[u]) == d.legs[e][1](combo[v])
+        if all(d.tables[e][0][combo[u]] == d.tables[e][1][combo[v]]
                for e, (u, v) in enumerate(d.shape.edges)):
             out.append(combo)
     return out
@@ -177,11 +213,13 @@ def test_restrict_c4_to_forest():
     d = c4_example()
     r = restrict_to_subgraph(d, d.full_mask(), VertexSet.of(4, [1, 2, 3]))
     assert r.diagram.shape == SimpleGraph(3, [(0, 1), (1, 2)])
-    assert [o.size for o in r.diagram.vertex_obj] == [2, 2, 2]
+    assert r.diagram.vertex_size == [2, 2, 2]
     assert r.edge_map == [None, 0, 1, None]
     # labels follow their sets to the new indices
-    assert r.diagram.vertex_obj == d.vertex_obj[1:]
-    assert r.diagram.edge_obj == d.edge_obj[1:3]
+    assert r.diagram.vertex_labels == {i: d.vertex_labels[i + 1]
+                                       for i in range(3)}
+    assert r.diagram.edge_labels == {i: d.edge_labels[i + 1]
+                                     for i in range(2)}
 
 
 def test_restrict_preserves_legs():
@@ -194,7 +232,7 @@ def test_restrict_preserves_legs():
         for old_e, new_e in enumerate(r.edge_map):
             if new_e is None:
                 continue
-            assert r.diagram.legs[new_e] == d.legs[old_e]
+            assert r.diagram.edge_size[new_e] == d.edge_size[old_e]
             assert r.diagram.tables[new_e] is d.tables[old_e]
 
 
@@ -208,8 +246,8 @@ def test_as_subdiagram_image_of_path_example():
 
     d = path_example()
     sub = as_subdiagram(d, image_tree(d, d.full_mask()))
-    assert [o.labels for o in sub.vertex_obj] == [("c",), ("β",), ("r", "s")]
-    assert [o.labels for o in sub.edge_obj] == [("y",), ("v",)]
+    assert sub.vertex_labels == {0: ("c",), 1: ("β",), 2: ("r", "s")}
+    assert sub.edge_labels == {0: ("y",), 1: ("v",)}
     assert validate(sub) == []
 
 

@@ -129,7 +129,7 @@ def test_build_single_bag_edge():
     b = BagDecomposition(x, SimpleGraph(1, []), ((0, 1),))
     inst = build_hom_codecomp(b, K3)
     assert inst.diagram.shape.m == 0
-    assert inst.diagram.vertex_obj[0].size == 6
+    assert inst.diagram.vertex_size == [6]
 
 
 def test_build_triangle_two_bags():
@@ -137,12 +137,12 @@ def test_build_triangle_two_bags():
     b = BagDecomposition(x, SimpleGraph(2, [(0, 1)]), ((0, 1, 2), (0, 1)))
     assert validate_decomposition(b) == []
     inst = build_hom_codecomp(b, K3)
-    assert [o.size for o in inst.diagram.vertex_obj] == [6, 6]
-    assert inst.diagram.edge_obj[0].size == 6
+    assert inst.diagram.vertex_size == [6, 6]
+    assert inst.diagram.edge_size == [6]
     # legs restrict bag homs to the shared edge's homs
-    fn = inst.diagram.legs[0][0]
+    table = inst.diagram.tables[0][0]
     for i, m in enumerate(inst.bag_homs[0].maps):
-        assert inst.adhesion_homs[0].maps[fn(i)] == m[:2]
+        assert inst.adhesion_homs[0].maps[table[i]] == m[:2]
 
 
 def test_k4_is_not_three_colorable():
@@ -179,8 +179,8 @@ def test_petersen_three_colorable_with_supplied_decomposition():
 def test_hom_set_sizes_within_alpha_bound():
     b = petersen_decomposition()
     inst = build_hom_codecomp(b, K3)
-    for bag, obj in zip(b.bags, inst.diagram.vertex_obj):
-        assert obj.size <= 3 ** len(bag)
+    for bag, size in zip(b.bags, inst.diagram.vertex_size):
+        assert size <= 3 ** len(bag)
 
 
 def test_hom_exists_matches_backtracking():

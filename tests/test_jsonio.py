@@ -68,8 +68,8 @@ def test_diagram_round_trip_examples():
     for d in (path_example(), c4_example(), cospan_example()):
         again = jsonio.parse_diagram(jsonio.diagram_to_json(d))
         assert diagrams_equal(again, d)
-        assert [o.labels for o in again.vertex_obj] == \
-            [o.labels for o in d.vertex_obj]
+        assert again.vertex_labels == d.vertex_labels
+        assert again.edge_labels == d.edge_labels
 
 
 def test_diagram_rejects_missing_leg():

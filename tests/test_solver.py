@@ -75,12 +75,8 @@ def test_image_tree_rejects_cycles():
 
 def test_image_tree_zeroes_everything_when_one_component_dies():
     # healthy component + empty-set component: no global families at all
-    d = CoDecomposition(
-        SimpleGraph(3, [(0, 1)]),
-        [FinSetObj(2), FinSetObj(2), FinSetObj(0)],
-        [FinSetObj(2)],
-        [(FinFn.identity(2), FinFn.identity(2))],
-    )
+    d = CoDecomposition(SimpleGraph(3, [(0, 1)]), [2, 2, 0], [2],
+                        [((0, 1), (0, 1))])
     m = image_tree(d, d.full_mask())
     assert m.vertex == [0, 0, 0] and m.edge == [0]
     assert m == brute_image(d)
@@ -150,15 +146,8 @@ def test_section_tests_empty_fvs_yields_diagram_itself():
 def test_section_tests_empty_pinned_set_yields_nothing():
     # some d(s) empty: zero tests, and the limit is empty overall
     d = CoDecomposition(
-        SimpleGraph(3, [(0, 1), (1, 2), (0, 2)]),
-        [FinSetObj(0), FinSetObj(2), FinSetObj(2)],
-        [FinSetObj(1), FinSetObj(1), FinSetObj(1)],
-        [
-            (FinFn(0, 1, ()), FinFn.constant(2, 1, 0)),
-            (FinFn.constant(2, 1, 0), FinFn.constant(2, 1, 0)),
-            (FinFn(0, 1, ()), FinFn.constant(2, 1, 0)),
-        ],
-    )
+        SimpleGraph(3, [(0, 1), (1, 2), (0, 2)]), [0, 2, 2], [1, 1, 1],
+        [((), (0, 0)), ((0, 0), (0, 0)), ((), (0, 0))])
     assert list(section_tests(d, VertexSet.of(3, [0]))) == []
     result = inlim(d, fvs=VertexSet.of(3, [0]))
     assert result.verdict.empty_limit
@@ -376,14 +365,13 @@ def _planted_tree(seed, n, w):
     rng = random.Random(seed)
     shape = random_tree(rng, n)
     fam = [rng.randrange(w) for _ in range(n)]
-    legs = []
+    tables = []
     for u, v in shape.edges:
         tu = [rng.randrange(w) for _ in range(w)]
         tv = [rng.randrange(w) for _ in range(w)]
         tv[fam[v]] = tu[fam[u]]
-        legs.append((FinFn(w, w, tu), FinFn(w, w, tv)))
-    return CoDecomposition(shape, [FinSetObj(w)] * n,
-                           [FinSetObj(w)] * shape.m, legs)
+        tables.append((tuple(tu), tuple(tv)))
+    return CoDecomposition(shape, [w] * n, [w] * shape.m, tables)
 
 
 def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
