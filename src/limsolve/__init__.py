@@ -6,7 +6,6 @@ from .graphs import (
     SimpleGraph,
     VertexSet,
     components,
-    find_cycle,
     fvs_exact,
     is_forest,
     remove_vertices,
@@ -35,14 +34,12 @@ from .solver import (
     section_tests,
     witness_violations,
 )
-from .oracle import CapExceeded, brute_image, enumerate_limit, pullback_limit
+from .oracle import CapExceeded, brute_image, enumerate_limit
 from .cset import (
-    CSet,
     CSetCoDecomposition,
     FinCat,
     cset_inlim,
     pointwise_slice,
-    validate_cset,
     validate_cset_codecomp,
     validate_fincat,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "BagDecomposition",
     "CapExceeded",
     "CoDecomposition",
-    "CSet",
     "CSetCoDecomposition",
     "FinCat",
     "FinFn",
@@ -86,7 +82,6 @@ __all__ = [
     "enumerate_limit",
     "extract_witness",
     "filter_edge",
-    "find_cycle",
     "find_homomorphism",
     "forest_initial",
     "fvs_exact",
@@ -96,12 +91,10 @@ __all__ = [
     "inlim",
     "is_forest",
     "pointwise_slice",
-    "pullback_limit",
     "remove_vertices",
     "restrict_to_subgraph",
     "section_tests",
     "validate",
-    "validate_cset",
     "validate_cset_codecomp",
     "validate_decomposition",
     "validate_fincat",

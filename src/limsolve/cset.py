@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import CoDecomposition, Verdict
-from .finset import FinFn, FinSetObj
+from .diagram import CoDecomposition, Verdict, validate
+from .finset import table_fits, tables_fit
 from .graphs import SimpleGraph, VertexSet
 from .solver import _resolve_fvs, inlim
 
@@ -104,119 +104,134 @@ def validate_fincat(c: FinCat) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class CSet:
-    """A functor from a finite category to finite sets: one set per object,
-    one action table per morphism."""
+class CSetCoDecomposition:
+    """A diagram of C-sets over a simple graph shape, stored as columns.
 
-    objects: tuple[FinSetObj, ...]
-    actions: tuple[FinFn, ...]
+    slices[c] is the plain diagram at C-object c: its set sizes, leg
+    tables (the components at c of the natural-transformation legs) and
+    labels, over the shared shape.  vertex_actions[x][f] and
+    edge_actions[e][f] are the tables of C-morphism f acting on the C-set
+    at vertex x or edge e, from its set at src(f) to its set at tgt(f).
+    The columns are kept, not copied; only their lengths are checked here,
+    and validate_cset_codecomp(d) checks the tables.
+    """
 
-    @property
-    def total_size(self) -> int:
-        return sum(o.size for o in self.objects)
+    __slots__ = ("cat", "shape", "slices", "vertex_actions", "edge_actions")
+
+    def __init__(self, cat: FinCat, shape: SimpleGraph,
+                 slices: list[CoDecomposition], vertex_actions: list,
+                 edge_actions: list):
+        if len(slices) != cat.object_count:
+            raise ValueError("one slice per C-object required")
+        if any(s.shape != shape for s in slices):
+            raise ValueError("every slice must have the diagram's shape")
+        if len(vertex_actions) != shape.n:
+            raise ValueError("one C-set per shape vertex required")
+        if len(edge_actions) != shape.m:
+            raise ValueError("one C-set per shape edge required")
+        self.cat = cat
+        self.shape = shape
+        self.slices = slices
+        self.vertex_actions = vertex_actions
+        self.edge_actions = edge_actions
+
+    def width(self) -> int:
+        """Largest total vertex C-set size (summed over C-objects)."""
+        return max(map(sum, zip(*(s.vertex_size for s in self.slices))),
+                   default=0)
+
+    def slice_width(self) -> int:
+        """Largest single-component vertex set size across C-objects."""
+        return max((s.width() for s in self.slices), default=0)
 
 
-def validate_cset(cat: FinCat, x: CSet) -> list[str]:
-    """Sizes, identities and functoriality of x over cat, which must pass
-    validate_fincat; returns a list of violations, empty when ok."""
-    problems = []
-    if len(x.objects) != cat.object_count:
-        return ["one set per category object required"]
-    if len(x.actions) != cat.morphism_count:
+def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
+    """Sizes, identities and functoriality of one C-set: tables[f] is the
+    action of morphism f, sizes[c] the size of its set at object c, and
+    pairs the (g, f, comp[g][f]) triples of the composable pairs."""
+    if len(tables) != cat.morphism_count:
         return ["one action per category morphism required"]
-    for f, fn in enumerate(x.actions):
-        if fn.source_size != x.objects[cat.src[f]].size:
+    problems = []
+    for f, (table, c0, c1) in enumerate(zip(tables, cat.src, cat.tgt)):
+        if len(table) != sizes[c0]:
             problems.append(f"action of morphism {f}: wrong source size")
-        if fn.target_size != x.objects[cat.tgt[f]].size:
+        if not table_fits(table, sizes[c1]):
             problems.append(f"action of morphism {f}: wrong target size")
     if problems:
         return problems
     for o, i in enumerate(cat.identity):
-        if x.actions[i].table != tuple(range(x.objects[o].size)):
+        if list(tables[i]) != list(range(sizes[o])):
             problems.append(f"identity of object {o} does not act as identity")
-    # the sizes match once the category is valid, so the tables decide
-    tables = [fn.table for fn in x.actions]
-    for g in range(cat.morphism_count):
+    # once the identities act as identities, a pair with one in it
+    # composes correctly, so only the other pairs need their tables read
+    ids = () if problems else cat.identity
+    for g, f, gf in pairs:
+        if g in ids or f in ids:
+            continue
         gt = tables[g]
-        for f in range(cat.morphism_count):
-            gf = cat.comp[g][f]
-            if gf == -1:
-                continue
-            if list(tables[gf]) != [gt[t] for t in tables[f]]:
-                problems.append(
-                    f"functoriality fails: action of comp[{g}][{f}]")
+        if list(tables[gf]) != [gt[t] for t in tables[f]]:
+            problems.append(f"functoriality fails: action of comp[{g}][{f}]")
     return problems
 
 
-class CSetCoDecomposition:
-    """A diagram of C-sets over a simple graph shape; legs are natural
-    transformations given componentwise (one function per C-object)."""
-
-    __slots__ = ("cat", "shape", "vertex_cs", "edge_cs", "legs")
-
-    def __init__(self, cat: FinCat, shape: SimpleGraph, vertex_cs, edge_cs, legs):
-        self.cat = cat
-        self.shape = shape
-        self.vertex_cs = tuple(vertex_cs)
-        self.edge_cs = tuple(edge_cs)
-        self.legs = tuple(
-            (tuple(lu), tuple(lv)) for lu, lv in legs
-        )
-        if len(self.vertex_cs) != shape.n:
-            raise ValueError("one C-set per shape vertex required")
-        if len(self.edge_cs) != shape.m:
-            raise ValueError("one C-set per shape edge required")
-        if len(self.legs) != shape.m:
-            raise ValueError("exactly two legs per shape edge required")
-
-    def width(self) -> int:
-        """Largest total vertex C-set size (summed over C-objects)."""
-        return max((x.total_size for x in self.vertex_cs), default=0)
-
-    def slice_width(self) -> int:
-        """Largest single-component vertex set size across C-objects."""
-        return max(
-            (o.size for x in self.vertex_cs for o in x.objects), default=0)
+def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
+    """Whether _action_problems finds nothing in any C-set of actions,
+    whose set at object c has size sizes[c][i]: checked a morphism at a
+    time over all the C-sets at once, with no Python step per C-set for
+    an identity."""
+    if set(map(len, actions)) - {cat.morphism_count}:
+        return False
+    columns = list(zip(*actions)) or [()] * cat.morphism_count
+    for col, c0, c1 in zip(columns, cat.src, cat.tgt):
+        if not tables_fit(col, sizes[c0], sizes[c1]):
+            return False
+    for o, i in enumerate(cat.identity):
+        if (list(map(tuple, columns[i]))
+                != list(map(tuple, map(range, sizes[o])))):
+            return False
+    ids = cat.identity
+    return all(list(tables[gf]) == [tables[g][t] for t in tables[f]]
+               for g, f, gf in pairs if g not in ids and f not in ids
+               for tables in actions)
 
 
 def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
+    """The category, every slice (validate), every C-set's actions, then
+    the naturality of every leg; returns a list of violations, empty when
+    ok."""
     problems = validate_fincat(d.cat)
     if problems:
         return [f"category: {p}" for p in problems]
-    for x, cs in enumerate(d.vertex_cs):
-        problems += [f"vertex {x}: {p}" for p in validate_cset(d.cat, cs)]
-    for e, cs in enumerate(d.edge_cs):
-        problems += [f"edge {e}: {p}" for p in validate_cset(d.cat, cs)]
+    cat = d.cat
+    for c, s in enumerate(d.slices):
+        problems += [f"object {c}: {p}" for p in validate(s)]
+    pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
+             for f, gf in enumerate(row) if gf != -1]
+    for kind, actions, sizes in (
+            ("vertex", d.vertex_actions, [s.vertex_size for s in d.slices]),
+            ("edge", d.edge_actions, [s.edge_size for s in d.slices])):
+        if _actions_hold(cat, actions, sizes, pairs):
+            continue
+        for i, tables in enumerate(actions):
+            problems += [f"{kind} {i}: {p}" for p in _action_problems(
+                cat, tables, [col[i] for col in sizes], pairs)]
     if problems:
         return problems
-    cat = d.cat
+    # both sides of each square run from component c0 of the vertex C-set
+    # to component c1 of the edge C-set, sizes checked; the square of an
+    # identity commutes, since identities act as identities
+    arrows = [(f, d.slices[c0].tables, d.slices[c1].tables)
+              for f, (c0, c1) in enumerate(zip(cat.src, cat.tgt))
+              if f not in cat.identity]
     for e, (u, v) in enumerate(d.shape.edges):
-        for x, leg in ((u, d.legs[e][0]), (v, d.legs[e][1])):
-            xs = d.vertex_cs[x]
-            es = d.edge_cs[e]
-            if len(leg) != cat.object_count:
-                problems.append(
-                    f"leg of edge {e} at vertex {x}: one component per "
-                    f"C-object required")
-                continue
-            sizes_ok = True
-            for c, fn in enumerate(leg):
-                if (fn.source_size != xs.objects[c].size
-                        or fn.target_size != es.objects[c].size):
-                    problems.append(
-                        f"leg of edge {e} at vertex {x}, component {c}: "
-                        f"size mismatch")
-                    sizes_ok = False
-            if not sizes_ok:
-                continue
-            # both sides of each square run from component c0 of the
-            # vertex C-set to component c1 of the edge C-set, sizes checked
-            for f in range(cat.morphism_count):
-                c0, c1 = cat.src[f], cat.tgt[f]
-                l1, ef = leg[c1].table, es.actions[f].table
-                if ([l1[t] for t in xs.actions[f].table]
-                        != [ef[t] for t in leg[c0].table]):
+        edge_tables = d.edge_actions[e]
+        for side, x in enumerate((u, v)):
+            vertex_tables = d.vertex_actions[x]
+            for f, legs0, legs1 in arrows:
+                l0 = legs0[e][side]
+                l1 = legs1[e][side]
+                ef = edge_tables[f]
+                if [l1[t] for t in vertex_tables[f]] != [ef[t] for t in l0]:
                     problems.append(
                         f"leg of edge {e} at vertex {x}: naturality square "
                         f"fails at morphism {f}")
@@ -225,19 +240,10 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
 
 def pointwise_slice(d: CSetCoDecomposition, c: int) -> CoDecomposition:
     """The plain diagram obtained by evaluating every C-set and leg at one
-    C-object."""
+    C-object: the stored slice itself, not a copy."""
     if not 0 <= c < d.cat.object_count:
         raise ValueError(f"no C-object {c}")
-    vertex = [x.objects[c] for x in d.vertex_cs]
-    edge = [x.objects[c] for x in d.edge_cs]
-    return CoDecomposition(
-        d.shape, [o.size for o in vertex], [o.size for o in edge],
-        [(lu[c].table, lv[c].table) for lu, lv in d.legs],
-        _labels_of(vertex), _labels_of(edge))
-
-
-def _labels_of(objs) -> dict[int, tuple[str, ...]]:
-    return {i: o.labels for i, o in enumerate(objs) if o.labels is not None}
+    return d.slices[c]
 
 
 def cset_inlim(

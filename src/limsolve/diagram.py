@@ -22,8 +22,9 @@ rests on, so ``filter_edge`` mutates its mask in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .finset import bits, full_mask, mask_of, table_image
+from .finset import bits, full_mask, mask_of, table_image, tables_fit
 from .graphs import SimpleGraph, VertexSet, remove_vertices
 
 
@@ -122,6 +123,24 @@ def validate(d: CoDecomposition) -> list[str]:
     A leg table entry must be an int (not a bool) in [0, edge set size),
     and a labelled set needs one distinct label per element."""
     problems = []
+    # the common case, every table fine, takes no Python step per table;
+    # _table_problems then finds, and names, what is wrong
+    if not tables_fit(list(chain.from_iterable(d.tables)),
+                      [d.vertex_size[x] for uv in d.shape.edges for x in uv],
+                      [size for size in d.edge_size for _ in (0, 1)]):
+        problems += _table_problems(d)
+    for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
+                                ("edge", d.edge_size, d.edge_labels)):
+        for i, size in enumerate(sizes):
+            lab = labels.get(i)
+            if lab is not None and not len(lab) == len(set(lab)) == size:
+                problems.append(f"{kind} set {i}: labels {lab!r} are not "
+                                f"{size} distinct names")
+    return problems
+
+
+def _table_problems(d: CoDecomposition) -> list[str]:
+    problems = []
     for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
         size = d.edge_size[e]
         for x, table in zip((u, v), pair):
@@ -138,13 +157,6 @@ def validate(d: CoDecomposition) -> list[str]:
                 problems.append(
                     f"leg of edge {e} at vertex {x}: table needs target "
                     f"size {reach} > edge set size {size}")
-    for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
-                                ("edge", d.edge_size, d.edge_labels)):
-        for i, size in enumerate(sizes):
-            lab = labels.get(i)
-            if lab is not None and not len(lab) == len(set(lab)) == size:
-                problems.append(f"{kind} set {i}: labels {lab!r} are not "
-                                f"{size} distinct names")
     return problems
 
 

@@ -7,6 +7,9 @@ bit i set means element i belongs to the subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from operator import lt
 
 # Largest set a diagram may hold, and largest hom-set the hom frontend
 # enumerates.  Edge masks and section-test state are sized by the sets, so
@@ -71,16 +74,22 @@ class FinFn:
                 raise ValueError(f"table entry {t!r} at {i} is not an integer "
                                  f"below target size {self.target_size}")
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
 
-    @classmethod
-    def identity(cls, n: int) -> "FinFn":
-        return cls(n, n, tuple(range(n)))
+def table_fits(table, target: int) -> bool:
+    """Whether every entry of table is an int (not a bool) in [0, target)."""
+    return not table or (set(map(type, table)) <= {int} and min(table) >= 0
+                         and max(table) < target)
 
-    @classmethod
-    def constant(cls, source_size: int, target_size: int, value: int) -> "FinFn":
-        return cls(source_size, target_size, (value,) * source_size)
+
+def tables_fit(tables, sources: list[int], targets) -> bool:
+    """Whether every tables[i] has length sources[i] and fits targets[i],
+    as table_fits says: a few passes over all the tables at once, without
+    a Python step per table."""
+    entries = list(chain.from_iterable(tables))
+    return (list(map(len, tables)) == sources
+            and set(map(type, entries)) <= {int}
+            and min(entries, default=0) >= 0
+            and all(map(lt, map(partial(max, default=-1), tables), targets)))
 
 
 def table_image(table, source_mask: int) -> int:

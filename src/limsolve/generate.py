@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .cset import CSet, CSetCoDecomposition, FinCat
+from .cset import CSetCoDecomposition, FinCat
 from .diagram import CoDecomposition
-from .finset import FinFn, FinSetObj
 from .graphs import SimpleGraph
 from .hom import BagDecomposition
 
@@ -90,63 +89,55 @@ def random_walking_arrow_diagram(
     always be completed: the leg component at object 1 is forced on the
     action's image and free elsewhere.
     """
-    cat = FinCat.walking_arrow()
-
-    def random_vertex_cset() -> CSet:
+    vertex_size = ([], [])
+    vertex_actions = []
+    for _ in range(shape.n):
         s0 = rng.randint(1, w)
         s1 = rng.randint(s0, w)
-        obj0, obj1 = FinSetObj(s0), FinSetObj(s1)
-        targets = rng.sample(range(s1), s0)
-        arrow = FinFn(s0, s1, tuple(targets))
-        return CSet((obj0, obj1),
-                    (FinFn.identity(s0), FinFn.identity(s1), arrow))
-
-    def random_edge_cset() -> CSet:
+        arrow = tuple(rng.sample(range(s1), s0))
+        vertex_actions.append((tuple(range(s0)), tuple(range(s1)), arrow))
+        vertex_size[0].append(s0)
+        vertex_size[1].append(s1)
+    edge_size = ([], [])
+    edge_actions = []
+    for _ in range(shape.m):
         s0 = rng.randint(1, w)
         s1 = rng.randint(1, w)
-        obj0, obj1 = FinSetObj(s0), FinSetObj(s1)
-        arrow = FinFn(s0, s1, tuple(rng.randrange(s1) for _ in range(s0)))
-        return CSet((obj0, obj1),
-                    (FinFn.identity(s0), FinFn.identity(s1), arrow))
+        arrow = tuple(rng.randrange(s1) for _ in range(s0))
+        edge_actions.append((tuple(range(s0)), tuple(range(s1)), arrow))
+        edge_size[0].append(s0)
+        edge_size[1].append(s1)
 
-    vertex_cs = [random_vertex_cset() for _ in range(shape.n)]
-    edge_cs = [random_edge_cset() for _ in range(shape.m)]
+    def random_leg(x: int, e: int) -> tuple[tuple, tuple]:
+        leg0 = tuple(rng.randrange(edge_size[0][e])
+                     for _ in range(vertex_size[0][x]))
+        # naturality forces the object-1 component on the arrow's image;
+        # every element still takes a draw, forced or not
+        forced = {b: edge_actions[e][2][t]
+                  for b, t in zip(vertex_actions[x][2], leg0)}
+        draws = [rng.randrange(edge_size[1][e])
+                 for _ in range(vertex_size[1][x])]
+        return leg0, tuple(forced.get(b, t) for b, t in enumerate(draws))
 
-    def random_leg(xs: CSet, es: CSet) -> tuple[FinFn, FinFn]:
-        x0, x1 = xs.objects[0].size, xs.objects[1].size
-        e0, e1 = es.objects[0].size, es.objects[1].size
-        leg0 = FinFn(x0, e0, tuple(rng.randrange(e0) for _ in range(x0)))
-        # naturality forces the object-1 component on the arrow's image
-        forced: dict[int, int] = {}
-        for a in range(x0):
-            forced[xs.actions[2].table[a]] = es.actions[2].table[leg0.table[a]]
-        table = tuple(
-            forced.get(b, rng.randrange(e1)) for b in range(x1))
-        return leg0, FinFn(x1, e1, table)
-
-    legs = []
+    tables = ([], [])
     for e, (u, v) in enumerate(shape.edges):
-        legs.append((random_leg(vertex_cs[u], edge_cs[e]),
-                     random_leg(vertex_cs[v], edge_cs[e])))
-    return CSetCoDecomposition(cat, shape, vertex_cs, edge_cs, legs)
+        (u0, u1), (v0, v1) = random_leg(u, e), random_leg(v, e)
+        tables[0].append((u0, v0))
+        tables[1].append((u1, v1))
+    slices = [CoDecomposition(shape, vertex_size[c], edge_size[c], tables[c])
+              for c in (0, 1)]
+    return CSetCoDecomposition(FinCat.walking_arrow(), shape, slices,
+                               vertex_actions, edge_actions)
 
 
 def lift_to_terminal_cset(d: CoDecomposition) -> CSetCoDecomposition:
     """Wrap a plain diagram as a diagram of C-sets over the one-object,
-    one-morphism category."""
-    cat = FinCat.terminal()
-
-    def wrap(size: int, labels) -> CSet:
-        return CSet((FinSetObj(size, labels),), (FinFn.identity(size),))
-
+    one-morphism category: d is the only slice, and the one morphism acts
+    as the identity."""
     return CSetCoDecomposition(
-        cat,
-        d.shape,
-        [wrap(s, d.vertex_labels.get(x)) for x, s in enumerate(d.vertex_size)],
-        [wrap(s, d.edge_labels.get(e)) for e, s in enumerate(d.edge_size)],
-        [((FinFn(len(tu), s, tu),), (FinFn(len(tv), s, tv),))
-         for s, (tu, tv) in zip(d.edge_size, d.tables)],
-    )
+        FinCat.terminal(), d.shape, [d],
+        [(tuple(range(s)),) for s in d.vertex_size],
+        [(tuple(range(s)),) for s in d.edge_size])
 
 
 def elimination_decomposition(rng: random.Random, x: SimpleGraph) -> BagDecomposition:

@@ -154,14 +154,6 @@ def is_forest(g: SimpleGraph) -> bool:
     return True
 
 
-def find_cycle(g: SimpleGraph) -> list[int] | None:
-    """Some simple cycle as a vertex sequence, or None if the graph is a forest.
-
-    Deterministic: the walk of _cycle over the 2-core of g.
-    """
-    return _cycle(g, _core(g)[0])
-
-
 def _core(g: SimpleGraph) -> tuple[bytearray, list[int]]:
     """The 2-core of g: (live flag per vertex, live degree per vertex)."""
     deg = [len(i) for i in g.incidence]

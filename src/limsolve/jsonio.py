@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .cset import CSet, CSetCoDecomposition, FinCat, validate_fincat
+from .cset import CSetCoDecomposition, FinCat, validate_fincat
 from .diagram import CoDecomposition
-from .finset import MAX_SET_SIZE, FinFn, FinSetObj
+from .finset import MAX_SET_SIZE, FinFn, FinSetObj, table_fits
 from .graphs import SimpleGraph
 from .hom import BagDecomposition
 
@@ -90,10 +90,6 @@ def parse_finset(obj, where: str = "set") -> FinSetObj:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def finset_to_json(o: FinSetObj) -> dict:
-    return _set_to_json(o.size, o.labels)
-
-
 def _set_to_json(size: int, labels) -> dict:
     if labels is not None:
         return {"elements": list(labels)}
@@ -122,16 +118,28 @@ def parse_fn(obj, source: FinSetObj, target: FinSetObj, where: str = "map") -> F
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def fn_to_json(f: FinFn, source: FinSetObj, target: FinSetObj) -> dict:
-    return {"map": _table_to_json(f.table, source.labels, target.labels)}
-
-
 def _table_to_json(table, source_labels, target_labels):
     """Label form when both sets are labelled, index form otherwise."""
     if source_labels is not None and target_labels is not None:
         return {source_labels[i]: target_labels[t]
                 for i, t in enumerate(table)}
     return list(table)
+
+
+def _parse_table(obj, source: int, target: int, source_labels,
+                 target_labels, where: str) -> tuple[int, ...]:
+    """The table of a map from a set of size source to one of size target.
+
+    An index-form table of the right length whose entries are integers in
+    range is read directly, into a tuple; any other map (label form
+    included) goes through parse_fn, so every error is found, and named,
+    as parse_fn names it."""
+    table = obj.get("map") if type(obj) is dict else None
+    if (type(table) is list and len(table) == source
+            and table_fits(table, target)):
+        return tuple(table)
+    return parse_fn(obj, FinSetObj(source, source_labels),
+                    FinSetObj(target, target_labels), where).table
 
 
 def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
@@ -180,12 +188,8 @@ def _parse_sizes(raw, where: str) -> tuple[list[int], dict]:
 
 
 def parse_diagram(obj) -> CoDecomposition:
-    """Read a diagram straight into the columns of a CoDecomposition.
-
-    An index-form table of the right length whose entries are integers in
-    range is read directly, into a tuple; any other map (label form
-    included) goes through parse_fn, so every error is found, and named,
-    as parse_fn names it."""
+    """Read a diagram straight into the columns of a CoDecomposition; every
+    leg map goes through _parse_table."""
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
     vsizes, vlabels = _parse_sizes(
         _require_list(obj, "vertex_sets", "diagram"), "vertex set")
@@ -197,15 +201,8 @@ def parse_diagram(obj) -> CoDecomposition:
         raise ParseError("diagram: one edge set per shape edge required")
 
     def parse_leg(leg, e, x, where):
-        table = leg.get("map")
-        # min and max need a nonempty table; an empty one takes parse_fn
-        if (type(table) is list and len(table) == vsizes[x] and table
-                and set(map(type, table)) == {int}
-                and min(table) >= 0 and max(table) < esizes[e]):
-            return tuple(table)
-        source = FinSetObj(vsizes[x], vlabels.get(x))
-        target = FinSetObj(esizes[e], elabels.get(e))
-        return parse_fn(leg, source, target, where).table
+        return _parse_table(leg, vsizes[x], esizes[e], vlabels.get(x),
+                            elabels.get(e), where)
 
     tables = _parse_legs(_require_list(obj, "legs", "diagram"), shape,
                          parse_leg)
@@ -270,72 +267,99 @@ def fincat_to_json(c: FinCat) -> dict:
     }
 
 
-def _parse_cset(obj, cat: FinCat, where: str) -> CSet:
-    sets = [parse_finset(o, f"{where} object {c}")
-            for c, o in enumerate(_require_list(obj, "objects", where))]
-    if len(sets) != cat.object_count:
-        raise ParseError(f"{where}: one set per C-object required")
+def _parse_csets(raw, cat: FinCat, where: str):
+    """The columns of a list of C-sets: per C-object, the set sizes and the
+    labels of the labelled sets; per C-set, its action tables."""
+    objects = range(cat.object_count)
+    sizes = [[] for _ in objects]
+    labels = [{} for _ in objects]
     actions = []
-    raw = _require_list(obj, "actions", where)
-    if len(raw) != cat.morphism_count:
-        raise ParseError(f"{where}: one action per C-morphism required")
-    for f, a in enumerate(raw):
-        actions.append(parse_fn(a, sets[cat.src[f]], sets[cat.tgt[f]],
-                                f"{where} action {f}"))
-    return CSet(tuple(sets), tuple(actions))
-
-
-def _cset_to_json(x: CSet, cat: FinCat) -> dict:
-    return {
-        "objects": [finset_to_json(o) for o in x.objects],
-        "actions": [fn_to_json(x.actions[f], x.objects[cat.src[f]],
-                               x.objects[cat.tgt[f]])
-                    for f in range(cat.morphism_count)],
-    }
+    for i, o in enumerate(raw):
+        at = f"{where} {i}"
+        s, lab = _parse_sizes(_require_list(o, "objects", at), f"{at} object")
+        if len(s) != cat.object_count:
+            raise ParseError(f"{at}: one set per C-object required")
+        maps = _require_list(o, "actions", at)
+        if len(maps) != cat.morphism_count:
+            raise ParseError(f"{at}: one action per C-morphism required")
+        actions.append([
+            _parse_table(a, s[c0], s[c1], lab.get(c0), lab.get(c1),
+                         f"{at} action {f}")
+            for f, (a, c0, c1) in enumerate(zip(maps, cat.src, cat.tgt))])
+        for c in objects:
+            sizes[c].append(s[c])
+            if c in lab:
+                labels[c][i] = lab[c]
+    return sizes, labels, actions
 
 
 def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
+    """Read a C-set diagram straight into one plain diagram per C-object
+    plus the action tables; every action and leg map goes through
+    _parse_table."""
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
-    vcs = [_parse_cset(o, cat, f"vertex C-set {i}") for i, o in
-           enumerate(_require_list(obj, "vertex_csets", "cset diagram"))]
-    ecs = [_parse_cset(o, cat, f"edge C-set {i}") for i, o in
-           enumerate(_require_list(obj, "edge_csets", "cset diagram"))]
-    if len(vcs) != shape.n:
+    vsizes, vlabels, vactions = _parse_csets(
+        _require_list(obj, "vertex_csets", "cset diagram"), cat,
+        "vertex C-set")
+    esizes, elabels, eactions = _parse_csets(
+        _require_list(obj, "edge_csets", "cset diagram"), cat, "edge C-set")
+    if len(vactions) != shape.n:
         raise ParseError("cset diagram: one vertex C-set per shape vertex required")
-    if len(ecs) != shape.m:
+    if len(eactions) != shape.m:
         raise ParseError("cset diagram: one edge C-set per shape edge required")
+    objects = range(cat.object_count)
 
     def parse_leg(leg, e, x, where):
         maps = _require_list(leg, "maps", where)
         if len(maps) != cat.object_count:
             raise ParseError(f"{where}: one map per C-object required")
-        return tuple(
-            parse_fn(m, vcs[x].objects[c], ecs[e].objects[c],
-                     f"{where} component {c}")
-            for c, m in enumerate(maps))
+        return [_parse_table(m, vsizes[c][x], esizes[c][e],
+                             vlabels[c].get(x), elabels[c].get(e),
+                             f"{where} component {c}")
+                for c, m in zip(objects, maps)]
 
     pairs = _parse_legs(_require_list(obj, "legs", "cset diagram"), shape,
                         parse_leg)
-    return CSetCoDecomposition(cat, shape, vcs, ecs, pairs)
+    slices = [CoDecomposition(shape, vsizes[c], esizes[c],
+                              [(lu[c], lv[c]) for lu, lv in pairs],
+                              vlabels[c], elabels[c])
+              for c in objects]
+    return CSetCoDecomposition(cat, shape, slices, vactions, eactions)
+
+
+def _csets_to_json(cat: FinCat, sizes, labels, actions) -> list[dict]:
+    """The C-set documents of _parse_csets' columns."""
+    out = []
+    for i, tables in enumerate(actions):
+        lab = [col.get(i) for col in labels]
+        out.append({
+            "objects": [_set_to_json(col[i], lb)
+                        for col, lb in zip(sizes, lab)],
+            "actions": [{"map": _table_to_json(t, lab[c0], lab[c1])}
+                        for t, c0, c1 in zip(tables, cat.src, cat.tgt)],
+        })
+    return out
 
 
 def cset_diagram_to_json(d: CSetCoDecomposition) -> dict:
+    """The C-set diagram's JSON document, written from its columns."""
+    slices = d.slices
     legs = []
     for e, (u, v) in enumerate(d.shape.edges):
-        for x, leg in ((u, d.legs[e][0]), (v, d.legs[e][1])):
-            legs.append({
-                "edge": e,
-                "endpoint": x,
-                "maps": [
-                    fn_to_json(leg[c], d.vertex_cs[x].objects[c],
-                               d.edge_cs[e].objects[c])
-                    for c in range(d.cat.object_count)
-                ],
-            })
+        for side, x in enumerate((u, v)):
+            legs.append({"edge": e, "endpoint": x, "maps": [
+                {"map": _table_to_json(s.tables[e][side],
+                                       s.vertex_labels.get(x),
+                                       s.edge_labels.get(e))}
+                for s in slices]})
     return {
         "shape": graph_to_json(d.shape),
-        "vertex_csets": [_cset_to_json(x, d.cat) for x in d.vertex_cs],
-        "edge_csets": [_cset_to_json(x, d.cat) for x in d.edge_cs],
+        "vertex_csets": _csets_to_json(
+            d.cat, [s.vertex_size for s in slices],
+            [s.vertex_labels for s in slices], d.vertex_actions),
+        "edge_csets": _csets_to_json(
+            d.cat, [s.edge_size for s in slices],
+            [s.edge_labels for s in slices], d.edge_actions),
         "legs": legs,
     }
 

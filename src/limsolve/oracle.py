@@ -7,7 +7,6 @@ enumerate matching families straight from the leg tables.
 from __future__ import annotations
 
 from .diagram import CoDecomposition, SubMask
-from .graphs import components, is_forest
 from .solver import Witness
 
 CAP_DEFAULT = 10_000_000
@@ -83,42 +82,3 @@ def brute_image(d: CoDecomposition, cap: int = CAP_DEFAULT) -> SubMask:
             edge[e] |= 1 << a
     return SubMask(vertex, edge)
 
-
-def pullback_limit(d: CoDecomposition, cap: int = CAP_DEFAULT) -> int:
-    """Cardinality of the limit of a tree-shaped diagram, computed by
-    folding one pullback per edge along a traversal from vertex 0."""
-    if not is_forest(d.shape):
-        raise ValueError("shape is not a tree")
-    comps = components(d.shape)
-    if len(comps) != 1:
-        raise ValueError("shape is not a tree (not connected)")
-    inc = d.shape.incidence
-    # BFS orientation from vertex 0; position of each vertex in the tuples
-    position = {0: 0}
-    steps: list[tuple[int, int, int]] = []  # (parent, child, edge id)
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for e, w in inc[v]:
-            if w not in position:
-                position[w] = len(position)
-                steps.append((v, w, e))
-                queue.append(w)
-    tuples: list[tuple[int, ...]] = [(a,) for a in range(d.vertex_size[0])]
-    for parent, child, e in steps:
-        tu, tv = d.tables[e]
-        t_parent, t_child = (tu, tv) if d.shape.edges[e][0] == parent else (tv, tu)
-        child_size = d.vertex_size[child]
-        if len(tuples) * max(child_size, 1) > cap:
-            raise CapExceeded(f"intermediate pullback exceeds cap {cap}")
-        pos = position[parent]
-        new = []
-        for tup in tuples:
-            want = t_parent[tup[pos]]
-            for b in range(child_size):
-                if t_child[b] == want:
-                    new.append(tup + (b,))
-        tuples = new
-    return len(tuples)

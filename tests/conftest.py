@@ -114,3 +114,20 @@ def diagrams_equal(d1: CoDecomposition, d2: CoDecomposition) -> bool:
             and list(d1.edge_size) == list(d2.edge_size)
             and [tuple(map(tuple, p)) for p in d1.tables]
             == [tuple(map(tuple, p)) for p in d2.tables])
+
+
+def corrupt_table(rng: random.Random, table, target: int) -> list:
+    """A copy of a map's table with at most one seeded fault: an entry
+    replaced by a value in [-1, target], a bool entry, one entry too many
+    or one too few.  The copy may still be a valid table."""
+    out = list(table)
+    fault = rng.randrange(4)
+    if fault == 0 and out:
+        out[rng.randrange(len(out))] = rng.randrange(-1, target + 1)
+    elif fault == 1 and out:
+        out[rng.randrange(len(out))] = rng.random() < 0.5
+    elif fault == 2:
+        out.append(rng.randrange(target + 1))
+    elif out:
+        out.pop()
+    return out

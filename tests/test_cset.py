@@ -3,27 +3,48 @@ import random
 
 import pytest
 
-from conftest import c4_example, path_example, random_graph_diagram
+from conftest import c4_example, corrupt_table, path_example, random_graph_diagram
 from limsolve import (
-    CSet,
+    CoDecomposition,
     CSetCoDecomposition,
     FinCat,
-    FinFn,
-    FinSetObj,
+    SimpleGraph,
     cset_inlim,
     enumerate_limit,
     inlim,
     pointwise_slice,
-    validate_cset,
     validate_cset_codecomp,
     validate_fincat,
 )
+from limsolve.cset import _action_problems, _actions_hold
 from limsolve.generate import (
     lift_to_terminal_cset,
     random_walking_arrow_diagram,
     random_graph,
     random_tree,
 )
+
+
+def ident(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def cset_diagram(cat, shape, vertex_csets, edge_csets, legs):
+    """A C-set diagram written as columns from per-C-set (sizes per
+    C-object, action tables) pairs and per-edge (components at u,
+    components at v) legs."""
+    slices = [CoDecomposition(shape, [sizes[c] for sizes, _ in vertex_csets],
+                              [sizes[c] for sizes, _ in edge_csets],
+                              [(lu[c], lv[c]) for lu, lv in legs])
+              for c in range(cat.object_count)]
+    return CSetCoDecomposition(cat, shape, slices,
+                               [tables for _, tables in vertex_csets],
+                               [tables for _, tables in edge_csets])
+
+
+def one_cset(cat, sizes, tables):
+    """One C-set as the diagram over a single vertex."""
+    return cset_diagram(cat, SimpleGraph(1, []), [(sizes, tables)], [], [])
 
 
 def cyclic_monoid(m: int) -> FinCat:
@@ -62,43 +83,34 @@ def test_validate_fincat_identity_laws():
 
 def test_validate_cset_functoriality():
     cat = FinCat.walking_arrow()
-    good = CSet((FinSetObj(2), FinSetObj(2)),
-                (FinFn.identity(2), FinFn.identity(2), FinFn(2, 2, (1, 0))))
-    assert validate_cset(cat, good) == []
-    bad = CSet((FinSetObj(2), FinSetObj(2)),
-               (FinFn(2, 2, (1, 0)), FinFn.identity(2), FinFn.identity(2)))
-    assert any("identity" in p for p in validate_cset(cat, bad))
+    good = one_cset(cat, (2, 2), (ident(2), ident(2), (1, 0)))
+    assert validate_cset_codecomp(good) == []
+    bad = one_cset(cat, (2, 2), ((1, 0), ident(2), ident(2)))
+    assert validate_cset_codecomp(bad) == [
+        "vertex 0: identity of object 0 does not act as identity",
+        "vertex 0: functoriality fails: action of comp[0][0]",
+        "vertex 0: functoriality fails: action of comp[2][0]"]
     # the generator of Z/2 acting as a 3-cycle: its square is not the identity
     z2 = cyclic_monoid(2)
-    cycle = CSet((FinSetObj(3),), (FinFn.identity(3), FinFn(3, 3, (1, 2, 0))))
-    assert validate_cset(z2, cycle) == [
-        "functoriality fails: action of comp[1][1]"]
+    cycle = one_cset(z2, (3,), (ident(3), (1, 2, 0)))
+    assert validate_cset_codecomp(cycle) == [
+        "vertex 0: functoriality fails: action of comp[1][1]"]
+
+
+# a walking-arrow C-set: sizes at objects 0 and 1, then the actions of
+# id0, id1 and the arrow, which sends both elements to the one point
+_ONTO_POINT = ((2, 1), (ident(2), ident(1), (0, 0)))
+_EDGE = SimpleGraph(2, [(0, 1)])
 
 
 def two_parallel_diagrams_example():
     """Walking-arrow diagram over a single edge, assembled from two plain
     diagrams (one per C-object) plus an action joining them."""
-    cat = FinCat.walking_arrow()
     # object 0 slice: 2 -> 2 <- 2 with identity legs
     # object 1 slice: 1 -> 1 <- 1
-    vertex_cs = [
-        CSet((FinSetObj(2), FinSetObj(1)),
-             (FinFn.identity(2), FinFn.identity(1), FinFn.constant(2, 1, 0))),
-        CSet((FinSetObj(2), FinSetObj(1)),
-             (FinFn.identity(2), FinFn.identity(1), FinFn.constant(2, 1, 0))),
-    ]
-    edge_cs = [
-        CSet((FinSetObj(2), FinSetObj(1)),
-             (FinFn.identity(2), FinFn.identity(1), FinFn.constant(2, 1, 0))),
-    ]
-    legs = [(
-        (FinFn.identity(2), FinFn.identity(1)),
-        (FinFn.identity(2), FinFn.identity(1)),
-    )]
-    from limsolve import SimpleGraph
-
-    return CSetCoDecomposition(cat, SimpleGraph(2, [(0, 1)]),
-                               vertex_cs, edge_cs, legs)
+    leg = (ident(2), ident(1))
+    return cset_diagram(FinCat.walking_arrow(), _EDGE, [_ONTO_POINT] * 2,
+                        [_ONTO_POINT], [(leg, leg)])
 
 
 def test_pointwise_slice_walking_arrow():
@@ -109,96 +121,86 @@ def test_pointwise_slice_walking_arrow():
     assert s0.tables == [((0, 1), (0, 1))]
     s1 = pointwise_slice(d, 1)
     assert s1.vertex_size == [1, 1] and s1.tables == [((0,), (0,))]
+    # the stored slices themselves, not copies
+    assert s0 is d.slices[0] and s1 is d.slices[1]
+    for c in (-1, 2):
+        with pytest.raises(ValueError, match=f"no C-object {c}"):
+            pointwise_slice(d, c)
 
 
 def test_pointwise_slice_terminal_is_underlying():
     d = path_example()
     lifted = lift_to_terminal_cset(d)
     assert validate_cset_codecomp(lifted) == []
-    s = pointwise_slice(lifted, 0)
-    assert s.vertex_size == d.vertex_size and s.edge_size == d.edge_size
-    assert s.tables == d.tables
-    assert s.vertex_labels == d.vertex_labels
-    assert s.edge_labels == d.edge_labels
+    assert pointwise_slice(lifted, 0) is d
 
 
 def test_naturality_violation_rejected():
     # identity actions everywhere, but the leg permutes at object 0 only:
     # the square at the arrow morphism cannot commute
-    d = two_parallel_diagrams_example()
-    cat = d.cat
-    vertex_cs = [
-        CSet((FinSetObj(2), FinSetObj(2)),
-             (FinFn.identity(2), FinFn.identity(2), FinFn.identity(2))),
-        CSet((FinSetObj(2), FinSetObj(2)),
-             (FinFn.identity(2), FinFn.identity(2), FinFn.identity(2))),
-    ]
-    edge_cs = [CSet((FinSetObj(2), FinSetObj(2)),
-                    (FinFn.identity(2), FinFn.identity(2), FinFn.identity(2)))]
-    legs = [((FinFn.identity(2), FinFn(2, 2, (1, 0))),
-             (FinFn.identity(2), FinFn.identity(2)))]
-    bad = CSetCoDecomposition(cat, d.shape, vertex_cs, edge_cs, legs)
-    problems = validate_cset_codecomp(bad)
-    assert any("naturality" in p for p in problems)
+    cs = ((2, 2), (ident(2), ident(2), ident(2)))
+    bad = cset_diagram(FinCat.walking_arrow(), SimpleGraph(2, [(0, 1)]),
+                       [cs, cs], [cs], [((ident(2), (1, 0)),
+                                         (ident(2), ident(2)))])
+    assert validate_cset_codecomp(bad) == [
+        "leg of edge 0 at vertex 0: naturality square fails at morphism 2"]
     with pytest.raises(ValueError):
         cset_inlim(bad)
+
+
+@pytest.mark.parametrize("shape, vertex_csets, edge_csets, legs, texts", [
+    (SimpleGraph(1, []), [((2, 1), (ident(2), ident(1), (0, 0, 0)))], [], [],
+     ["vertex 0: action of morphism 2: wrong source size"]),
+    (_EDGE, [_ONTO_POINT] * 2, [_ONTO_POINT],
+     [(((0, 1, 1), ident(1)), (ident(2), ident(1)))],
+     ["object 0: leg of edge 0 at vertex 0: source size 3 != vertex set "
+      "size 2"]),
+    (_EDGE, [_ONTO_POINT] * 2, [_ONTO_POINT],
+     [((ident(2), ident(1)), (ident(2), (1,)))],
+     ["object 1: leg of edge 0 at vertex 1: table needs target size 2 > "
+      "edge set size 1"]),
+], ids=["action-source", "leg-source", "leg-target"])
+def test_validate_cset_codecomp_texts(shape, vertex_csets, edge_csets, legs,
+                                      texts):
+    d = cset_diagram(FinCat.walking_arrow(), shape, vertex_csets, edge_csets,
+                     legs)
+    assert validate_cset_codecomp(d) == texts
 
 
 def walking_arrow_golden() -> CSetCoDecomposition:
     """Object-1 slice: the twisted four-cycle diagram.  Object-0 slice:
     singleton vertex sets with a mismatched edge, every map forced to be
     compatible with the arrow action.  Both slices are empty."""
-    cat = FinCat.walking_arrow()
     c4 = c4_example()
-
-    def vertex_cset(x):
-        big = FinSetObj(c4.vertex_size[x], c4.vertex_labels.get(x))
-        return CSet((FinSetObj(1), big),
-                    (FinFn.identity(1), FinFn.identity(big.size),
-                     FinFn.constant(1, big.size, 0)))
-
-    def edge_cset(e, action_table):
-        big = FinSetObj(c4.edge_size[e], c4.edge_labels.get(e))
-        small = FinSetObj(len(action_table))
-        return CSet((small, big),
-                    (FinFn.identity(small.size), FinFn.identity(big.size),
-                     FinFn(small.size, big.size, action_table)))
-
     # edge 0 carries the slice-0 twist: legs pick distinct elements whose
     # forced images under the action are the slice-1 leg values of element 0
-    vertex_cs = [vertex_cset(x) for x in range(4)]
-    edge_cs = []
-    legs = []
-    for e, (u, v) in enumerate(c4.shape.edges):
-        tu, tv = c4.tables[e]
-        leg_u1 = FinFn(2, c4.edge_size[e], tu)
-        leg_v1 = FinFn(2, c4.edge_size[e], tv)
+    edge_size = []
+    tables = []
+    edge_actions = []
+    for e, (tu, tv) in enumerate(c4.tables):
         if e == 0:
-            slice0_size = 2
-            pick_u, pick_v = 0, 1
-            action = (leg_u1(0), leg_v1(0))
+            edge_size.append(2)
+            tables.append(((0,), (1,)))
+            action = (tu[0], tv[0])
         else:
-            slice0_size = 1
-            pick_u = pick_v = 0
-            assert leg_u1(0) == leg_v1(0)
-            action = (leg_u1(0),)
-        edge_cs.append(edge_cset(e, action))
-        legs.append((
-            (FinFn(1, slice0_size, (pick_u,)), leg_u1),
-            (FinFn(1, slice0_size, (pick_v,)), leg_v1),
-        ))
-    return CSetCoDecomposition(cat, c4.shape, vertex_cs, edge_cs, legs)
+            edge_size.append(1)
+            tables.append(((0,), (0,)))
+            assert tu[0] == tv[0]
+            action = (tu[0],)
+        edge_actions.append((ident(len(action)), ident(c4.edge_size[e]),
+                             action))
+    slice0 = CoDecomposition(c4.shape, [1] * 4, edge_size, tables)
+    vertex_actions = [(ident(1), ident(s), (0,)) for s in c4.vertex_size]
+    return CSetCoDecomposition(FinCat.walking_arrow(), c4.shape,
+                               [slice0, c4], vertex_actions, edge_actions)
 
 
 def brute_cset_empty(d: CSetCoDecomposition) -> bool:
     """Componentwise matching-family search straight off the leg tables."""
-    for c in range(d.cat.object_count):
-        sizes = [x.objects[c].size for x in d.vertex_cs]
-        constraints = [
-            (u, v, d.legs[e][0][c].table, d.legs[e][1][c].table)
-            for e, (u, v) in enumerate(d.shape.edges)
-        ]
-        for combo in itertools.product(*(range(s) for s in sizes)):
+    for s in d.slices:
+        constraints = [(u, v, tu, tv) for (u, v), (tu, tv)
+                       in zip(d.shape.edges, s.tables)]
+        for combo in itertools.product(*(range(n) for n in s.vertex_size)):
             if all(tu[combo[u]] == tv[combo[v]]
                    for u, v, tu, tv in constraints):
                 return False
@@ -240,3 +242,29 @@ def test_cset_walking_arrow_matches_componentwise_oracle():
         d = random_walking_arrow_diagram(rng, shape, 3)
         assert validate_cset_codecomp(d) == []
         assert cset_inlim(d).empty_limit == brute_cset_empty(d)
+
+
+def test_columnwise_action_check_agrees_with_the_per_cset_check():
+    # validate_cset_codecomp names action problems only when the
+    # all-at-once check fails, so it must fail exactly when some C-set's
+    # own check finds one
+    rng = random.Random(13)
+    cat = FinCat.walking_arrow()
+    pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
+             for f, gf in enumerate(row) if gf != -1]
+    seen = set()
+    for _ in range(300):
+        d = random_walking_arrow_diagram(
+            rng, random_tree(rng, rng.randint(1, 4)), 3)
+        sizes = [s.vertex_size for s in d.slices]
+        actions = [list(tables) for tables in d.vertex_actions]
+        x = rng.randrange(len(actions))
+        f = rng.randrange(cat.morphism_count)
+        actions[x][f] = corrupt_table(rng, actions[x][f],
+                                      sizes[cat.tgt[f]][x])
+        found = [p for i, tables in enumerate(actions)
+                 for p in _action_problems(cat, tables,
+                                           [col[i] for col in sizes], pairs)]
+        assert _actions_hold(cat, actions, sizes, pairs) == (not found)
+        seen.add(not found)
+    assert seen == {True, False}

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     c4_example,
     c4_untwisted_example,
+    corrupt_table,
     cospan_example,
     diagrams_equal,
     edgeless_diagram,
@@ -25,6 +26,7 @@ from limsolve import (
     restrict_to_subgraph,
     validate,
 )
+from limsolve.diagram import _table_problems
 
 
 def test_validate_worked_examples_ok():
@@ -68,6 +70,28 @@ def test_validate_reads_the_columns():
     ]
     with pytest.raises(ValueError, match="one set per shape vertex"):
         CoDecomposition(edge, [1], [2], [((0,), (1,))])
+
+
+def test_validate_fast_check_agrees_with_the_walk():
+    # validate names table problems only when its all-at-once check fails,
+    # so that check must fail exactly when the per-table walk finds one
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        d = random_tree_diagram(rng.randrange(10 ** 6), n_max=6)
+        if not d.shape.m:
+            continue
+        e = rng.randrange(d.shape.m)
+        side = rng.randrange(2)
+        pair = list(d.tables[e])
+        pair[side] = corrupt_table(rng, pair[side], d.edge_size[e])
+        tables = list(d.tables)
+        tables[e] = tuple(pair)
+        bad = CoDecomposition(d.shape, d.vertex_size, d.edge_size, tables)
+        walked = _table_problems(bad)
+        assert validate(bad) == walked
+        seen.add(not walked)
+    assert seen == {True, False}
 
 
 def test_constructor_checks_arity():

@@ -9,12 +9,12 @@ from limsolve import (
     SimpleGraph,
     VertexSet,
     components,
-    find_cycle,
     fvs_exact,
     is_forest,
     remove_vertices,
 )
 from limsolve.generate import complete_graph, cycle_graph, path_graph, random_graph
+from limsolve.graphs import _core, _cycle
 
 
 def reachability(g):
@@ -71,6 +71,12 @@ def test_is_forest_examples():
     assert is_forest(path_graph(3))
     assert not is_forest(cycle_graph(4))
     assert is_forest(SimpleGraph(5, []))
+
+
+def find_cycle(g):
+    """The cycle FVS search branches on: the walk of _cycle over the 2-core
+    of g, or None on a forest."""
+    return _cycle(g, _core(g)[0])
 
 
 def test_find_cycle_on_tree_is_none():

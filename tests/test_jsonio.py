@@ -369,9 +369,70 @@ def _cset_doc(mutate):
      "edge C-set 0: actions must be a list"),
     (lambda doc: doc["legs"][2].__setitem__("maps", 5),
      "leg 2: maps must be a list"),
+    (lambda doc: doc["vertex_csets"][1]["objects"].append({"size": 1}),
+     "vertex C-set 1: one set per C-object required"),
+    (lambda doc: doc["edge_csets"][0]["actions"].append({"map": [0, 1]}),
+     "edge C-set 0: one action per C-morphism required"),
+    (lambda doc: doc["legs"][2]["maps"].append({"map": [0, 1]}),
+     "leg 2: one map per C-object required"),
+    (lambda doc: doc["edge_csets"][0]["actions"].__setitem__(
+        0, {"map": [0, 5]}),
+     "edge C-set 0 action 0: table entry 5 at 1 is not an integer below "
+     "target size 2"),
+    (lambda doc: doc["vertex_csets"][0].__setitem__("objects", [{"size": 3}]),
+     "vertex C-set 0 action 0: label-form map needs labeled source and "
+     "target sets"),
+    (lambda doc: doc["edge_csets"][0].__setitem__(
+        "objects", [{"size": 2 ** 20 + 1}]),
+     "edge C-set 0 object 0: size 1048577 exceeds the limit of 1048576 "
+     "elements"),
+    (lambda doc: doc["legs"][0].pop("maps"), "leg 0: missing key 'maps'"),
+    (lambda doc: doc["vertex_csets"][1].pop("actions"),
+     "vertex C-set 1: missing key 'actions'"),
+    (lambda doc: doc["edge_csets"][1]["actions"].__setitem__(0, 5),
+     "edge C-set 1 action 0: missing key 'map'"),
+    (lambda doc: doc["legs"][1]["maps"][0]["map"].__setitem__("α", "z"),
+     "leg 1 component 0: unknown target element 'z'"),
+    (lambda doc: doc["legs"][3]["maps"].__setitem__(0, {"map": [0]}),
+     "leg 3 component 0: table length differs from source size"),
 ], ids=["vertex-csets-int", "edge-csets-int", "objects-int", "actions-int",
-        "maps-int"])
+        "maps-int", "object-count", "action-count", "map-count",
+        "action-entry-range", "action-labels-unlabelled", "set-over-cap",
+        "maps-missing", "actions-missing", "action-not-object",
+        "leg-label-unknown", "leg-short"])
 def test_cset_diagram_parse_error_texts(mutate, text):
     with pytest.raises(jsonio.ParseError) as err:
         jsonio.parse_cset_diagram(_cset_doc(mutate), FinCat.terminal())
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("mutate, text", [
+    (lambda doc: doc["vertex_csets"][0]["actions"][2]["map"].__setitem__(
+        0, 99),
+     "vertex C-set 0 action 2: table entry 99 at 0 is not an integer below "
+     "target size 3"),
+    (lambda doc: doc["edge_csets"][1]["actions"][2]["map"].__setitem__(
+        0, True),
+     "edge C-set 1 action 2: table entry True at 0 is not an integer below "
+     "target size 2"),
+    (lambda doc: doc["legs"][1]["maps"][1]["map"].__setitem__(0, -1),
+     "leg 1 component 1: table entry -1 at 0 is not an integer below "
+     "target size 3"),
+    (lambda doc: doc["vertex_csets"][2]["actions"][0]["map"].append(0),
+     "vertex C-set 2 action 0: table length differs from source size"),
+    (lambda doc: doc["legs"][0]["maps"].pop(),
+     "leg 0: one map per C-object required"),
+    (lambda doc: doc["vertex_csets"][1]["objects"].__setitem__(
+        0, {"elements": "ab"}),
+     "vertex C-set 1 object 0: elements must be a list of strings"),
+], ids=["action-entry-range", "action-entry-bool", "leg-entry-negative",
+        "action-long", "map-count", "object-elements-str"])
+def test_walking_arrow_cset_parse_error_texts(mutate, text):
+    # the arrow acts between different C-objects, so the sizes an action
+    # is read against differ
+    doc = jsonio.cset_diagram_to_json(random_walking_arrow_diagram(
+        random.Random(3), SimpleGraph(3, [(0, 1), (1, 2)]), 3))
+    mutate(doc)
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_cset_diagram(doc, FinCat.walking_arrow())
     assert str(err.value) == text

@@ -1,16 +1,12 @@
-import random
-
 import pytest
 
 from conftest import (
     c4_example,
-    cospan_example,
     edgeless_diagram,
     path_example,
     random_tree_diagram,
 )
-from limsolve import CapExceeded, brute_image, enumerate_limit, pullback_limit
-from limsolve.generate import random_diagram, random_tree
+from limsolve import CapExceeded, brute_image, enumerate_limit
 
 
 def test_enumerate_path_example():
@@ -56,24 +52,3 @@ def test_brute_image_empty_limit_all_false():
     m = brute_image(c4_example())
     assert m.vertex == [0, 0, 0, 0] and m.edge == [0, 0, 0, 0]
 
-
-def test_pullback_path_example():
-    assert pullback_limit(path_example()) == 2
-
-
-def test_pullback_cospan():
-    assert pullback_limit(cospan_example()) == 0
-
-
-def test_pullback_rejects_non_tree():
-    with pytest.raises(ValueError):
-        pullback_limit(c4_example())
-    with pytest.raises(ValueError):
-        pullback_limit(edgeless_diagram([2, 2]))
-
-
-def test_pullback_matches_enumeration_on_trees():
-    for seed in range(40):
-        rng = random.Random(seed)
-        d = random_diagram(rng, random_tree(rng, rng.randint(1, 9)), 4)
-        assert pullback_limit(d) == len(enumerate_limit(d))

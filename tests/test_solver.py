@@ -447,6 +447,60 @@ def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     assert expected_hom[0]
 
 
+def _cycles_cset_doc(rng, k, length, w, planted):
+    """A C-set diagram document over the discrete category on two objects,
+    shaped as k disjoint cycles: every set has w elements and every action
+    is the identity.  Leg components are random tables, except at object 1
+    when planted, where they are identities (so that slice is NONEMPTY)."""
+    edges = [(c * length + j, c * length + (j + 1) % length)
+             for c in range(k) for j in range(length)]
+    ident = {"map": list(range(w))}
+    cset = {"objects": [{"size": w}, {"size": w}], "actions": [ident, ident]}
+    legs = [{"edge": e, "endpoint": x,
+             "maps": [{"map": [rng.randrange(w) for _ in range(w)]},
+                      {"map": list(range(w)) if planted
+                       else [rng.randrange(w) for _ in range(w)]}]}
+            for e, pair in enumerate(edges) for x in pair]
+    return {"shape": {"n": k * length, "edges": [list(p) for p in edges]},
+            "vertex_csets": [cset] * (k * length),
+            "edge_csets": [cset] * len(edges), "legs": legs}
+
+
+def test_cset_load_and_solve_build_no_set_or_function_objects(monkeypatch):
+    # the C-set path reads one plain diagram per C-object straight into
+    # columns: parsing, deciding, slicing and writing JSON build no
+    # FinSetObj or FinFn
+    from limsolve import cset_inlim, jsonio, pointwise_slice
+
+    cat = jsonio.parse_fincat({
+        "objects": 2, "morphisms": [{"id": 0, "src": 0, "tgt": 0},
+                                    {"id": 1, "src": 1, "tgt": 1}],
+        "identities": [0, 1], "comp": [[0, -1], [-1, 1]]})
+    docs = [_cycles_cset_doc(random.Random(seed), 2, 6, 3, seed % 2)
+            for seed in range(6)]
+    expected = []
+    for doc in docs:
+        d = jsonio.parse_cset_diagram(doc, cat)
+        expected.append((cset_inlim(d).empty_limit,
+                         [inlim(pointwise_slice(d, c), want_witness=True)
+                          for c in range(2)]))
+    assert {verdict for verdict, _ in expected} == {True, False}
+
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(FinSetObj, "__post_init__", refuse)
+    monkeypatch.setattr(FinFn, "__post_init__", refuse)
+    for doc, (verdict, results) in zip(docs, expected):
+        d = jsonio.parse_cset_diagram(doc, cat)
+        assert cset_inlim(d, k_max=2).empty_limit == verdict
+        for c, result in enumerate(results):
+            s = pointwise_slice(d, c)
+            assert s is d.slices[c]
+            assert inlim(s, want_witness=True) == result
+        assert jsonio.cset_diagram_to_json(d) == doc
+
+
 def test_inlim_edgeless_vertex_state_stays_small():
     # an unpinned vertex without edges keeps no per-element row
     d = edgeless_diagram([10 ** 6])
