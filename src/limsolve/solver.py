@@ -6,20 +6,20 @@ runs per combination of pinned values; the limit is empty iff every test is
 empty.  The BFS plan of the forest G - S is built once per solve, and its
 edge count is the check that S is a feedback vertex set.  A test filters
 the pinned vertices' edges and runs the leaves-to-root pass over the plan:
-on a tree, the root mask after that pass is nonempty iff a matching family
-exists, so that pass alone decides the test, and one root-to-leaves walk
-over the same plan reads the witness off the first nonempty test.  The
+afterwards every vertex keeps the elements that extend over its subtree,
+so that pass alone decides the test, and one root-to-leaves walk over the
+same plan reads the witness off the first nonempty test.  The
 root-to-leaves filter pass, which turns masks into the image subdiagram,
 runs only in image_tree.
 
 inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
-says whether combination j keeps the element, so each edge filter serves B
-combinations at once.  That is ceil(w^k / B) sweeps of O(w^2 * n) B-bit
-word operations, in Sum |d(v)| * B bits of state, for the paper's
-O(w^k * w^2 * n) in total.  section_tests, forest_initial and image_tree
-run one test at a time on SubMasks, through diagram.filter_edges: they are
-the per-combination reference that the tests check the sliced sweep
-against.
+says whether combination j keeps the element; a plan edge restricts only
+its parent p by its child c's rows (Yannakakis's upward semijoin pass), in
+O(|d(c)| + |d(p)| + |d(e)|) B-bit word operations for B combinations.
+That is ceil(w^k / B) sweeps in Sum |d(v)| * B bits of state, within the
+paper's O(w^k * w^2 * n).  section_tests, forest_initial and image_tree run
+one test at a time on SubMasks, through the two-sided filter_edges: they
+are the per-combination reference that the tests check the sweep against.
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -101,9 +101,9 @@ def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
     return problems
 
 
-def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int], list[int]]:
-    """The sweep schedule of g minus s: (edge ids leaves-to-root, the root
-    of every component in ascending order).
+def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int], ...]:
+    """The sweep schedule of g minus s: (edge ids leaves-to-root, each such
+    edge's child endpoint, the root of every component in ascending order).
 
     One BFS per component, rooted at its lowest vertex and following
     incidence order, serves as component finder, forest check (g - s is a
@@ -120,6 +120,7 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int],
             seen[v] = True
         inner -= sum(1 for u, v in g.edges if seen[u] or seen[v])
     order: list[int] = []
+    kids: list[int] = []
     roots = []
     for r in range(g.n):
         if seen[r]:
@@ -135,20 +136,22 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int],
                 if not seen[w]:
                     seen[w] = True
                     order.append(e)
+                    kids.append(w)
                     queue.append(w)
     if len(order) != inner:
         raise ValueError("shape is not a forest" if s is None else
                          "supplied vertex set is not a feedback vertex set")
     order.reverse()
-    return order, roots
+    kids.reverse()
+    return order, kids, roots
 
 
 def _leaves_to_root(d: CoDecomposition, m: SubMask,
-                    plan: tuple[list[int], list[int]]) -> bool:
-    """The first sweep pass, in place.  Afterwards every vertex keeps the
-    elements that extend over its subtree, so the planned forest admits a
-    matching family iff this returns True."""
-    up, roots = plan
+                    plan: tuple[list[int], ...]) -> bool:
+    """The first sweep pass, in place and two-sided.  Afterwards every root
+    keeps the elements that extend over its tree, so the planned forest
+    admits a matching family iff this returns True."""
+    up, _, roots = plan
     return filter_edges(d, m, up) and all(m.vertex[r] for r in roots)
 
 
@@ -251,12 +254,16 @@ def _digit_rows(lo: int, width: int, stride: int, size: int) -> list[int]:
 
 
 def _sliced_sweep(d: CoDecomposition, pinned: list[int],
-                  plan: tuple[list[int], list[int]], lo: int, width: int):
+                  plan: tuple[list[int], ...], lo: int, width: int):
     """Run the combinations lo .. lo + width - 1 as one sweep.
 
-    Pin, filter the pinned vertices' edges, then the plan leaves-to-root,
-    each edge once for the whole block.  Returns (state, start, the bits of
-    the combinations whose test is nonempty): state[start[v] + a] has bit b
+    Each arc of edge e from c into p runs once for the whole block: it ORs
+    c's rows into hits per element of d(e) and keeps in p's rows only the
+    hits at p's leg value.  A pinned vertex's edge runs the arc into it,
+    then the arc out, which leaves both ends as a two-sided filter would; a
+    plan edge runs the arc from child into parent, so a vertex's rows keep
+    what extends over its subtree.  Returns (state, start, the bits of the
+    combinations whose test is nonempty): state[start[v] + a] has bit b
     set iff combination lo + b keeps element a at v.  start[v] is -1 for an
     unpinned vertex without edges, which keeps all of its elements.  The
     rows share one flat list, so a sweep leaves no per-vertex containers
@@ -280,30 +287,25 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     edges = shape.edges
     tables = d.tables
     edge_size = d.edge_size
-    up, roots = plan
-    for e in itertools.chain((e for v in pinned for e, _ in inc[v]), up):
+    up, kids, roots = plan
+    pin_arcs = ((e, c) for v in pinned for e, q in inc[v] for c in (q, v))
+    for e, c in itertools.chain(pin_arcs, zip(up, kids)):
         u, v = edges[e]
         tu, tv = tables[e]
-        su = start[u]
-        sv = start[v]
-        eu = su + len(tu)
-        ev = sv + len(tv)
-        ru = state[su:eu]
-        rv = state[sv:ev]
-        hit_u = [0] * edge_size[e]
-        hit_v = [0] * edge_size[e]
-        for row, x in zip(ru, tu):
-            hit_u[x] |= row
-        for row, x in zip(rv, tv):
-            hit_v[x] |= row
-        common = [p & q for p, q in zip(hit_u, hit_v)]
-        if not any(common):  # every test of the block is empty
+        if c == u:
+            tc, p, tp = tu, v, tv
+        else:
+            tc, p, tp = tv, u, tu
+        sc = start[c]
+        sp = start[p]
+        ep = sp + len(tp)
+        hit = [0] * edge_size[e]
+        for row, x in zip(state[sc:sc + len(tc)], tc):
+            hit[x] |= row
+        new = [row & hit[x] for row, x in zip(state[sp:ep], tp)]
+        if not any(new):  # every test of the block is empty
             return state, start, 0
-        # a side whose hits are all shared keeps every row as it is
-        if common != hit_u:
-            state[su:eu] = [row & common[x] for row, x in zip(ru, tu)]
-        if common != hit_v:
-            state[sv:ev] = [row & common[x] for row, x in zip(rv, tv)]
+        state[sp:ep] = new
     alive = full
     for v in itertools.chain(roots, pinned):
         if start[v] < 0:
@@ -330,9 +332,10 @@ def inlim(
     within k_max, and one forest plan of G - S is built.  The w^k pinned
     combinations, numbered lexicographically, run bit-sliced in blocks of
     B: one int per (vertex, element) whose bit j says whether combination
-    j keeps that element, so each edge is filtered once per block with
-    B-bit word operations.  That is ceil(w^k / B) sweeps in Sum |d(v)| * B
-    bits of state, where B = max(64, 2^24 // Sum |d(v)|).  The limit is
+    j keeps that element, and each plan edge restricts its parent by its
+    child's rows once per block, in O(|d(c)| + |d(p)| + |d(e)|) B-bit word
+    operations.  That is ceil(w^k / B) sweeps in Sum |d(v)| * B bits of
+    state, where B = max(64, 2^24 // Sum |d(v)|).  The limit is
     empty iff no combination survives, so the blocks stop at the first one
     with a survivor.  section_test_count is the index of the first
     survivor plus one, or every combination when early_exit is off or the
@@ -361,7 +364,7 @@ def inlim(
                        lo + first.bit_length() if early_exit else total)
 
 
-def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
+def _read_family(d: CoDecomposition, plan: tuple[list[int], ...],
                  pinned: list[int], state: list[int], start: list[int],
                  first: int) -> Witness:
     """One matching family, read root-to-leaves over the plan off rows laid
@@ -371,12 +374,12 @@ def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
     Each root and pinned vertex takes its lowest kept element, and each
     child its lowest kept element whose leg value matches the parent's.
     That element exists when the rows went through the leaves-to-root pass:
-    every kept parent element then has a partner among the child's kept
-    ones.  The family is checked against every edge of d before it is
-    returned.
+    a kept parent element then matches some child element that extends
+    over the child's subtree.  The family is checked against every edge of
+    d before it is returned.
     """
     vertex: list[int | None] = [None] * d.shape.n
-    up, roots = plan
+    up, kids, roots = plan
     for r in itertools.chain(roots, pinned):
         i = start[r]
         vertex[r] = next((a for a in range(d.vertex_size[r])
@@ -385,13 +388,13 @@ def _read_family(d: CoDecomposition, plan: tuple[list[int], list[int]],
             raise ValueError(f"empty image mask at vertex {r}")
     edges = d.shape.edges
     tables = d.tables
-    for e in reversed(up):
+    for e, c in zip(reversed(up), reversed(kids)):
         u, v = edges[e]
         tu, tv = tables[e]
-        if vertex[v] is None:
-            c, table, x = v, tv, tu[vertex[u]]
+        if c == v:
+            table, x = tv, tu[vertex[u]]
         else:
-            c, table, x = u, tu, tv[vertex[v]]
+            table, x = tu, tv[vertex[v]]
         i = start[c]  # a child has an edge, so it has rows
         for a, y in enumerate(table):
             if y == x and state[i + a] & first:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 from limsolve import CoDecomposition, SimpleGraph, SubMask, VertexSet
 from limsolve.generate import random_diagram, random_graph, random_tree
@@ -131,3 +133,17 @@ def corrupt_table(rng: random.Random, table, target: int) -> list:
     elif out:
         out.pop()
     return out
+
+
+def best_of_interleaved(run, small, large, repeats: int = 5) -> list[float]:
+    """The best time of run(small) and of run(large), timed in turns
+    (small, large, small, ...): a run can only be slowed by other work on
+    the machine, so the fastest one is the closest to the cost, and a slow
+    phase of the machine hits both rungs alike."""
+    best = [math.inf, math.inf]
+    for _ in range(repeats):
+        for i, arg in enumerate((small, large)):
+            t0 = time.perf_counter()
+            run(arg)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best

@@ -1,9 +1,9 @@
 import hashlib
 import random
-import time
 from itertools import combinations
 
 import pytest
+from conftest import best_of_interleaved
 
 from limsolve import (
     SimpleGraph,
@@ -178,20 +178,14 @@ def test_fvs_golden_digest():
 
 
 def test_fvs_linear_on_long_cycle():
-    def best_seconds(n):
-        # the best of 5: a run can only be slowed by other work on the
-        # machine, so the fastest one is the closest to the search's cost
-        g = cycle_graph(n)
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            assert len(fvs_exact(g, 1)) == 1
-            times.append(time.perf_counter() - t0)
-        return min(times)
+    def search(g):
+        assert len(fvs_exact(g, 1)) == 1
 
+    small, large = best_of_interleaved(search, cycle_graph(10_000),
+                                       cycle_graph(100_000))
     # ten times the vertices: linear time gives about 10x, and 20 leaves
     # room for timing noise
-    assert best_seconds(100_000) / best_seconds(10_000) <= 20
+    assert large / small <= 20
 
 
 def disjoint_union(rng, parts):
@@ -229,21 +223,20 @@ def test_fvs_budget_shared_across_components():
 
 
 def test_fvs_linear_in_disjoint_cycles():
-    def best_seconds(length):
-        # the best of 5, as in test_fvs_linear_on_long_cycle: at L = 100 a
-        # search takes under a millisecond, so one slowed run skews a median
+    def two_cycles(length):
         c = cycle_graph(length).edges
-        g = SimpleGraph(2 * length, c + tuple((length + u, length + v) for u, v in c))
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            assert len(fvs_exact(g, 2)) == 2
-            times.append(time.perf_counter() - t0)
-        return min(times)
+        return SimpleGraph(2 * length, c + tuple((length + u, length + v) for u, v in c))
 
+    def search(g):
+        assert len(fvs_exact(g, 2)) == 2
+
+    # at L = 100 a search takes under a millisecond, so one slowed run
+    # would skew a median
+    small, large = best_of_interleaved(search, two_cycles(100),
+                                       two_cycles(1000))
     # ten times the length: one linear pass per cycle gives about 10x, where
     # branching over one cycle per vertex of the other gives about 100x
-    assert best_seconds(1000) / best_seconds(100) <= 20
+    assert large / small <= 20
 
 
 def test_remove_vertices_c4_minus_one():

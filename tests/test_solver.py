@@ -1,12 +1,12 @@
+import hashlib
 import itertools
 import random
-import statistics
-import time
 import tracemalloc
 
 import pytest
 
 from conftest import (
+    best_of_interleaved,
     c4_example,
     c4_untwisted_example,
     cospan_example,
@@ -285,6 +285,22 @@ def _outputs(d, **kwargs):
                       for ww in (False, True) for ee in (True, False))]
 
 
+def test_inlim_golden_digest():
+    # pins verdict, fvs, the test count with early exit on and off, and the
+    # witness, so a change to the sweep cannot move any of them unseen
+    found = []
+    for seed in range(400):
+        for d in (random_graph_diagram(seed),
+                  random_graph_diagram(seed, n_max=7),
+                  random_tree_diagram(seed)):
+            on = inlim(d, want_witness=True)
+            off = inlim(d, early_exit=False)
+            found.append((on.verdict, on.fvs, on.section_test_count,
+                          off.section_test_count, on.witness))
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == "f3930757ddc973704eac243513a8a19210810ff07ade9f2d67aaa57e24c623a9"
+
+
 def test_inlim_matches_section_tests_per_combination():
     # each combination decided on its own through the inspection path
     pinned = {True: 0, False: 0}
@@ -327,18 +343,15 @@ def test_inlim_pinned_combinations_share_one_sweep():
     # 729 combinations at k = 6 against 3 at k = 1: one sweep per block,
     # not one per combination, keeps the ratio near 1 (about 90-160 when
     # every combination runs its own sweep)
-    def median_s(k):
-        times = []
-        for _ in range(3):
-            d, hubs = shifted_spider(k, 601)
-            start = time.perf_counter()
-            result = inlim(d, fvs=hubs)
-            times.append(time.perf_counter() - start)
-            assert result.verdict.empty_limit
-            assert result.section_test_count == 3 ** k
-        return statistics.median(times)
+    def solve(k):
+        d, hubs = spiders[k]
+        result = inlim(d, fvs=hubs)
+        assert result.verdict.empty_limit
+        assert result.section_test_count == 3 ** k
 
-    assert median_s(6) / median_s(1) <= 20
+    spiders = {k: shifted_spider(k, 601) for k in (1, 6)}
+    small, large = best_of_interleaved(solve, 1, 6, repeats=3)
+    assert large / small <= 20
 
 
 def test_inlim_never_builds_fibres(monkeypatch):
@@ -360,18 +373,118 @@ def test_inlim_never_builds_fibres(monkeypatch):
                 assert result.witness in enumerate_limit(d)
 
 
-def _planted_tree(seed, n, w):
-    """A random tree diagram whose legs agree on one planted family."""
-    rng = random.Random(seed)
-    shape = random_tree(rng, n)
-    fam = [rng.randrange(w) for _ in range(n)]
+def _planted(rng, shape, w):
+    """A diagram over the shape whose legs agree on one planted family."""
+    fam = [rng.randrange(w) for _ in range(shape.n)]
     tables = []
     for u, v in shape.edges:
         tu = [rng.randrange(w) for _ in range(w)]
         tv = [rng.randrange(w) for _ in range(w)]
         tv[fam[v]] = tu[fam[u]]
         tables.append((tuple(tu), tuple(tv)))
-    return CoDecomposition(shape, [w] * n, [w] * shape.m, tables)
+    return CoDecomposition(shape, [w] * shape.n, [w] * shape.m, tables)
+
+
+def _planted_tree(seed, n, w):
+    """A random tree diagram whose legs agree on one planted family."""
+    rng = random.Random(seed)
+    return _planted(rng, random_tree(rng, n), w)
+
+
+def _subtrees(g, pinned=()):
+    """Per vertex of g minus pinned: the vertices of its subtree when each
+    component is rooted at its lowest vertex."""
+    parent = {v: None for v in range(g.n) if v not in pinned}
+    order = []
+    for r in sorted(parent):
+        if r in order:
+            continue
+        order.append(r)
+        head = len(order) - 1
+        while head < len(order):
+            for _, y in g.incidence[order[head]]:
+                if y in parent and y not in order:
+                    parent[y] = order[head]
+                    order.append(y)
+            head += 1
+    below = {v: {v} for v in parent}
+    for v in reversed(order):
+        if parent[v] is not None:
+            below[parent[v]] |= below[v]
+    return below
+
+
+def _extending(d, u, keep):
+    """The elements of u that some matching family of d's induced
+    subdiagram on keep takes, by enumeration."""
+    r = restrict_to_subgraph(d, d.full_mask(), VertexSet.of(d.shape.n, keep))
+    at = r.vertex_map[u]
+    return {f.vertex_elements[at] for f in enumerate_limit(r.diagram)}
+
+
+def _rows(state, start, v, size, bit):
+    return {a for a in range(size) if start[v] < 0 or state[start[v] + a] >> bit & 1}
+
+
+def test_sweep_rows_extend_over_the_subtree():
+    # a plan edge restricts only its parent, so after the sweep a vertex
+    # keeps exactly the elements that extend over its subtree, and a root
+    # what the two-sided SubMask pass keeps
+    from limsolve.solver import _forest_plan, _leaves_to_root, _sliced_sweep
+
+    swept = 0
+    for seed in range(400):
+        d = random_tree_diagram(seed)
+        plan = _forest_plan(d.shape)
+        state, start, alive = _sliced_sweep(d, [], plan, 0, 1)
+        below = _subtrees(d.shape)
+        if not alive:  # the block died, so some vertex extends nowhere
+            assert not all(_extending(d, u, below[u]) for u in below)
+            continue
+        swept += 1
+        for u, keep in below.items():
+            assert _rows(state, start, u, d.vertex_size[u], 0) \
+                == _extending(d, u, keep), (seed, u)
+        m = d.full_mask()
+        assert _leaves_to_root(d, m, plan)
+        for r in plan[2]:
+            assert _rows(state, start, r, d.vertex_size[r], 0) \
+                == {a for a in range(d.vertex_size[r]) if m.vertex[r] >> a & 1}
+    assert swept == 178, swept
+
+
+def test_sweep_rows_with_a_pinned_hub():
+    # a hub of degree 2 or 3 pinned over a planted tree: its arcs run into
+    # the hub, then into the neighbour, and every surviving combination's
+    # rows keep what extends over the subtree with the hub fixed
+    from limsolve.solver import _forest_plan, _sliced_sweep
+
+    w = 3
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(4, 8)
+        tree = random_tree(rng, n)
+        hub_edges = [(x, n) for x in sorted(rng.sample(range(n), rng.randint(2, 3)))]
+        shape = SimpleGraph(n + 1, list(tree.edges) + hub_edges)
+        d = _planted(rng, shape, w)
+        plan = _forest_plan(shape, VertexSet.of(n + 1, [n]))
+        state, start, alive = _sliced_sweep(d, [n], plan, 0, w)
+        assert alive  # the planted family survives
+        below = _subtrees(shape, pinned=(n,))
+        for b in range(w):
+            if not alive >> b & 1:
+                continue
+            pinned = CoDecomposition(
+                shape, [w] * n + [1], [w] * shape.m,
+                [(tu, tv[b:b + 1] if v == n else tv) for (_, v), (tu, tv)
+                 in zip(shape.edges, d.tables)])
+            for u, keep in below.items():
+                assert _rows(state, start, u, w, b) \
+                    == _extending(pinned, u, keep | {n}), (seed, b, u)
+            assert _rows(state, start, n, w, b) == {b}
+            checked += 1
+    assert checked >= 40
 
 
 def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
