@@ -10,7 +10,6 @@ from .graphs import (
     is_forest,
     remove_vertices,
 )
-from .finset import FinFn, FinSetObj
 from .diagram import (
     CoDecomposition,
     Restriction,
@@ -61,8 +60,6 @@ __all__ = [
     "CoDecomposition",
     "CSetCoDecomposition",
     "FinCat",
-    "FinFn",
-    "FinSetObj",
     "HomSet",
     "InLimResult",
     "Restriction",

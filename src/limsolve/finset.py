@@ -6,7 +6,6 @@ bit i set means element i belongs to the subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import lt
@@ -36,60 +35,25 @@ def full_mask(size: int) -> int:
     return (1 << size) - 1
 
 
-@dataclass(frozen=True)
-class FinSetObj:
-    """Finite set with elements 0..size-1; labels are presentation metadata."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("size must be >= 0")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ValueError("label count differs from size")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be pairwise distinct")
-
-
-@dataclass(frozen=True)
-class FinFn:
-    """Total function between index sets, stored as a dense target table."""
-
-    source_size: int
-    target_size: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != self.source_size:
-            raise ValueError("table length differs from source size")
-        for i, t in enumerate(table):
-            # bool is an int subclass but no element index
-            if type(t) is not int or not 0 <= t < self.target_size:
-                raise ValueError(f"table entry {t!r} at {i} is not an integer "
-                                 f"below target size {self.target_size}")
-
-
 def table_fits(table, target: int) -> bool:
     """Whether every entry of table is an int (not a bool) in [0, target)."""
     return not table or (set(map(type, table)) <= {int} and min(table) >= 0
                          and max(table) < target)
 
 
-def tables_fit(tables, sources: list[int], targets) -> bool:
+def tables_fit(tables, sources: list[int], targets: list[int]) -> bool:
     """Whether every tables[i] has length sources[i] and fits targets[i],
     as table_fits says: a few passes over all the tables at once, without
-    a Python step per table."""
+    a Python step per table.  When the largest entry is below the smallest
+    target, no table's own largest entry is needed."""
     entries = list(chain.from_iterable(tables))
     return (list(map(len, tables)) == sources
             and set(map(type, entries)) <= {int}
-            and min(entries, default=0) >= 0
-            and all(map(lt, map(partial(max, default=-1), tables), targets)))
+            and (not entries
+                 or min(entries) >= 0
+                 and (max(entries) < min(targets, default=0)
+                      or all(map(lt, map(partial(max, default=-1), tables),
+                                 targets)))))
 
 
 def table_image(table, source_mask: int) -> int:

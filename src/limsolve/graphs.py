@@ -8,6 +8,7 @@ of a pair in the edge list is its stable edge id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, itemgetter
 
 
 class SimpleGraph:
@@ -21,19 +22,11 @@ class SimpleGraph:
             raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError(f"vertex count {n} is negative")
-        edges = tuple((u, v) for u, v in edges)
-        seen = set()
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge ({u!r},{v!r}): endpoints must be integers")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {{{u},{v}}}")
-            seen.add(key)
+        edges = tuple(map(tuple, edges))
+        # the common case, every edge fine, takes no Python step per edge;
+        # _edge_errors then finds, and names, what is wrong
+        if not _edges_fit(n, edges):
+            _edge_errors(n, edges)
         self.n = n
         self.edges = edges
         self._incidence = None
@@ -66,6 +59,41 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)!r})"
+
+
+def _edges_fit(n: int, edges: tuple) -> bool:
+    """Whether every edge is a pair of distinct int (not bool) vertex ids
+    in [0, n) and no two edges join the same pair: a few passes over all
+    the edges at once."""
+    if not set(map(len, edges)) <= {2}:
+        return False
+    us = list(map(itemgetter(0), edges))
+    vs = list(map(itemgetter(1), edges))
+    ends = us + vs
+    if not (set(map(type, ends)) <= {int}
+            and (not ends or min(ends) >= 0 and max(ends) < n)
+            and not any(map(eq, us, vs))):
+        return False
+    # with no loops, a parallel edge repeats a pair or reverses one
+    pairs = set(zip(us, vs))
+    return len(pairs) == len(us) and pairs.isdisjoint(zip(vs, us))
+
+
+def _edge_errors(n: int, edges) -> None:
+    """Raise the ValueError that names the first bad edge, edge by edge."""
+    edges = tuple((u, v) for u, v in edges)
+    seen = set()
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r},{v!r}): endpoints must be integers")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {{{u},{v}}}")
+        seen.add(key)
 
 
 @dataclass(frozen=True)

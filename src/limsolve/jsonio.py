@@ -16,11 +16,12 @@ Decomposition: {"X": g, "shape": g, "bags": [[...], ...],
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
+from operator import contains, itemgetter
 
 from .cset import CSetCoDecomposition, FinCat, validate_fincat
 from .diagram import CoDecomposition
-from .finset import MAX_SET_SIZE, FinFn, FinSetObj, table_fits
+from .finset import MAX_SET_SIZE, tables_fit
 from .graphs import SimpleGraph
 from .hom import BagDecomposition
 
@@ -56,9 +57,14 @@ def _int(value, where: str) -> int:
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
     edges = _require_list(obj, "edges", where)
-    for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ParseError(f"{where}: edge {i} is not a pair of vertex ids")
+    # refused before anything of size n is built
+    if type(n) is int and n > MAX_SET_SIZE:
+        raise ParseError(f"{where}: vertex count {n} exceeds the limit of "
+                         f"{MAX_SET_SIZE} vertices")
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
+        for i, e in enumerate(edges):
+            if not isinstance(e, list) or len(e) != 2:
+                raise ParseError(f"{where}: edge {i} is not a pair of vertex ids")
     try:
         return SimpleGraph(n, edges)
     except ValueError as exc:
@@ -69,25 +75,75 @@ def graph_to_json(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def parse_finset(obj, where: str = "set") -> FinSetObj:
-    if isinstance(obj, dict) and "elements" in obj:
-        labels = obj["elements"]
-        if not (isinstance(labels, list)
-                and all(type(s) is str for s in labels)):
-            raise ParseError(f"{where}: elements must be a list of strings")
-        size = len(labels)
-    elif isinstance(obj, dict) and "size" in obj:
-        labels = None
-        size = _int(obj["size"], f"{where} size")
-    else:
-        raise ParseError(f"{where}: expected 'size' or 'elements'")
-    if size > MAX_SET_SIZE:
-        raise ParseError(f"{where}: size {size} exceeds the limit of "
-                         f"{MAX_SET_SIZE} elements")
+# Every loader below reads a valid document in a few passes over all of
+# its entries at once (itemgetter, set, min, max, dict); when a pass
+# fails, a walk goes entry by entry in document order only to raise the
+# ParseError that names the first problem.  A label-form set or map is
+# valid, so it is resolved to sizes and index tables before the shared
+# checks and never reaches a walk.
+
+def _walk_found_nothing(where: str):
+    return AssertionError(f"{where}: the one-pass check refused what the "
+                          f"named-error walk accepts")
+
+
+def _read_sets(raw: list) -> tuple[list, dict] | None:
+    """The sizes of a list of set documents and the labels of the
+    labelled ones; None when some set is malformed."""
     try:
-        return FinSetObj(size, None if labels is None else tuple(labels))
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        sizes = list(map(itemgetter("size"), raw))
+        labelled = any(map(contains, raw, repeat("elements")))
+    except (KeyError, TypeError):
+        labelled = True
+    labels = {}
+    if labelled:
+        sizes = []
+        for i, o in enumerate(raw):
+            if type(o) is dict and "elements" in o:
+                lab = o["elements"]
+                if not (type(lab) is list and set(map(type, lab)) <= {str}
+                        and len(set(lab)) == len(lab)):
+                    return None
+                labels[i] = tuple(lab)
+                sizes.append(len(lab))
+            else:
+                sizes.append(o.get("size") if type(o) is dict else None)
+    if not (set(map(type, sizes)) <= {int} and min(sizes, default=0) >= 0
+            and max(sizes, default=0) <= MAX_SET_SIZE):
+        return None
+    return sizes, labels
+
+
+def _set_errors(raw: list, where: str) -> None:
+    """Raise the ParseError that names the first malformed set of raw."""
+    for i, o in enumerate(raw):
+        at = f"{where} {i}"
+        if isinstance(o, dict) and "elements" in o:
+            labels = o["elements"]
+            if not (isinstance(labels, list)
+                    and all(type(s) is str for s in labels)):
+                raise ParseError(f"{at}: elements must be a list of strings")
+            size = len(labels)
+        elif isinstance(o, dict) and "size" in o:
+            labels = ()
+            size = _int(o["size"], f"{at} size")
+        else:
+            raise ParseError(f"{at}: expected 'size' or 'elements'")
+        if size > MAX_SET_SIZE:
+            raise ParseError(f"{at}: size {size} exceeds the limit of "
+                             f"{MAX_SET_SIZE} elements")
+        if size < 0:
+            raise ParseError(f"{at}: size must be >= 0")
+        if len(set(labels)) != len(labels):
+            raise ParseError(f"{at}: labels must be pairwise distinct")
+
+
+def _sets(raw: list, where: str) -> tuple[list, dict]:
+    read = _read_sets(raw)
+    if read is None:
+        _set_errors(raw, where)
+        raise _walk_found_nothing(where)
+    return read
 
 
 def _set_to_json(size: int, labels) -> dict:
@@ -96,26 +152,60 @@ def _set_to_json(size: int, labels) -> dict:
     return {"size": size}
 
 
-def parse_fn(obj, source: FinSetObj, target: FinSetObj, where: str = "map") -> FinFn:
+def _resolved(table: dict, source_labels, target_labels) -> list | None:
+    """The index table of a label-form map; None unless both sets are
+    labelled and every source label has a target label as its image."""
+    if source_labels is None or target_labels is None:
+        return None
+    index = {lab: t for t, lab in enumerate(target_labels)}
+    try:
+        return [index[table[lab]] for lab in source_labels]
+    except (KeyError, TypeError):
+        return None
+
+
+def _index_tables(maps: list, sources: list, targets: list,
+                  labels_of) -> list[tuple] | None:
+    """maps as tuples when every maps[i] is a table of length sources[i]
+    with int entries in [0, targets[i]); a label-form map (a dict) is
+    first resolved through labels_of(i), the (source labels, target
+    labels) of map i.  None when some map is malformed."""
+    if dict in set(map(type, maps)):
+        maps = [_resolved(t, *labels_of(i)) if type(t) is dict else t
+                for i, t in enumerate(maps)]
+    if not (set(map(type, maps)) <= {list, tuple}
+            and tables_fit(maps, sources, targets)):
+        return None
+    return list(map(tuple, maps))
+
+
+def _table_error(obj, source: int, target: int, source_labels,
+                 target_labels, where: str) -> None:
+    """Raise the ParseError that names what is wrong with the map document
+    obj from a set of size source to one of size target, if anything."""
     table = _require(obj, "map", where)
     if isinstance(table, dict):
-        if source.labels is None or target.labels is None:
+        if source_labels is None or target_labels is None:
             raise ParseError(
                 f"{where}: label-form map needs labeled source and target sets")
-        tix = {lab: i for i, lab in enumerate(target.labels)}
-        entries = []
-        for lab in source.labels:
+        for lab in source_labels:
             if lab not in table:
                 raise ParseError(f"{where}: no image for element '{lab}'")
             val = table[lab]
-            if val not in tix:
+            if type(val) is not str or val not in target_labels:
                 raise ParseError(f"{where}: unknown target element '{val}'")
-            entries.append(tix[val])
-        table = entries
+        return
     try:
-        return FinFn(source.size, target.size, table)
-    except (ValueError, TypeError) as exc:
+        table = tuple(table)
+    except TypeError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+    if len(table) != source:
+        raise ParseError(f"{where}: table length differs from source size")
+    for i, t in enumerate(table):
+        # bool is an int subclass but no element index
+        if type(t) is not int or not 0 <= t < target:
+            raise ParseError(f"{where}: table entry {t!r} at {i} is not an "
+                             f"integer below target size {target}")
 
 
 def _table_to_json(table, source_labels, target_labels):
@@ -126,31 +216,44 @@ def _table_to_json(table, source_labels, target_labels):
     return list(table)
 
 
-def _parse_table(obj, source: int, target: int, source_labels,
-                 target_labels, where: str) -> tuple[int, ...]:
-    """The table of a map from a set of size source to one of size target.
+def _leg_entries(raw: list, shape: SimpleGraph, key: str) -> list | None:
+    """The key entry of every leg in (edge, endpoint) order, the leg at u
+    then the leg at v of each edge uv; None unless every leg has an
+    integer edge and endpoint and the legs are exactly one per edge
+    endpoint.  One dict lookup per endpoint finds the valid, the missing
+    and the duplicated legs at once."""
+    try:
+        eids = list(map(itemgetter("edge"), raw))
+        xs = list(map(itemgetter("endpoint"), raw))
+        entries = list(map(itemgetter(key), raw))
+    except (KeyError, TypeError):
+        return None
+    # True == 1 as a dict key, so the ids are type-checked before keying
+    if not set(map(type, eids)) | set(map(type, xs)) <= {int}:
+        return None
+    m = shape.m
+    order = list(chain.from_iterable(zip(range(m), range(m))))
+    ends = list(chain.from_iterable(shape.edges))
+    # legs already in that order, as diagram_to_json writes them, need
+    # no placing
+    if xs == ends and eids == order:
+        return entries
+    placed = dict(zip(zip(eids, xs), entries))
+    if not len(placed) == len(raw) == 2 * m:
+        return None
+    try:
+        return list(map(placed.__getitem__, zip(order, ends)))
+    except KeyError:
+        return None
 
-    An index-form table of the right length whose entries are integers in
-    range is read directly, into a tuple; any other map (label form
-    included) goes through parse_fn, so every error is found, and named,
-    as parse_fn names it."""
-    table = obj.get("map") if type(obj) is dict else None
-    if (type(table) is list and len(table) == source
-            and table_fits(table, target)):
-        return tuple(table)
-    return parse_fn(obj, FinSetObj(source, source_labels),
-                    FinSetObj(target, target_labels), where).table
 
-
-def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
-    """The (leg at u, leg at v) pair of every shape edge uv.
-
-    Each entry of raw names its edge and endpoint; parse_leg(entry, e, x,
-    where) reads that leg's map(s).  Exactly one leg per edge endpoint."""
+def _leg_errors(raw: list, shape: SimpleGraph, leg_error) -> None:
+    """Raise the ParseError that names the first bad leg of raw, in leg
+    order, then the first edge without its two legs; leg_error(leg, e, x,
+    where) names what is wrong with the map(s) of the leg at x of edge e."""
     m = shape.m
     edges = shape.edges
-    at_u = [None] * m
-    at_v = [None] * m
+    seen = set()
     for i, leg in enumerate(raw):
         where = f"leg {i}"
         e = _require(leg, "edge", where)
@@ -160,52 +263,54 @@ def _parse_legs(raw, shape: SimpleGraph, parse_leg) -> list[tuple]:
         u, v = edges[e]
         if type(x) is not int or x != u and x != v:
             raise ParseError(f"{where}: vertex {x!r} is not an endpoint of edge {e}")
-        side = at_u if x == u else at_v
-        if side[e] is not None:
+        if (e, x) in seen:
             raise ParseError(f"{where}: duplicate leg for edge {e} at vertex {x}")
-        side[e] = parse_leg(leg, e, x, where)
-    for e in range(m):
-        if at_u[e] is None or at_v[e] is None:
+        seen.add((e, x))
+        leg_error(leg, e, x, where)
+    for e, (u, v) in enumerate(edges):
+        if (e, u) not in seen or (e, v) not in seen:
             raise ParseError(f"edge {e}: exactly two legs required")
-    return list(zip(at_u, at_v))
 
 
-def _parse_sizes(raw, where: str) -> tuple[list[int], dict]:
-    """The sizes of a list of sets, and the labels of the labelled ones.
-    A {"size": s} with 0 <= s <= MAX_SET_SIZE is read directly; any other
-    entry goes through parse_finset, which names what is wrong with it."""
-    sizes = []
-    labels = {}
-    for i, o in enumerate(raw):
-        size = o.get("size") if type(o) is dict and "elements" not in o else None
-        if type(size) is not int or not 0 <= size <= MAX_SET_SIZE:
-            obj = parse_finset(o, f"{where} {i}")
-            size = obj.size
-            if obj.labels is not None:
-                labels[i] = obj.labels
-        sizes.append(size)
-    return sizes, labels
+def _leg_tables(maps: list, shape: SimpleGraph, vsizes: list, esizes: list,
+                vlabels: dict, elabels: dict) -> list[tuple] | None:
+    """The (table at u, table at v) pair of every edge uv of one plain
+    diagram, from its leg maps in (edge, endpoint) order; None when some
+    map is malformed."""
+    edges = shape.edges
+
+    def labels_of(i):
+        e, side = divmod(i, 2)
+        return vlabels.get(edges[e][side]), elabels.get(e)
+
+    tables = _index_tables(
+        maps, list(map(vsizes.__getitem__, chain.from_iterable(edges))),
+        list(chain.from_iterable(zip(esizes, esizes))), labels_of)
+    return None if tables is None else list(zip(tables[0::2], tables[1::2]))
 
 
 def parse_diagram(obj) -> CoDecomposition:
-    """Read a diagram straight into the columns of a CoDecomposition; every
-    leg map goes through _parse_table."""
+    """Read a diagram straight into the columns of a CoDecomposition."""
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
-    vsizes, vlabels = _parse_sizes(
-        _require_list(obj, "vertex_sets", "diagram"), "vertex set")
-    esizes, elabels = _parse_sizes(
-        _require_list(obj, "edge_sets", "diagram"), "edge set")
+    vsizes, vlabels = _sets(_require_list(obj, "vertex_sets", "diagram"),
+                            "vertex set")
+    esizes, elabels = _sets(_require_list(obj, "edge_sets", "diagram"),
+                            "edge set")
     if len(vsizes) != shape.n:
         raise ParseError("diagram: one vertex set per shape vertex required")
     if len(esizes) != shape.m:
         raise ParseError("diagram: one edge set per shape edge required")
+    raw = _require_list(obj, "legs", "diagram")
+    maps = _leg_entries(raw, shape, "map")
+    tables = None if maps is None else _leg_tables(
+        maps, shape, vsizes, esizes, vlabels, elabels)
+    if tables is None:
+        def leg_error(leg, e, x, where):
+            _table_error(leg, vsizes[x], esizes[e], vlabels.get(x),
+                         elabels.get(e), where)
 
-    def parse_leg(leg, e, x, where):
-        return _parse_table(leg, vsizes[x], esizes[e], vlabels.get(x),
-                            elabels.get(e), where)
-
-    tables = _parse_legs(_require_list(obj, "legs", "diagram"), shape,
-                         parse_leg)
+        _leg_errors(raw, shape, leg_error)
+        raise _walk_found_nothing("diagram")
     return CoDecomposition(shape, vsizes, esizes, tables, vlabels, elabels)
 
 
@@ -267,68 +372,127 @@ def fincat_to_json(c: FinCat) -> dict:
     }
 
 
-def _parse_csets(raw, cat: FinCat, where: str):
-    """The columns of a list of C-sets: per C-object, the set sizes and the
-    labels of the labelled sets; per C-set, its action tables."""
-    objects = range(cat.object_count)
-    sizes = [[] for _ in objects]
-    labels = [{} for _ in objects]
-    actions = []
+def _read_csets(raw: list, cat: FinCat) -> tuple[list, list, list] | None:
+    """The columns of a list of C-set documents: per C-object, the set
+    sizes and the labels of the labelled sets; per C-set, its action
+    tables.  Checked a C-morphism at a time over all the C-sets at once;
+    None when some C-set is malformed."""
+    nc = cat.object_count
+    nm = cat.morphism_count
+    try:
+        objects = list(map(itemgetter("objects"), raw))
+        actions = list(map(itemgetter("actions"), raw))
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, objects)) | set(map(type, actions)) <= {list}
+            and set(map(len, objects)) <= {nc}
+            and set(map(len, actions)) <= {nm}):
+        return None
+    read = _read_sets(list(chain.from_iterable(objects)))
+    if read is None:
+        return None
+    # the set of C-set i at object c is entry i * nc + c
+    sizes = [read[0][c::nc] for c in range(nc)]
+    labels = [{} for _ in range(nc)]
+    for j, lab in read[1].items():
+        labels[j % nc][j // nc] = lab
+    try:
+        maps = list(map(itemgetter("map"), chain.from_iterable(actions)))
+    except (KeyError, TypeError):
+        return None
+    columns = []
+    for f, (c0, c1) in enumerate(zip(cat.src, cat.tgt)):
+        col = _index_tables(maps[f::nm], sizes[c0], sizes[c1],
+                            lambda i: (labels[c0].get(i), labels[c1].get(i)))
+        if col is None:
+            return None
+        columns.append(col)
+    tables = list(map(list, zip(*columns))) if nm else [[] for _ in raw]
+    return sizes, labels, tables
+
+
+def _cset_errors(raw: list, cat: FinCat, where: str) -> None:
+    """Raise the ParseError that names the first malformed C-set of raw."""
     for i, o in enumerate(raw):
         at = f"{where} {i}"
-        s, lab = _parse_sizes(_require_list(o, "objects", at), f"{at} object")
+        objects = _require_list(o, "objects", at)
+        _set_errors(objects, f"{at} object")
+        s, lab = _read_sets(objects)
         if len(s) != cat.object_count:
             raise ParseError(f"{at}: one set per C-object required")
         maps = _require_list(o, "actions", at)
         if len(maps) != cat.morphism_count:
             raise ParseError(f"{at}: one action per C-morphism required")
-        actions.append([
-            _parse_table(a, s[c0], s[c1], lab.get(c0), lab.get(c1),
+        for f, (a, c0, c1) in enumerate(zip(maps, cat.src, cat.tgt)):
+            _table_error(a, s[c0], s[c1], lab.get(c0), lab.get(c1),
                          f"{at} action {f}")
-            for f, (a, c0, c1) in enumerate(zip(maps, cat.src, cat.tgt))])
-        for c in objects:
-            sizes[c].append(s[c])
-            if c in lab:
-                labels[c][i] = lab[c]
-    return sizes, labels, actions
+
+
+def _csets(raw: list, cat: FinCat, where: str):
+    read = _read_csets(raw, cat)
+    if read is None:
+        _cset_errors(raw, cat, where)
+        raise _walk_found_nothing(where)
+    return read
+
+
+def _cset_slices(raw: list, shape: SimpleGraph, nc: int, vsizes, esizes,
+                 vlabels, elabels) -> list[CoDecomposition] | None:
+    """The plain diagram at every C-object, from the legs of a C-set
+    diagram and the columns _read_csets read; checked a C-object at a time
+    over all the legs at once.  None when some leg is malformed."""
+    legs = _leg_entries(raw, shape, "maps")
+    if legs is None or not (set(map(type, legs)) <= {list}
+                            and set(map(len, legs)) <= {nc}):
+        return None
+    try:
+        # component c of the leg at position k is entry k * nc + c
+        maps = list(map(itemgetter("map"), chain.from_iterable(legs)))
+    except (KeyError, TypeError):
+        return None
+    slices = []
+    for c in range(nc):
+        tables = _leg_tables(maps[c::nc], shape, vsizes[c], esizes[c],
+                             vlabels[c], elabels[c])
+        if tables is None:
+            return None
+        slices.append(CoDecomposition(shape, vsizes[c], esizes[c], tables,
+                                      vlabels[c], elabels[c]))
+    return slices
 
 
 def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     """Read a C-set diagram straight into one plain diagram per C-object
-    plus the action tables; every action and leg map goes through
-    _parse_table."""
+    plus the action tables."""
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
-    vsizes, vlabels, vactions = _parse_csets(
+    vsizes, vlabels, vactions = _csets(
         _require_list(obj, "vertex_csets", "cset diagram"), cat,
         "vertex C-set")
-    esizes, elabels, eactions = _parse_csets(
+    esizes, elabels, eactions = _csets(
         _require_list(obj, "edge_csets", "cset diagram"), cat, "edge C-set")
     if len(vactions) != shape.n:
         raise ParseError("cset diagram: one vertex C-set per shape vertex required")
     if len(eactions) != shape.m:
         raise ParseError("cset diagram: one edge C-set per shape edge required")
-    objects = range(cat.object_count)
+    nc = cat.object_count
+    raw = _require_list(obj, "legs", "cset diagram")
+    slices = _cset_slices(raw, shape, nc, vsizes, esizes, vlabels, elabels)
+    if slices is None:
+        def leg_error(leg, e, x, where):
+            maps = _require_list(leg, "maps", where)
+            if len(maps) != nc:
+                raise ParseError(f"{where}: one map per C-object required")
+            for c, m in enumerate(maps):
+                _table_error(m, vsizes[c][x], esizes[c][e], vlabels[c].get(x),
+                             elabels[c].get(e), f"{where} component {c}")
 
-    def parse_leg(leg, e, x, where):
-        maps = _require_list(leg, "maps", where)
-        if len(maps) != cat.object_count:
-            raise ParseError(f"{where}: one map per C-object required")
-        return [_parse_table(m, vsizes[c][x], esizes[c][e],
-                             vlabels[c].get(x), elabels[c].get(e),
-                             f"{where} component {c}")
-                for c, m in zip(objects, maps)]
-
-    pairs = _parse_legs(_require_list(obj, "legs", "cset diagram"), shape,
-                        parse_leg)
-    slices = [CoDecomposition(shape, vsizes[c], esizes[c],
-                              [(lu[c], lv[c]) for lu, lv in pairs],
-                              vlabels[c], elabels[c])
-              for c in objects]
+        _leg_errors(raw, shape, leg_error)
+        raise _walk_found_nothing("cset diagram")
     return CSetCoDecomposition(cat, shape, slices, vactions, eactions)
 
 
 def _csets_to_json(cat: FinCat, sizes, labels, actions) -> list[dict]:
-    """The C-set documents of _parse_csets' columns."""
+    """The C-set documents of _read_csets' columns."""
     out = []
     for i, tables in enumerate(actions):
         lab = [col.get(i) for col in labels]

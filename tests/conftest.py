@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -147,3 +148,134 @@ def best_of_interleaved(run, small, large, repeats: int = 5) -> list[float]:
             run(arg)
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def size_form_doc() -> dict:
+    """A size-form diagram on the path 0 - 1 - 2, its second edge written
+    as (2, 1), in the key and leg order diagram_to_json writes."""
+    return {"shape": {"n": 3, "edges": [[0, 1], [2, 1]]},
+            "vertex_sets": [{"size": 2}, {"size": 3}, {"size": 1}],
+            "edge_sets": [{"size": 2}, {"size": 3}],
+            "legs": [{"edge": 0, "endpoint": 0, "map": [0, 1]},
+                     {"edge": 0, "endpoint": 1, "map": [0, 1, 1]},
+                     {"edge": 1, "endpoint": 2, "map": [2]},
+                     {"edge": 1, "endpoint": 1, "map": [0, 1, 2]}]}
+
+
+DISCRETE_2 = {"objects": 2, "morphisms": [{"id": 0, "src": 0, "tgt": 0},
+                                          {"id": 1, "src": 1, "tgt": 1}],
+              "identities": [0, 1], "comp": [[0, -1], [-1, 1]]}
+
+
+def corpus_bases() -> list[tuple[str, dict, dict | None]]:
+    """The valid documents the loader corpus mutates, as (name, diagram
+    document, category document or None for a plain diagram): a size-form
+    and a label-form plain diagram, and C-set diagrams over the terminal
+    category (label form), the walking arrow and the discrete category on
+    two objects (one labelled and one size-form slice)."""
+    from limsolve import CSetCoDecomposition, jsonio
+    from limsolve.cset import FinCat
+    from limsolve.generate import (lift_to_terminal_cset,
+                                   random_walking_arrow_diagram)
+
+    path = path_example()
+    other = CoDecomposition(path.shape, [2, 1, 2], [2, 2],
+                            [((0, 1), (1,)), ((0,), (1, 0))])
+    discrete = CSetCoDecomposition(
+        jsonio.parse_fincat(DISCRETE_2), path.shape, [path, other],
+        [(tuple(range(a)), tuple(range(b)))
+         for a, b in zip(path.vertex_size, other.vertex_size)],
+        [(tuple(range(a)), tuple(range(b)))
+         for a, b in zip(path.edge_size, other.edge_size)])
+    arrow = random_walking_arrow_diagram(
+        random.Random(3), SimpleGraph(3, [(0, 1), (1, 2)]), 3)
+    return [
+        ("size-form", size_form_doc(), None),
+        ("label-form", jsonio.diagram_to_json(path), None),
+        ("terminal", jsonio.cset_diagram_to_json(lift_to_terminal_cset(path)),
+         jsonio.fincat_to_json(FinCat.terminal())),
+        ("walking-arrow", jsonio.cset_diagram_to_json(arrow),
+         jsonio.fincat_to_json(FinCat.walking_arrow())),
+        ("discrete-2", jsonio.cset_diagram_to_json(discrete), DISCRETE_2),
+    ]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) below node, node itself excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate_once(rng: random.Random, doc: dict) -> str:
+    """Apply one seeded fault to doc in place and name it: drop a key or
+    entry, swap a value's type, put true, 1.0, -1 or an out-of-range
+    number where an integer stands, duplicate or drop a leg, shorten or
+    lengthen a table, or write an unknown label."""
+    nodes = list(_nodes(doc))
+    ints = [p for p, v in nodes if type(v) is int]
+    strs = [p for p, v in nodes if type(v) is str]
+    tables = [p for p, v in nodes if p[-1] == "map"]
+    kind = rng.choice(["drop", "type", "int", "int", "leg", "table", "table",
+                       "label"])
+    if kind == "int" and ints:
+        path = rng.choice(ints)
+        value = rng.choice([True, 1.0, -1, _at(doc, path) + rng.randint(1, 3)])
+        _at(doc, path[:-1])[path[-1]] = value
+        return f"int {path} = {value!r}"
+    if kind == "leg" and doc["legs"]:
+        i = rng.randrange(len(doc["legs"]))
+        if rng.random() < 0.5:
+            doc["legs"].append(json.loads(json.dumps(doc["legs"][i])))
+            return f"duplicate leg {i}"
+        doc["legs"].pop(i)
+        return f"drop leg {i}"
+    if kind == "table" and tables:
+        path = rng.choice(tables)
+        table = _at(doc, path)
+        if isinstance(table, list):
+            if table and rng.random() < 0.5:
+                table.pop()
+                return f"shorten {path}"
+            table.append(rng.randrange(3))
+            return f"lengthen {path}"
+        if isinstance(table, dict) and table and rng.random() < 0.5:
+            table.pop(rng.choice(sorted(table)))
+            return f"shorten {path}"
+        if isinstance(table, dict):
+            table["zz"] = rng.choice(sorted(table.values()) or ["zz"])
+            return f"lengthen {path}"
+    if kind == "label" and strs:
+        path = rng.choice(strs)
+        _at(doc, path[:-1])[path[-1]] = "zz"
+        return f"label {path}"
+    path, value = rng.choice(nodes)
+    if kind == "type":
+        _at(doc, path[:-1])[path[-1]] = (
+            {"0": value} if isinstance(value, list)
+            else [value] if isinstance(value, dict)
+            else str(value) if type(value) is int else 5)
+        return f"type {path}"
+    del _at(doc, path[:-1])[path[-1]]
+    return f"drop {path}"
+
+
+def loader_corpus(count: int = 80, seed: int = 1):
+    """count seeded single mutations of each corpus base, as (base name,
+    mutation name, diagram document, category document or None)."""
+    rng = random.Random(seed)
+    out = []
+    for name, doc, cat in corpus_bases():
+        text = json.dumps(doc)
+        for _ in range(count):
+            mutated = json.loads(text)
+            out.append((name, mutate_once(rng, mutated), mutated, cat))
+    return out

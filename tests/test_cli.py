@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,27 @@ def test_cset_set_above_size_cap_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, ["cset-solve", cat_path, dia_path])
     assert code == 2
     assert err.startswith("error:") and "limit" in err
+
+
+@pytest.mark.parametrize("command, where", [
+    ("fvs", "graph"), ("hom", "decomposition X")])
+def test_graph_above_vertex_cap_is_an_error(tmp_path, capsys, command, where):
+    # a 30-byte document must not make the loader build a list per vertex
+    graph = {"n": jsonio.MAX_SET_SIZE + 1, "edges": []}
+    doc = graph if command == "fvs" else {
+        "X": graph, "shape": {"n": 1, "edges": []}, "bags": [[0]]}
+    path = write(tmp_path, "big.json", doc)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, [command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == []
+    assert err == (f"error: {where}: vertex count 1048577 exceeds the limit "
+                   f"of 1048576 vertices\n")
+    # one pointer per vertex alone would be 8 MiB
+    assert peak < 2 ** 20
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -1,30 +1,6 @@
 import random
 
-import pytest
-
-from limsolve import FinFn, FinSetObj
 from limsolve.finset import bits, full_mask, mask_of, table_image
-
-
-def test_finsetobj_label_invariants():
-    FinSetObj(2, ("a", "b"))
-    with pytest.raises(ValueError):
-        FinSetObj(2, ("a",))
-    with pytest.raises(ValueError):
-        FinSetObj(2, ("a", "a"))
-    with pytest.raises(ValueError):
-        FinSetObj(-1)
-
-
-def test_finfn_totality():
-    with pytest.raises(ValueError):
-        FinFn(2, 2, (0, 2))
-    with pytest.raises(ValueError):
-        FinFn(2, 2, (0,))
-    # into the empty set only from the empty set
-    FinFn(0, 0, ())
-    with pytest.raises(ValueError):
-        FinFn(1, 0, (0,))
 
 
 def test_image_surjection_all_true():

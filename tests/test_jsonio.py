@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
-from conftest import c4_example, cospan_example, diagrams_equal, path_example
-from limsolve import FinCat, FinSetObj, SimpleGraph
+from conftest import (c4_example, corpus_bases, cospan_example,
+                      diagrams_equal, loader_corpus, path_example)
+from conftest import size_form_doc as _size_form_doc
+from limsolve import FinCat, SimpleGraph
 from limsolve.generate import (
     elimination_decomposition,
     lift_to_terminal_cset,
@@ -35,33 +39,73 @@ def test_graph_edges_must_be_pairs(edge):
         jsonio.parse_graph({"n": 3, "edges": [[0, 1], edge]})
 
 
+def _parse_error(doc) -> str:
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    return str(err.value)
+
+
 def test_finset_forms():
-    assert jsonio.parse_finset({"size": 3}) == FinSetObj(3)
-    labeled = jsonio.parse_finset({"elements": ["a", "b"]})
-    assert labeled == FinSetObj(2, ("a", "b"))
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_finset({"elements": ["a", "a"]})
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_finset({})
+    # a set is {"size": s} or {"elements": [...]}, its labels distinct
+    doc = _size_form_doc()
+    doc["vertex_sets"][2] = {"elements": ["p"]}
+    d = jsonio.parse_diagram(doc)
+    assert d.vertex_size == [2, 3, 1] and d.vertex_labels == {2: ("p",)}
+    doc["vertex_sets"][2] = {"elements": ["p", "p"]}
+    assert _parse_error(doc) == \
+        "vertex set 2: labels must be pairwise distinct"
+    doc["vertex_sets"][2] = {}
+    assert _parse_error(doc) == "vertex set 2: expected 'size' or 'elements'"
+
+
+def test_set_label_invariants():
+    doc = _size_form_doc()
+    doc["edge_sets"][0] = {"elements": ["x", "y", "x"]}
+    assert _parse_error(doc) == "edge set 0: labels must be pairwise distinct"
+    doc = _size_form_doc()
+    doc["vertex_sets"][0] = {"size": -1}
+    assert _parse_error(doc) == "vertex set 0: size must be >= 0"
 
 
 def test_fn_label_form():
-    src = FinSetObj(2, ("a", "b"))
-    tgt = FinSetObj(2, ("x", "y"))
-    fn = jsonio.parse_fn({"map": {"a": "y", "b": "x"}}, src, tgt)
-    assert fn.table == (1, 0)
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_fn({"map": {"a": "z", "b": "x"}}, src, tgt)
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_fn({"map": {"a": "x"}}, src, tgt)
+    doc = jsonio.diagram_to_json(path_example())
+    doc["legs"][0]["map"] = {"a": "y", "b": "x", "c": "x"}
+    assert jsonio.parse_diagram(doc).tables[0][0] == (1, 0, 0)
+    doc["legs"][0]["map"] = {"a": "z", "b": "x", "c": "x"}
+    assert _parse_error(doc) == "leg 0: unknown target element 'z'"
+    doc["legs"][0]["map"] = {"a": "x"}
+    assert _parse_error(doc) == "leg 0: no image for element 'b'"
     # label form needs labels on both sides
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_fn({"map": {"a": "x"}}, FinSetObj(2), tgt)
+    doc["legs"][0]["map"] = {"a": "x", "b": "x", "c": "y"}
+    doc["vertex_sets"][0] = {"size": 3}
+    assert _parse_error(doc) == \
+        "leg 0: label-form map needs labeled source and target sets"
 
 
 def test_fn_index_form_range_checked():
-    with pytest.raises(jsonio.ParseError):
-        jsonio.parse_fn({"map": [2]}, FinSetObj(1), FinSetObj(2))
+    doc = _size_form_doc()
+    doc["legs"][2]["map"] = [3]
+    assert _parse_error(doc) == \
+        "leg 2: table entry 3 at 0 is not an integer below target size 3"
+
+
+def test_map_totality():
+    doc = _size_form_doc()
+    doc["legs"][0]["map"] = [0, 2]
+    assert _parse_error(doc) == \
+        "leg 0: table entry 2 at 1 is not an integer below target size 2"
+    doc["legs"][0]["map"] = [0]
+    assert _parse_error(doc) == "leg 0: table length differs from source size"
+    # into the empty set only from the empty set
+    doc = {"shape": {"n": 2, "edges": [[0, 1]]},
+           "vertex_sets": [{"size": 0}, {"size": 1}], "edge_sets": [{"size": 0}],
+           "legs": [{"edge": 0, "endpoint": 0, "map": []},
+                    {"edge": 0, "endpoint": 1, "map": [0]}]}
+    assert _parse_error(doc) == \
+        "leg 1: table entry 0 at 0 is not an integer below target size 0"
+    doc["vertex_sets"][1] = {"size": 0}
+    doc["legs"][1]["map"] = []
+    assert jsonio.parse_diagram(doc).tables == [((), ())]
 
 
 def test_diagram_round_trip_examples():
@@ -127,16 +171,21 @@ def test_fincat_rejects_non_integer_ids(mutate):
 
 def test_set_size_must_be_an_integer():
     for size in (True, 2.0, "2"):
-        with pytest.raises(jsonio.ParseError):
-            jsonio.parse_finset({"size": size})
+        doc = _size_form_doc()
+        doc["vertex_sets"][0] = {"size": size}
+        assert _parse_error(doc) == \
+            f"vertex set 0 size: expected an integer, got {size!r}"
 
 
 def test_set_size_is_capped():
     cap = jsonio.MAX_SET_SIZE
     assert cap == 2 ** 20
-    assert jsonio.parse_finset({"size": cap}) == FinSetObj(cap)
-    with pytest.raises(jsonio.ParseError, match="edge set 0: size 10000000"):
-        jsonio.parse_finset({"size": 10 ** 7}, "edge set 0")
+    doc = {"shape": {"n": 1, "edges": []}, "vertex_sets": [{"size": cap}],
+           "edge_sets": [], "legs": []}
+    assert jsonio.parse_diagram(doc).vertex_size == [cap]
+    doc["vertex_sets"] = [{"size": 10 ** 7}]
+    assert _parse_error(doc) == \
+        "vertex set 0: size 10000000 exceeds the limit of 1048576 elements"
     doc = jsonio.diagram_to_json(cospan_example())
     doc["edge_sets"] = [{"size": cap + 1}]
     doc["legs"][1]["map"] = [0]
@@ -199,18 +248,6 @@ def test_dumps_deterministic():
     doc = jsonio.diagram_to_json(path_example())
     assert jsonio.dumps(doc) == jsonio.dumps(
         jsonio.diagram_to_json(path_example()))
-
-
-def _size_form_doc():
-    """A size-form diagram on the path 0 - 1 - 2, its second edge written
-    as (2, 1), in the key and leg order diagram_to_json writes."""
-    return {"shape": {"n": 3, "edges": [[0, 1], [2, 1]]},
-            "vertex_sets": [{"size": 2}, {"size": 3}, {"size": 1}],
-            "edge_sets": [{"size": 2}, {"size": 3}],
-            "legs": [{"edge": 0, "endpoint": 0, "map": [0, 1]},
-                     {"edge": 0, "endpoint": 1, "map": [0, 1, 1]},
-                     {"edge": 1, "endpoint": 2, "map": [2]},
-                     {"edge": 1, "endpoint": 1, "map": [0, 1, 2]}]}
 
 
 def _set_map(i, value):
@@ -277,9 +314,6 @@ def test_diagram_json_round_trip_is_exact(doc):
                          ids=["string", "object", "nested-list", "integer"])
 def test_set_elements_must_be_a_list_of_strings(elements):
     text = "vertex set 0: elements must be a list of strings"
-    with pytest.raises(jsonio.ParseError) as err:
-        jsonio.parse_finset({"elements": elements}, "vertex set 0")
-    assert str(err.value) == text
     doc = _size_form_doc()
     doc["vertex_sets"][0] = {"elements": elements}
     with pytest.raises(jsonio.ParseError) as err:
@@ -436,3 +470,48 @@ def test_walking_arrow_cset_parse_error_texts(mutate, text):
     with pytest.raises(jsonio.ParseError) as err:
         jsonio.parse_cset_diagram(doc, FinCat.walking_arrow())
     assert str(err.value) == text
+
+
+def _columns(d) -> str:
+    """The loaded columns of a plain diagram, container types included."""
+    return repr((d.shape.n, d.shape.edges, d.vertex_size, d.edge_size,
+                 d.tables, sorted(d.vertex_labels.items()),
+                 sorted(d.edge_labels.items())))
+
+
+def _load_outcome(doc, cat) -> str:
+    """What loading doc gives: its ParseError text, or its columns."""
+    try:
+        if cat is None:
+            return "ok " + _columns(jsonio.parse_diagram(doc))
+        d = jsonio.parse_cset_diagram(doc, jsonio.parse_fincat(cat))
+        return "ok " + repr(([_columns(s) for s in d.slices],
+                             d.vertex_actions, d.edge_actions))
+    except jsonio.ParseError as exc:
+        return "error " + str(exc)
+
+
+def test_loader_golden_digest():
+    # a seeded corpus of single mutations of valid plain and C-set
+    # documents: every loader either refuses with a ParseError (no other
+    # exception escapes) or loads columns, and the texts and columns hash
+    # to the digest the per-object loaders gave
+    outcomes = [_load_outcome(doc, cat)
+                for _, _, doc, cat in loader_corpus()]
+    assert len(outcomes) == 400
+    refused = sum(o.startswith("error ") for o in outcomes)
+    assert 250 < refused < 400
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == (
+        "68f59d985ed3729dacb7236be959a8fb792b04640ee7c708386549982c786d48")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_legs_load_in_any_order(seed):
+    # legs are placed by their (edge, endpoint) ids, not by their position
+    rng = random.Random(seed)
+    for _, doc, cat in corpus_bases():
+        expected = _load_outcome(doc, cat)
+        assert expected.startswith("ok ")
+        rng.shuffle(doc["legs"])
+        assert _load_outcome(doc, cat) == expected

@@ -9,6 +9,7 @@ from conftest import (
     best_of_interleaved,
     c4_example,
     c4_untwisted_example,
+    corpus_bases,
     cospan_example,
     edgeless_diagram,
     path_example,
@@ -18,8 +19,6 @@ from conftest import (
 )
 from limsolve import (
     CoDecomposition,
-    FinFn,
-    FinSetObj,
     SectionAssignment,
     SimpleGraph,
     VertexSet,
@@ -512,11 +511,25 @@ def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
         assert len(plans) == 1
 
 
+def _refuse_entry_walks(monkeypatch):
+    """Make every named-error walk of the loaders and of SimpleGraph raise:
+    a valid document must load in the one-pass checks alone."""
+    import limsolve.graphs
+    from limsolve import jsonio
+
+    def refuse(*args):
+        raise AssertionError("walked a valid input entry by entry")
+
+    for name in ("_set_errors", "_table_error", "_leg_errors", "_cset_errors"):
+        monkeypatch.setattr(jsonio, name, refuse)
+    monkeypatch.setattr(limsolve.graphs, "_edge_errors", refuse)
+
+
 def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     # every builder writes columns and every reader here reads only them:
     # parsing, generating, writing JSON, the hom frontend, section tests
-    # (which restrict) and the oracle build no FinSetObj or FinFn view, also
-    # with a witness
+    # (which restrict) and the oracle; loading a valid size-form or
+    # label-form document never walks its entries, also with a witness
     from limsolve import enumerate_limit, hom_exists, jsonio
     from limsolve.generate import (elimination_decomposition,
                                    generate_instance, random_graph)
@@ -532,12 +545,11 @@ def test_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     bags = elimination_decomposition(rng, random_graph(rng, 12, 0.3))
     k3 = SimpleGraph(3, [(0, 1), (0, 2), (1, 2)])
     expected_hom = hom_exists(bags, k3, want_coloring=True)
+    plain = [base for _, base, cat in corpus_bases() if cat is None]
 
-    def refuse(self):
-        raise AssertionError(f"built a {type(self).__name__}")
-
-    monkeypatch.setattr(FinSetObj, "__post_init__", refuse)
-    monkeypatch.setattr(FinFn, "__post_init__", refuse)
+    _refuse_entry_walks(monkeypatch)
+    for base in plain:
+        assert jsonio.diagram_to_json(jsonio.parse_diagram(base)) == base
     d = jsonio.parse_diagram(doc)
     result = inlim(d, want_witness=True)
     assert result == expected and not result.verdict.empty_limit
@@ -581,8 +593,8 @@ def _cycles_cset_doc(rng, k, length, w, planted):
 
 def test_cset_load_and_solve_build_no_set_or_function_objects(monkeypatch):
     # the C-set path reads one plain diagram per C-object straight into
-    # columns: parsing, deciding, slicing and writing JSON build no
-    # FinSetObj or FinFn
+    # columns: parsing, deciding, slicing and writing JSON; loading a valid
+    # size-form or label-form document never walks its entries
     from limsolve import cset_inlim, jsonio, pointwise_slice
 
     cat = jsonio.parse_fincat({
@@ -598,12 +610,13 @@ def test_cset_load_and_solve_build_no_set_or_function_objects(monkeypatch):
                          [inlim(pointwise_slice(d, c), want_witness=True)
                           for c in range(2)]))
     assert {verdict for verdict, _ in expected} == {True, False}
+    bases = [(jsonio.parse_fincat(cat), base)
+             for _, base, cat in corpus_bases() if cat is not None]
 
-    def refuse(self):
-        raise AssertionError(f"built a {type(self).__name__}")
-
-    monkeypatch.setattr(FinSetObj, "__post_init__", refuse)
-    monkeypatch.setattr(FinFn, "__post_init__", refuse)
+    _refuse_entry_walks(monkeypatch)
+    for base_cat, base in bases:
+        again = jsonio.parse_cset_diagram(base, base_cat)
+        assert jsonio.cset_diagram_to_json(again) == base
     for doc, (verdict, results) in zip(docs, expected):
         d = jsonio.parse_cset_diagram(doc, cat)
         assert cset_inlim(d, k_max=2).empty_limit == verdict
