@@ -14,7 +14,7 @@ import time
 
 from . import generate, jsonio, oracle
 from .diagram import CoDecomposition, as_subdiagram
-from .graphs import VertexSet, fvs_exact
+from .graphs import MAX_SET_SIZE, VertexSet, fvs_exact
 from .hom import hom_exists
 from .cset import cset_inlim
 from .solver import Witness, image_tree, inlim
@@ -98,7 +98,12 @@ def cmd_hom(args) -> int:
     if template.startswith("file:"):
         h = jsonio.parse_graph(_load(template[5:]))
     elif template.startswith("k") and template[1:].isdigit():
-        h = generate.complete_graph(int(template[1:]))
+        k = int(template[1:])
+        edges = k * (k - 1) // 2
+        if edges > MAX_SET_SIZE:  # before K_k is built
+            raise ValueError(f"template '{template}': K_{k} has {edges} "
+                             f"edges, above the limit of {MAX_SET_SIZE}")
+        h = generate.complete_graph(k)
     else:
         raise jsonio.ParseError(f"unknown template '{template}'")
     fvs = _parse_fvs(args.fvs, b.shape.n)
@@ -149,6 +154,10 @@ def cmd_fvs(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag, value in (("--n", args.n), ("--w", args.w)):
+        if value > MAX_SET_SIZE:  # every loader would refuse the document
+            raise ValueError(f"{flag} {value} exceeds the limit of "
+                             f"{MAX_SET_SIZE}")
     d = generate.generate_instance(args.kind, args.n, args.w, args.seed,
                                    p=args.p, fixed_size=args.fixed_size)
     meta = {"kind": args.kind, "n": args.n, "w": args.w, "seed": args.seed}

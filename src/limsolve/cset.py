@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import CoDecomposition, Verdict, validate
-from .finset import table_fits, tables_fit
+from .diagram import CoDecomposition, Verdict, tables_fit, validate
 from .graphs import SimpleGraph, VertexSet
 from .solver import _resolve_fvs, inlim
 
@@ -155,7 +154,7 @@ def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
     for f, (table, c0, c1) in enumerate(zip(tables, cat.src, cat.tgt)):
         if len(table) != sizes[c0]:
             problems.append(f"action of morphism {f}: wrong source size")
-        if not table_fits(table, sizes[c1]):
+        if not tables_fit([table], [len(table)], [sizes[c1]]):
             problems.append(f"action of morphism {f}: wrong target size")
     if problems:
         return problems

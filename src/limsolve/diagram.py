@@ -13,19 +13,59 @@ columns and every reader reads them, so building, loading and solving a
 diagram makes no per-set objects.
 
 Subdiagrams never copy the base diagram: they are bitmasks over its
-sets (one mask per vertex set, one per edge set).  The mask invariant is
-leg-closure: masked vertex elements must map into the masked edge set.
-Narrowing masks edge by edge is what the solver's whole running-time story
-rests on, so ``filter_edge`` mutates its mask in place.
+sets (one mask per vertex set, one per edge set, whose bit a is set when
+element a is kept).  The mask invariant is leg-closure: masked vertex
+elements must map into the masked edge set.  Narrowing masks edge by edge
+is what the solver's whole running-time story rests on, so ``filter_edge``
+mutates its mask in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from operator import lt
 
-from .finset import bits, full_mask, mask_of, table_image, tables_fit
 from .graphs import SimpleGraph, VertexSet, remove_vertices
+
+
+def bits(mask: int):
+    """Yield the indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def tables_fit(tables, sources: list[int], targets: list[int]) -> bool:
+    """Whether every tables[i] has length sources[i] and int (not bool)
+    entries in [0, targets[i]): a few passes over all the tables at once,
+    without a Python step per table.  When the largest entry is below the
+    smallest target, no table's own largest entry is needed."""
+    entries = list(chain.from_iterable(tables))
+    return (list(map(len, tables)) == sources
+            and set(map(type, entries)) <= {int}
+            and (not entries
+                 or min(entries) >= 0
+                 and (max(entries) < min(targets, default=0)
+                      or all(map(lt, map(partial(max, default=-1), tables),
+                                 targets)))))
+
+
+def table_image(table, source_mask: int) -> int:
+    """Bitmask of the values table[s] over the set bits s of source_mask."""
+    out = 0
+    for s in bits(source_mask):
+        out |= 1 << table[s]
+    return out
 
 
 class CoDecomposition:
@@ -75,8 +115,8 @@ class CoDecomposition:
         return max(self.vertex_size, default=0)
 
     def full_mask(self) -> "SubMask":
-        return SubMask([full_mask(s) for s in self.vertex_size],
-                       [full_mask(s) for s in self.edge_size])
+        return SubMask([(1 << s) - 1 for s in self.vertex_size],
+                       [(1 << s) - 1 for s in self.edge_size])
 
     def __repr__(self):
         return (f"CoDecomposition(n={self.shape.n}, m={self.shape.m}, "
@@ -99,9 +139,6 @@ class SubMask:
         self.vertex = [0] * len(self.vertex)
         self.edge = [0] * len(self.edge)
 
-    def vertex_elements(self, x: int) -> list[int]:
-        return list(bits(self.vertex[x]))
-
     def __eq__(self, other):
         if not isinstance(other, SubMask):
             return NotImplemented
@@ -121,7 +158,8 @@ class Verdict:
 def validate(d: CoDecomposition) -> list[str]:
     """All diagram invariants; returns a list of violations, empty when ok.
     A leg table entry must be an int (not a bool) in [0, edge set size),
-    and a labelled set needs one distinct label per element."""
+    a label key must be a set index, and a labelled set needs one distinct
+    label per element."""
     problems = []
     # the common case, every table fine, takes no Python step per table;
     # _table_problems then finds, and names, what is wrong
@@ -129,13 +167,17 @@ def validate(d: CoDecomposition) -> list[str]:
                       [d.vertex_size[x] for uv in d.shape.edges for x in uv],
                       [size for size in d.edge_size for _ in (0, 1)]):
         problems += _table_problems(d)
+    # only the labelled sets are read: no Python step per unlabelled set
     for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
                                 ("edge", d.edge_size, d.edge_labels)):
-        for i, size in enumerate(sizes):
-            lab = labels.get(i)
-            if lab is not None and not len(lab) == len(set(lab)) == size:
-                problems.append(f"{kind} set {i}: labels {lab!r} are not "
-                                f"{size} distinct names")
+        stray = [i for i in labels
+                 if type(i) is not int or not 0 <= i < len(sizes)]
+        problems += [f"{kind} labels: key {i!r} names no {kind} set"
+                     for i in stray]
+        problems += [f"{kind} set {i}: labels {labels[i]!r} are not "
+                     f"{sizes[i]} distinct names"
+                     for i in sorted(labels.keys() - stray)
+                     if not len(labels[i]) == len(set(labels[i])) == sizes[i]]
     return problems
 
 

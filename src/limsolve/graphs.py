@@ -10,6 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import eq, itemgetter
 
+# Largest graph, diagram set and hom-set: per-vertex lists, edge masks and
+# section-test state are sized by these, so one SimpleGraph(10**9) or
+# {"size": 10**9} would exhaust memory before a sweep.
+MAX_SET_SIZE = 2 ** 20
+
 
 class SimpleGraph:
     """Finite simple graph: no loops, no parallel edges."""
@@ -22,6 +27,9 @@ class SimpleGraph:
             raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError(f"vertex count {n} is negative")
+        if n > MAX_SET_SIZE:  # before any edge is read
+            raise ValueError(f"vertex count {n} exceeds the limit of "
+                             f"{MAX_SET_SIZE} vertices")
         edges = tuple(map(tuple, edges))
         # the common case, every edge fine, takes no Python step per edge;
         # _edge_errors then finds, and names, what is wrong
@@ -45,9 +53,6 @@ class SimpleGraph:
                 inc[v].append((e, u))
             self._incidence = inc
         return self._incidence
-
-    def neighbors(self, v: int) -> list[int]:
-        return [w for _, w in self.incidence[v]]
 
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):

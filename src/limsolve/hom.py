@@ -14,8 +14,7 @@ from itertools import count
 from operator import itemgetter
 
 from .diagram import CoDecomposition
-from .finset import MAX_SET_SIZE
-from .graphs import SimpleGraph, VertexSet
+from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
 from .solver import InLimResult, inlim
 
 
@@ -45,7 +44,8 @@ class BagDecomposition:
 
 def validate_decomposition(b: BagDecomposition) -> list[str]:
     """Checkable sufficient conditions for the bags to reassemble X:
-    coverage, adhesion containment, and gluing completeness."""
+    coverage, adhesion containment, and gluing completeness.  A kind of
+    per-vertex or per-edge problem is one line, however many it counts."""
     problems = []
     if len(b.bags) != b.shape.n:
         return ["one bag per shape vertex required"]
@@ -58,13 +58,15 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
             if type(v) is not int or not 0 <= v < b.x.n:
                 return [f"bag vertex {v!r} outside the target graph"]
             holders[v].append(x)
-    for v in range(b.x.n):
-        if not holders[v]:
-            problems.append(f"vertex {v} of the target graph is in no bag")
+    problems += _summary([v for v in range(b.x.n) if not holders[v]],
+                         "vertex of the target graph is in no bag",
+                         "vertices of the target graph are in no bag")
     bag_sets = [set(bag) for bag in b.bags]
-    for u, v in b.x.edges:
-        if not any(v in bag_sets[x] for x in holders[u]):
-            problems.append(f"edge {{{u},{v}}} of the target graph fits in no bag")
+    problems += _summary(
+        [(u, v) for u, v in b.x.edges
+         if not any(v in bag_sets[x] for x in holders[u])],
+        "edge of the target graph fits in no bag",
+        "edges of the target graph fit in no bag", "{%d,%d}")
     for e, (p, q) in enumerate(b.shape.edges):
         extra = set(b.adhesions[e]) - (bag_sets[p] & bag_sets[q])
         if extra:
@@ -74,6 +76,7 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
     # gluing completeness: per X-vertex, its bags form a connected shape
     # subgraph, and it belongs to the adhesion of every edge inside
     inc = b.shape.incidence
+    split, outside = [], []
     for v in range(b.x.n):
         if not holders[v]:
             continue
@@ -85,17 +88,29 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
                     seen.add(y)
                     stack.append(y)
         if len(seen) != len(holders[v]):
-            problems.append(
-                f"bags containing vertex {v} do not induce a connected "
-                f"shape subgraph")
+            split.append(v)
         inside = sorted(e for x in holders[v] for e, y in inc[x]
                         if x < y and v in bag_sets[y])
         for e in inside:
             if v not in b.adhesions[e]:
-                problems.append(
-                    f"vertex {v} lies in both bags of shape edge {e} but "
-                    f"not in its adhesion")
+                outside.append((v, e))
+    problems += _summary(
+        split, "vertex of the target graph has bags that do not induce a "
+        "connected shape subgraph", "vertices of the target graph have bags "
+        "that do not induce a connected shape subgraph")
+    problems += _summary(
+        outside, "vertex in both bags of a shape edge is not in its adhesion",
+        "vertices in both bags of a shape edge are not in its adhesion",
+        "vertex %d at shape edge %d")
     return problems
+
+
+def _summary(ids: list, one: str, many: str, form: str = "%d") -> list[str]:
+    """One line for the ids, if any: their count, what they are, and the
+    first five of them, each written as form % id."""
+    more = ", …" if len(ids) > 5 else ""
+    return [f"{len(ids)} {one if len(ids) == 1 else many}: "
+            f"{', '.join(form % i for i in ids[:5])}{more}"] if ids else []
 
 
 @dataclass(frozen=True)
@@ -105,9 +120,6 @@ class HomSet:
 
     vertices: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
-
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {m: i for i, m in enumerate(self.maps)}
 
 
 class _HomSets:

@@ -20,9 +20,8 @@ from itertools import chain, repeat
 from operator import contains, itemgetter
 
 from .cset import CSetCoDecomposition, FinCat, validate_fincat
-from .diagram import CoDecomposition
-from .finset import MAX_SET_SIZE, tables_fit
-from .graphs import SimpleGraph
+from .diagram import CoDecomposition, tables_fit
+from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
 
 
@@ -57,10 +56,6 @@ def _int(value, where: str) -> int:
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
     edges = _require_list(obj, "edges", where)
-    # refused before anything of size n is built
-    if type(n) is int and n > MAX_SET_SIZE:
-        raise ParseError(f"{where}: vertex count {n} exceeds the limit of "
-                         f"{MAX_SET_SIZE} vertices")
     if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
         for i, e in enumerate(edges):
             if not isinstance(e, list) or len(e) != 2:

@@ -245,6 +245,54 @@ def test_hom_set_above_cap_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_hom_uncovered_vertices_are_one_line(tmp_path, capsys):
+    # one problem line per uncovered vertex once made a 50 MB error line
+    doc = {"X": {"n": jsonio.MAX_SET_SIZE, "edges": []},
+           "shape": {"n": 1, "edges": []}, "bags": [[0]]}
+    path = write(tmp_path, "big.json", doc)
+    code, out, err = run(capsys, ["hom", path])
+    assert code == 2 and out == []
+    assert err == ("error: invalid decomposition: 1048575 vertices of the "
+                   "target graph are in no bag: 1, 2, 3, 4, 5, …\n")
+    assert len(err.encode()) < 1024
+
+
+def run_small(capsys, argv):
+    """run, with the peak of traced memory the call reached."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_template_above_edge_cap_is_refused(tmp_path, capsys):
+    # K_1448 has 1 047 628 edges, K_1449 has 1 049 076 > 2**20
+    doc = {"X": {"n": 1, "edges": []}, "shape": {"n": 1, "edges": []},
+           "bags": [[0]]}
+    path = write(tmp_path, "one.json", doc)
+    code, out, err, peak = run_small(capsys, ["hom", path, "--template",
+                                              "k1449"])
+    assert code == 2 and out == []
+    assert err == ("error: template 'k1449': K_1449 has 1049076 edges, "
+                   "above the limit of 1048576\n")
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n, w, text", [
+    (2 ** 20 + 1, 2, "--n 1048577 exceeds the limit of 1048576"),
+    (10, 2 ** 20 + 1, "--w 1048577 exceeds the limit of 1048576"),
+], ids=["n", "w"])
+def test_gen_above_cap_is_refused(capsys, n, w, text):
+    code, out, err, peak = run_small(capsys, ["gen", "path", "--n", str(n),
+                                              "--w", str(w)])
+    assert code == 2 and out == []
+    assert err == f"error: {text}\n"
+    assert peak < 2 ** 20
+
+
 # sha256 prefixes of `gen <kind> --n 30 --w 4 --seed 7`, as written before
 # diagram_to_json read the columns instead of the set and function views
 GEN_DIGESTS = [

@@ -159,7 +159,13 @@ def test_naturality_violation_rejected():
      [((ident(2), ident(1)), (ident(2), (1,)))],
      ["object 1: leg of edge 0 at vertex 1: table needs target size 2 > "
       "edge set size 1"]),
-], ids=["action-source", "leg-source", "leg-target"])
+    # an entry equal to the target size, and a bool below it, are refused
+    (SimpleGraph(1, []), [((2, 1), (ident(2), ident(1), (0, 1)))], [], [],
+     ["vertex 0: action of morphism 2: wrong target size"]),
+    (SimpleGraph(1, []), [((2, 2), (ident(2), ident(2), (0, True)))], [], [],
+     ["vertex 0: action of morphism 2: wrong target size"]),
+], ids=["action-source", "leg-source", "leg-target", "action-target",
+        "action-bool"])
 def test_validate_cset_codecomp_texts(shape, vertex_csets, edge_csets, legs,
                                       texts):
     d = cset_diagram(FinCat.walking_arrow(), shape, vertex_csets, edge_csets,

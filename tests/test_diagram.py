@@ -26,7 +26,7 @@ from limsolve import (
     restrict_to_subgraph,
     validate,
 )
-from limsolve.diagram import _table_problems
+from limsolve.diagram import _table_problems, bits, mask_of, table_image
 
 
 def test_validate_worked_examples_ok():
@@ -67,6 +67,15 @@ def test_validate_reads_the_columns():
     assert validate(d) == [
         "vertex set 0: labels ('a', 'b') are not 1 distinct names",
         "edge set 0: labels ('x', 'x') are not 2 distinct names",
+    ]
+    # a label key that is no set index: out of range, negative, or a bool
+    d = CoDecomposition(edge, [1, 1], [1], [((0,), (0,))],
+                        vertex_labels={5: ("a",), 0: ("b",)},
+                        edge_labels={-1: ("x",), True: ("y",)})
+    assert validate(d) == [
+        "vertex labels: key 5 names no vertex set",
+        "edge labels: key -1 names no edge set",
+        "edge labels: key True names no edge set",
     ]
     with pytest.raises(ValueError, match="one set per shape vertex"):
         CoDecomposition(edge, [1], [2], [((0,), (1,))])
@@ -187,7 +196,7 @@ def masked_families(d, m):
     """Matching families of the masked diagram, straight off the tables."""
     import itertools
 
-    pools = [m.vertex_elements(x) for x in range(d.shape.n)]
+    pools = [list(bits(m.vertex[x])) for x in range(d.shape.n)]
     out = []
     for combo in itertools.product(*pools):
         if all(d.tables[e][0][combo[u]] == d.tables[e][1][combo[v]]
@@ -293,7 +302,39 @@ def test_as_subdiagram_rejects_closure_violation():
 
 def test_submask_helpers():
     m = SubMask([0b101], [])
-    assert m.vertex_elements(0) == [0, 2]
+    assert list(bits(m.vertex[0])) == [0, 2]
     m2 = m.copy()
     m2.zero()
     assert m.vertex == [0b101] and m2.vertex == [0]
+
+
+def test_image_surjection_all_true():
+    assert table_image((0, 1, 2, 3), (1 << 4) - 1) == (1 << 4) - 1
+
+
+def test_image_empty_source():
+    assert table_image((), 0) == 0
+    # a masked-out source element marks nothing
+    assert table_image((0, 2), 0b10) == 0b100
+
+
+def test_image_path_example_leg():
+    # a -> x, b -> x, c -> y marks both x and y
+    assert table_image((0, 0, 1), (1 << 3) - 1) == 0b11
+
+
+def test_image_of_composite_inside_image():
+    rng = random.Random(3)
+    for _ in range(60):
+        a, b, c = (rng.randint(1, 6) for _ in range(3))
+        f = [rng.randrange(b) for _ in range(a)]
+        g = [rng.randrange(c) for _ in range(b)]
+        gf = [g[t] for t in f]
+        assert (table_image(gf, (1 << a) - 1)
+                & ~table_image(g, (1 << b) - 1) == 0)
+
+
+def test_bit_helpers():
+    assert list(bits(0b1011)) == [0, 1, 3]
+    assert mask_of([0, 1, 3]) == 0b1011
+    assert (1 << 0) - 1 == 0

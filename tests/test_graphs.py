@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from limsolve import (
     remove_vertices,
 )
 from limsolve.generate import complete_graph, cycle_graph, path_graph, random_graph
-from limsolve.graphs import _core, _cycle
+from limsolve.graphs import MAX_SET_SIZE, _core, _cycle
 
 
 def reachability(g):
@@ -42,6 +43,25 @@ def test_simple_graph_rejects_loops_and_duplicates():
         SimpleGraph(2, [(0, 5)])
     with pytest.raises(ValueError, match="vertex count -3"):
         SimpleGraph(-3, [])
+
+
+def test_simple_graph_vertex_cap():
+    # a hand-built graph is capped like a loaded one, before any edge (here
+    # a loop) is read and before anything of size n is built
+    tracemalloc.start()
+    try:
+        for edges in ((), [(0, 0)]):
+            with pytest.raises(ValueError, match=(
+                    "^vertex count 1048577 exceeds the limit of 1048576 "
+                    "vertices$")):
+                SimpleGraph(MAX_SET_SIZE + 1, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert SimpleGraph(MAX_SET_SIZE).n == MAX_SET_SIZE
+    with pytest.raises(ValueError, match="is not an integer"):
+        SimpleGraph(float(MAX_SET_SIZE + 1))
 
 
 def test_components_disjoint_edges():

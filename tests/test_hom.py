@@ -241,7 +241,7 @@ def _reference_instance(b, h):
     tables = []
     for e, (p, q) in enumerate(b.shape.edges):
         target = adhesion_homs[e]
-        lookup = target.index()
+        lookup = {m: i for i, m in enumerate(target.maps)}
         pair = []
         for end in (p, q):
             source = bag_homs[end]
@@ -306,7 +306,7 @@ def test_build_extends_each_prefix_pattern_once(monkeypatch):
     patterns = set()
     for verts in b.bags + b.adhesions:
         pos = {v: i for i, v in enumerate(verts)}
-        pattern = tuple(tuple(sorted(pos[w] for w in b.x.neighbors(v)
+        pattern = tuple(tuple(sorted(pos[w] for _, w in b.x.incidence[v]
                                      if w in pos and w < v))
                         for v in verts)
         patterns.update(pattern[:j] for j in range(len(pattern) + 1))
