@@ -10,7 +10,7 @@ import random
 
 from .cset import CSetCoDecomposition, FinCat
 from .diagram import CoDecomposition
-from .graphs import SimpleGraph
+from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
 
 
@@ -40,6 +40,10 @@ def random_tree(rng: random.Random, n: int) -> SimpleGraph:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_SET_SIZE:  # one draw per pair; K_n is the p = 1 case
+        raise ValueError(f"random graph on {n} vertices has {pairs} vertex "
+                         f"pairs, above the limit of {MAX_SET_SIZE}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return SimpleGraph(n, edges)

@@ -2,7 +2,9 @@
 feedback-vertex-set search.
 
 Vertices are the integers 0..n-1.  Edges are unordered pairs; the position
-of a pair in the edge list is its stable edge id.
+of a pair in the edge list is its stable edge id.  One breadth-first
+search, _bfs, finds components here and builds the solver's forest plan;
+one builder, _induced, makes every induced subgraph.
 """
 
 from __future__ import annotations
@@ -143,30 +145,33 @@ class VertexSet:
 
 def components(g: SimpleGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    return _components(g, bytearray(b"\x01") * g.n)
+    return [sorted(tree) for tree in _bfs(g, [False] * g.n)[2]]
 
 
-def _components(g: SimpleGraph, live: bytearray) -> list[list[int]]:
-    # the components of the subgraph induced by the live vertices
-    seen = bytearray(g.n)
+def _bfs(g: SimpleGraph, seen: list[bool]
+         ) -> tuple[list[int], list[int], list[list[int]]]:
+    """Breadth-first search over the vertices not yet seen, marking them
+    seen: each tree is rooted at the lowest vertex left and grows in
+    incidence order.  Returns (the tree edges in discovery order, each
+    such edge's far endpoint, each tree's vertices in discovery order)."""
     inc = g.incidence
-    out = []
+    tree_edges: list[int] = []
+    far: list[int] = []
+    trees = []
     for r in range(g.n):
-        if seen[r] or not live[r]:
+        if seen[r]:
             continue
-        seen[r] = 1
-        comp = [r]
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            for _, w in inc[v]:
-                if live[w] and not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        out.append(comp)
-    return out
+        seen[r] = True
+        tree = [r]
+        for x in tree:  # the list grows as the search discovers vertices
+            for e, w in inc[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    tree_edges.append(e)
+                    far.append(w)
+                    tree.append(w)
+        trees.append(tree)
+    return tree_edges, far, trees
 
 
 def is_forest(g: SimpleGraph) -> bool:
@@ -253,21 +258,29 @@ def _fvs_search(g: SimpleGraph, alive: bytearray, deg: list[int],
 
 def _core_components(g: SimpleGraph, core: bytearray) -> list[tuple[list[int], SimpleGraph]]:
     """The components of the live vertices, ordered by least vertex, each as
-    (its vertices ascending, the subgraph it induces).  The subgraph numbers
-    the vertices in that order and keeps g's edge order, so _cycle walks it
-    exactly as it walks the component inside g."""
-    comps = _components(g, core)
-    comp_of = [0] * g.n
-    local = [0] * g.n
-    for c, verts in enumerate(comps):
+    (its vertices ascending, the subgraph it induces), so _cycle walks each
+    subgraph exactly as it walks the component inside g."""
+    comps = [sorted(tree) for tree in _bfs(g, [not live for live in core])[2]]
+    return list(zip(comps, _induced(g, comps)[0]))
+
+
+def _induced(g: SimpleGraph, parts: list[list[int]]
+             ) -> tuple[list[SimpleGraph], list[int | None]]:
+    """The subgraphs that disjoint ascending vertex lists induce in g, each
+    numbering its vertices in list order and keeping g's edge order, and
+    per vertex of g its number in its part (None if in no part)."""
+    part = [-1] * g.n
+    local: list[int | None] = [None] * g.n
+    for p, verts in enumerate(parts):
         for i, v in enumerate(verts):
-            comp_of[v] = c
+            part[v] = p
             local[v] = i
-    edges = [[] for _ in comps]
+    edges = [[] for _ in parts]
     for u, v in g.edges:
-        if core[u] and core[v]:
-            edges[comp_of[u]].append((local[u], local[v]))
-    return [(verts, SimpleGraph(len(verts), es)) for verts, es in zip(comps, edges)]
+        p = part[u]
+        if p >= 0 and p == part[v]:
+            edges[p].append((local[u], local[v]))
+    return [SimpleGraph(len(verts), es) for verts, es in zip(parts, edges)], local
 
 
 def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
@@ -301,17 +314,8 @@ def remove_vertices(g: SimpleGraph, s: VertexSet) -> tuple[SimpleGraph, list[int
     """Induced subgraph on V(g) minus s, plus the old->new vertex index map."""
     if s.n != g.n:
         raise ValueError("vertex set belongs to a different graph")
-    vmap: list[int | None] = [0] * g.n
+    drop = [False] * g.n
     for v in s:  # byte-wise; testing s.mask per vertex is O(n^2 / 64)
-        vmap[v] = None
-    kept = 0
-    for v in range(g.n):
-        if vmap[v] is not None:
-            vmap[v] = kept
-            kept += 1
-    edges = [
-        (vmap[u], vmap[v])
-        for u, v in g.edges
-        if vmap[u] is not None and vmap[v] is not None
-    ]
-    return SimpleGraph(kept, edges), vmap
+        drop[v] = True
+    (sub,), vmap = _induced(g, [[v for v in range(g.n) if not drop[v]]])
+    return sub, vmap

@@ -67,12 +67,11 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
          if not any(v in bag_sets[x] for x in holders[u])],
         "edge of the target graph fits in no bag",
         "edges of the target graph fit in no bag", "{%d,%d}")
-    for e, (p, q) in enumerate(b.shape.edges):
-        extra = set(b.adhesions[e]) - (bag_sets[p] & bag_sets[q])
-        if extra:
-            problems.append(
-                f"adhesion of shape edge {e} is not contained in both bags: "
-                f"{sorted(extra)}")
+    problems += _summary(
+        [e for e, ((p, q), a) in enumerate(zip(b.shape.edges, b.adhesions))
+         if not (bag_sets[p].issuperset(a) and bag_sets[q].issuperset(a))],
+        "shape edge has an adhesion not contained in both of its bags",
+        "shape edges have adhesions not contained in both of their bags")
     # gluing completeness: per X-vertex, its bags form a connected shape
     # subgraph, and it belongs to the adhesion of every edge inside
     inc = b.shape.incidence

@@ -13,8 +13,9 @@ root-to-leaves filter pass, which turns masks into the image subdiagram,
 runs only in image_tree.
 
 inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
-says whether combination j keeps the element; a plan edge restricts only
-its parent p by its child c's rows (Yannakakis's upward semijoin pass), in
+says whether combination j keeps the element; a pinned vertex is a leaf
+that restricts each neighbour once, and a plan edge restricts only its
+parent p by its child c's rows (Yannakakis's upward semijoin pass), in
 O(|d(c)| + |d(p)| + |d(e)|) B-bit word operations for B combinations.
 That is ceil(w^k / B) sweeps in Sum |d(v)| * B bits of state, within the
 paper's O(w^k * w^2 * n).  section_tests, forest_initial and image_tree run
@@ -38,7 +39,7 @@ from .diagram import (
     filter_edges,
     restrict_to_subgraph,
 )
-from .graphs import SimpleGraph, VertexSet, fvs_exact
+from .graphs import SimpleGraph, VertexSet, _bfs, fvs_exact
 
 
 @dataclass(frozen=True)
@@ -105,45 +106,27 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int],
     """The sweep schedule of g minus s: (edge ids leaves-to-root, each such
     edge's child endpoint, the root of every component in ascending order).
 
-    One BFS per component, rooted at its lowest vertex and following
-    incidence order, serves as component finder, forest check (g - s is a
-    forest iff the BFS discovers all of its edges) and schedule: reversed
-    discovery order runs leaves-to-root, discovery order root-to-leaves.
+    One breadth-first search of g minus s serves as component finder,
+    forest check (g - s is a forest iff the search discovers all of its
+    edges) and schedule: reversed discovery order runs leaves-to-root,
+    discovery order root-to-leaves.
     """
     if s is not None and s.n != g.n:
         raise ValueError("vertex set belongs to a different shape")
-    inc = g.incidence
     seen = [False] * g.n
     inner = g.m
     if s:
+        inc = g.incidence
         for v in s:  # byte-wise; testing s.mask per vertex is O(n^2 / 64)
             seen[v] = True
-        inner -= sum(1 for u, v in g.edges if seen[u] or seen[v])
-    order: list[int] = []
-    kids: list[int] = []
-    roots = []
-    for r in range(g.n):
-        if seen[r]:
-            continue
-        seen[r] = True
-        roots.append(r)
-        queue = [r]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for e, w in inc[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(e)
-                    kids.append(w)
-                    queue.append(w)
+        inner -= len({e for v in s for e, _ in inc[v]})
+    order, kids, trees = _bfs(g, seen)
     if len(order) != inner:
         raise ValueError("shape is not a forest" if s is None else
                          "supplied vertex set is not a feedback vertex set")
     order.reverse()
     kids.reverse()
-    return order, kids, roots
+    return order, kids, [tree[0] for tree in trees]
 
 
 def _leaves_to_root(d: CoDecomposition, m: SubMask,
@@ -259,12 +242,14 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
 
     Each arc of edge e from c into p runs once for the whole block: it ORs
     c's rows into hits per element of d(e) and keeps in p's rows only the
-    hits at p's leg value.  A pinned vertex's edge runs the arc into it,
-    then the arc out, which leaves both ends as a two-sided filter would; a
-    plan edge runs the arc from child into parent, so a vertex's rows keep
-    what extends over its subtree.  Returns (state, start, the bits of the
-    combinations whose test is nonempty): state[start[v] + a] has bit b
-    set iff combination lo + b keeps element a at v.  start[v] is -1 for an
+    hits at p's leg value.  A pinned vertex is a leaf: each of its edges
+    runs one arc, out of it, and its rows stay one-hot at its pinned value
+    unless another pinned vertex restricts them.  A plan edge runs the arc
+    from child into parent, so a vertex's rows keep what extends over its
+    subtree, and a combination that some arc empties dies at a root or at
+    a pinned vertex.  Returns (state, start, the bits of the combinations
+    whose test is nonempty): state[start[v] + a] has bit b set iff
+    combination lo + b keeps element a at v.  start[v] is -1 for an
     unpinned vertex without edges, which keeps all of its elements.  The
     rows share one flat list, so a sweep leaves no per-vertex containers
     for the garbage collector to trace.
@@ -288,7 +273,7 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     tables = d.tables
     edge_size = d.edge_size
     up, kids, roots = plan
-    pin_arcs = ((e, c) for v in pinned for e, q in inc[v] for c in (q, v))
+    pin_arcs = ((e, v) for v in pinned for e, _ in inc[v])
     for e, c in itertools.chain(pin_arcs, zip(up, kids)):
         u, v = edges[e]
         tu, tv = tables[e]

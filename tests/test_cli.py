@@ -65,6 +65,9 @@ def test_solve_supplied_fvs(tmp_path, capsys):
     assert code == 0 and out[-1] == "EMPTY"
     code, _, err = run(capsys, ["solve", path, "--fvs", ""])
     assert code == 2 and "feedback vertex set" in err
+    code, out, err = run(capsys, ["solve", path, "--fvs-max", "-1"])
+    assert code == 2 and out == []
+    assert err == "error: k_max must be >= 0\n"
 
 
 def _huge_edge_set(doc):
@@ -120,6 +123,9 @@ def test_oracle_command(tmp_path, capsys):
     assert code == 1
     assert "family_count=2" in out
     assert out[-1] == "NONEMPTY"
+    path = write(tmp_path, "c4.json", jsonio.diagram_to_json(c4_example()))
+    code, out, _ = run(capsys, ["oracle", path])
+    assert code == 0 and out[-1] == "EMPTY"
 
 
 def test_oracle_cap(tmp_path, capsys):
@@ -255,6 +261,18 @@ def test_hom_uncovered_vertices_are_one_line(tmp_path, capsys):
     assert err == ("error: invalid decomposition: 1048575 vertices of the "
                    "target graph are in no bag: 1, 2, 3, 4, 5, …\n")
     assert len(err.encode()) < 1024
+    # one line per shape edge whose adhesion leaves its bags made 6.5 MB
+    n = 100_000
+    doc = {"X": {"n": 2, "edges": []},
+           "shape": {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+           "bags": [[i % 2] for i in range(n)], "adhesions": [[0]] * (n - 1)}
+    path = write(tmp_path, "adhesions.json", doc)
+    code, out, err = run(capsys, ["hom", path])
+    assert code == 2 and out == []
+    assert err.startswith("error: invalid decomposition: 99999 shape edges "
+                          "have adhesions not contained in both of their "
+                          "bags: 0, 1, 2, 3, 4, …; ")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
 
 
 def run_small(capsys, argv):
@@ -281,12 +299,15 @@ def test_template_above_edge_cap_is_refused(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("n, w, text", [
-    (2 ** 20 + 1, 2, "--n 1048577 exceeds the limit of 1048576"),
-    (10, 2 ** 20 + 1, "--w 1048577 exceeds the limit of 1048576"),
-], ids=["n", "w"])
-def test_gen_above_cap_is_refused(capsys, n, w, text):
-    code, out, err, peak = run_small(capsys, ["gen", "path", "--n", str(n),
+@pytest.mark.parametrize("kind, n, w, text", [
+    ("path", 2 ** 20 + 1, 2, "--n 1048577 exceeds the limit of 1048576"),
+    ("path", 10, 2 ** 20 + 1, "--w 1048577 exceeds the limit of 1048576"),
+    # one draw per vertex pair, and K_1449 has 1 049 076 > 2**20 pairs
+    ("random", 1449, 2, "random graph on 1449 vertices has 1049076 vertex "
+                        "pairs, above the limit of 1048576"),
+], ids=["n", "w", "random"])
+def test_gen_above_cap_is_refused(capsys, kind, n, w, text):
+    code, out, err, peak = run_small(capsys, ["gen", kind, "--n", str(n),
                                               "--w", str(w)])
     assert code == 2 and out == []
     assert err == f"error: {text}\n"
@@ -339,6 +360,10 @@ def test_cset_solve_command(tmp_path, capsys):
     dia_path = write(tmp_path, "cd.json", jsonio.cset_diagram_to_json(d))
     code, out, _ = run(capsys, ["cset-solve", cat_path, dia_path])
     assert code == 1 and out[-1] == "NONEMPTY"
+    dia_path = write(tmp_path, "c4.json", jsonio.cset_diagram_to_json(
+        lift_to_terminal_cset(c4_example())))
+    code, out, _ = run(capsys, ["cset-solve", cat_path, dia_path])
+    assert code == 0 and out[-1] == "EMPTY"
 
 
 def test_cset_solve_duplicate_leg_is_an_error(tmp_path, capsys):
@@ -369,6 +394,8 @@ def test_fvs_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["fvs", path])
     assert code == 0
     assert "k=1" in out
+    code, out, _ = run(capsys, ["fvs", path, "--max", "0"])
+    assert code == 1 and out == ["n=4", "NONE"]
 
 
 def test_fvs_command_reads_a_diagram_shape(tmp_path, capsys):
@@ -381,6 +408,33 @@ def test_fvs_command_reads_a_diagram_shape(tmp_path, capsys):
     path = write(tmp_path, "cd.json", jsonio.cset_diagram_to_json(lifted))
     code, out, _ = run(capsys, ["fvs", path])
     assert code == 0 and out[-2:] == ["k=1", "fvs=0"]
+
+
+@pytest.mark.parametrize("name, text, named", [
+    ("missing.json", None, "cannot read"),
+    ("broken.json", '{"n": ', "invalid JSON"),
+], ids=["missing", "invalid-json"])
+def test_unreadable_input_is_an_error(tmp_path, capsys, name, text, named):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 2 and out == []
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unexpected_exception_is_an_error(tmp_path, capsys, monkeypatch):
+    import limsolve.cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(limsolve.cli, "inlim", crash)
+    path = write(tmp_path, "c4.json", jsonio.diagram_to_json(c4_example()))
+    code, out, err = run(capsys, ["solve", path])
+    assert code == 2 and out == []
+    assert err == "error: RuntimeError: boom\n"
 
 
 def test_gen_is_seed_stable(capsys):

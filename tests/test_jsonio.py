@@ -290,6 +290,8 @@ _PARSE_ERRORS = {
                      "leg 2: vertex 0 is not an endpoint of edge 1"),
     "missing-leg": (lambda doc: doc["legs"].pop(3),
                     "edge 1: exactly two legs required"),
+    "vertex-set-count": (lambda doc: doc["vertex_sets"].pop(),
+                         "diagram: one vertex set per shape vertex required"),
 }
 
 
@@ -379,7 +381,12 @@ def _fincat_doc(key, value):
     (_fincat_doc("comp", 5), "category: comp must be a list"),
     (_fincat_doc("comp", [[0, -1, -1], 5, [2, -1, -1]]),
      "category: comp row 1 must be a list"),
-], ids=["morphisms-int", "identities-int", "comp-int", "comp-row-int"])
+    (_fincat_doc("morphisms", [{"id": 0, "src": 0, "tgt": 0},
+                               {"id": 0, "src": 1, "tgt": 1},
+                               {"id": 2, "src": 0, "tgt": 1}]),
+     "category: bad or duplicate morphism id 0"),
+], ids=["morphisms-int", "identities-int", "comp-int", "comp-row-int",
+        "duplicate-id"])
 def test_fincat_parse_error_texts(doc, text):
     with pytest.raises(jsonio.ParseError) as err:
         jsonio.parse_fincat(doc)

@@ -22,6 +22,7 @@ from limsolve import (
     SectionAssignment,
     SimpleGraph,
     VertexSet,
+    Witness,
     brute_image,
     enumerate_limit,
     extract_witness,
@@ -172,6 +173,15 @@ def test_inlim_untwisted_c4_nonempty():
     result = inlim(d, want_witness=True)
     assert not result.verdict.empty_limit
     assert witness_violations(d, result.witness) == []
+
+
+def test_witness_violations_texts():
+    d = path_example()  # families (c, β, r) and (c, β, s)
+    assert witness_violations(d, Witness((2, 1, 0), (1, 1))) == []
+    assert witness_violations(d, Witness((2, 1), (1, 1))) == \
+        ["witness arity differs from shape"]
+    assert witness_violations(d, Witness((0, 1, 0), (1, 1))) == \
+        ["edge 0: endpoint values map to 0 and 1, edge element is 1"]
 
 
 def test_inlim_zero_vertex_shape_nonempty():
@@ -453,9 +463,10 @@ def test_sweep_rows_extend_over_the_subtree():
 
 
 def test_sweep_rows_with_a_pinned_hub():
-    # a hub of degree 2 or 3 pinned over a planted tree: its arcs run into
-    # the hub, then into the neighbour, and every surviving combination's
-    # rows keep what extends over the subtree with the hub fixed
+    # a hub of degree 2 or 3 pinned over a planted tree: each of its arcs
+    # runs out of the hub into a neighbour, so the hub's rows stay its digit
+    # rows in every combination, and every surviving combination's rows
+    # keep what extends over the subtree with the hub fixed
     from limsolve.solver import _forest_plan, _sliced_sweep
 
     w = 3
@@ -472,6 +483,7 @@ def test_sweep_rows_with_a_pinned_hub():
         assert alive  # the planted family survives
         below = _subtrees(shape, pinned=(n,))
         for b in range(w):
+            assert _rows(state, start, n, w, b) == {b}, (seed, b)
             if not alive >> b & 1:
                 continue
             pinned = CoDecomposition(
@@ -481,7 +493,6 @@ def test_sweep_rows_with_a_pinned_hub():
             for u, keep in below.items():
                 assert _rows(state, start, u, w, b) \
                     == _extending(pinned, u, keep | {n}), (seed, b, u)
-            assert _rows(state, start, n, w, b) == {b}
             checked += 1
     assert checked >= 40
 
