@@ -148,10 +148,14 @@ def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
     """Sizes, identities and functoriality of one C-set: tables[f] is the
     action of morphism f, sizes[c] the size of its set at object c, and
     pairs the (g, f, comp[g][f]) triples of the composable pairs."""
-    if len(tables) != cat.morphism_count:
+    if type(tables) not in (list, tuple) or len(tables) != cat.morphism_count:
         return ["one action per category morphism required"]
     problems = []
     for f, (table, c0, c1) in enumerate(zip(tables, cat.src, cat.tgt)):
+        if type(table) not in (list, tuple):
+            problems.append(f"action of morphism {f}: table is not a list "
+                            f"or tuple")
+            continue
         if len(table) != sizes[c0]:
             problems.append(f"action of morphism {f}: wrong source size")
         if not tables_fit([table], [len(table)], [sizes[c1]]):
@@ -178,7 +182,8 @@ def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
     whose set at object c has size sizes[c][i]: checked a morphism at a
     time over all the C-sets at once, with no Python step per C-set for
     an identity."""
-    if set(map(len, actions)) - {cat.morphism_count}:
+    if not (set(map(type, actions)) <= {list, tuple}
+            and set(map(len, actions)) <= {cat.morphism_count}):
         return False
     columns = list(zip(*actions)) or [()] * cat.morphism_count
     for col, c0, c1 in zip(columns, cat.src, cat.tgt):
@@ -222,6 +227,8 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
     arrows = [(f, d.slices[c0].tables, d.slices[c1].tables)
               for f, (c0, c1) in enumerate(zip(cat.src, cat.tgt))
               if f not in cat.identity]
+    if not arrows:  # a discrete C: every square is an identity's
+        return problems
     for e, (u, v) in enumerate(d.shape.edges):
         edge_tables = d.edge_actions[e]
         for side, x in enumerate((u, v)):

@@ -15,9 +15,10 @@ diagram makes no per-set objects.
 Subdiagrams never copy the base diagram: they are bitmasks over its
 sets (one mask per vertex set, one per edge set, whose bit a is set when
 element a is kept).  The mask invariant is leg-closure: masked vertex
-elements must map into the masked edge set.  Narrowing masks edge by edge
-is what the solver's whole running-time story rests on, so ``filter_edge``
-mutates its mask in place.
+elements must map into the masked edge set.  ``filter_edge`` narrows a
+mask edge by edge, in place.  It is the one-combination reference that
+image_tree, forest_initial and section_tests run on and that inlim's
+bit-sliced sweep is tested against; inlim itself never calls it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import partial
 from itertools import chain
 from operator import lt
 
-from .graphs import SimpleGraph, VertexSet, remove_vertices
+from .graphs import SimpleGraph, VertexSet, all_pairs, remove_vertices
 
 
 def bits(mask: int):
@@ -46,10 +47,13 @@ def mask_of(indices) -> int:
 
 
 def tables_fit(tables, sources: list[int], targets: list[int]) -> bool:
-    """Whether every tables[i] has length sources[i] and int (not bool)
-    entries in [0, targets[i]): a few passes over all the tables at once,
-    without a Python step per table.  When the largest entry is below the
-    smallest target, no table's own largest entry is needed."""
+    """Whether every tables[i] is a list or tuple of length sources[i] with
+    int (not bool) entries in [0, targets[i]): a few passes over all the
+    tables at once, without a Python step per table.  When the largest
+    entry is below the smallest target, no table's own largest entry is
+    needed."""
+    if not set(map(type, tables)) <= {list, tuple}:
+        return False
     entries = list(chain.from_iterable(tables))
     return (list(map(len, tables)) == sources
             and set(map(type, entries)) <= {int}
@@ -81,7 +85,7 @@ class CoDecomposition:
     """
 
     __slots__ = ("shape", "vertex_size", "edge_size", "tables",
-                 "vertex_labels", "edge_labels", "_edge_data")
+                 "vertex_labels", "edge_labels")
 
     def __init__(self, shape: SimpleGraph, vertex_size: list[int],
                  edge_size: list[int], tables: list[tuple],
@@ -99,16 +103,13 @@ class CoDecomposition:
         self.tables = tables
         self.vertex_labels = vertex_labels or {}
         self.edge_labels = edge_labels or {}
-        self._edge_data = None
 
     @property
     def edge_data(self) -> list[tuple[int, int, tuple, tuple]]:
-        """Per edge: (u, v, table at u, table at v); cached.  This is the
-        view filter_edges reads."""
-        if self._edge_data is None:
-            self._edge_data = [(u, v, tu, tv) for (u, v), (tu, tv)
-                               in zip(self.shape.edges, self.tables)]
-        return self._edge_data
+        """Per edge: (u, v, table at u, table at v), built afresh from the
+        columns on every read."""
+        return [(u, v, tu, tv) for (u, v), (tu, tv)
+                in zip(self.shape.edges, self.tables)]
 
     def width(self) -> int:
         """Largest vertex set size (the w of the running-time bounds)."""
@@ -157,15 +158,16 @@ class Verdict:
 
 def validate(d: CoDecomposition) -> list[str]:
     """All diagram invariants; returns a list of violations, empty when ok.
-    A leg table entry must be an int (not a bool) in [0, edge set size),
-    a label key must be a set index, and a labelled set needs one distinct
-    label per element."""
+    Each edge needs a pair of leg tables, a table entry must be an int
+    (not a bool) in [0, edge set size), a label key must be a set index,
+    and a labelled set needs one distinct label per element."""
     problems = []
     # the common case, every table fine, takes no Python step per table;
     # _table_problems then finds, and names, what is wrong
-    if not tables_fit(list(chain.from_iterable(d.tables)),
-                      [d.vertex_size[x] for uv in d.shape.edges for x in uv],
-                      [size for size in d.edge_size for _ in (0, 1)]):
+    if not (all_pairs(d.tables) and tables_fit(
+            list(chain.from_iterable(d.tables)),
+            [d.vertex_size[x] for uv in d.shape.edges for x in uv],
+            [size for size in d.edge_size for _ in (0, 1)])):
         problems += _table_problems(d)
     # only the labelled sets are read: no Python step per unlabelled set
     for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
@@ -184,8 +186,15 @@ def validate(d: CoDecomposition) -> list[str]:
 def _table_problems(d: CoDecomposition) -> list[str]:
     problems = []
     for e, ((u, v), pair) in enumerate(zip(d.shape.edges, d.tables)):
+        if not all_pairs([pair]):
+            problems.append(f"edge {e}: legs are not a pair of tables")
+            continue
         size = d.edge_size[e]
         for x, table in zip((u, v), pair):
+            if type(table) not in (list, tuple):
+                problems.append(f"leg of edge {e} at vertex {x}: table is "
+                                f"not a list or tuple")
+                continue
             if len(table) != d.vertex_size[x]:
                 problems.append(
                     f"leg of edge {e} at vertex {x}: source size "
@@ -242,9 +251,11 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
     """
     vert = m.vertex
     edge = m.edge
-    edge_data = d.edge_data
+    edges = d.shape.edges
+    tables = d.tables
     for e in eids:
-        u, v, tu, tv = edge_data[e]
+        u, v = edges[e]
+        tu, tv = tables[e]
         hit_u = table_image(tu, vert[u])
         hit_v = table_image(tv, vert[v])
         common = hit_u & hit_v

@@ -32,13 +32,13 @@ class SimpleGraph:
         if n > MAX_SET_SIZE:  # before any edge is read
             raise ValueError(f"vertex count {n} exceeds the limit of "
                              f"{MAX_SET_SIZE} vertices")
-        edges = tuple(map(tuple, edges))
+        edges = tuple(edges)
         # the common case, every edge fine, takes no Python step per edge;
         # _edge_errors then finds, and names, what is wrong
         if not _edges_fit(n, edges):
             _edge_errors(n, edges)
         self.n = n
-        self.edges = edges
+        self.edges = tuple(map(tuple, edges))
         self._incidence = None
 
     @property
@@ -68,11 +68,17 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={list(self.edges)!r})"
 
 
+def all_pairs(items) -> bool:
+    """Whether every item is a list or tuple of length 2, in two passes."""
+    return (set(map(type, items)) <= {list, tuple}
+            and set(map(len, items)) <= {2})
+
+
 def _edges_fit(n: int, edges: tuple) -> bool:
-    """Whether every edge is a pair of distinct int (not bool) vertex ids
-    in [0, n) and no two edges join the same pair: a few passes over all
-    the edges at once."""
-    if not set(map(len, edges)) <= {2}:
+    """Whether every edge is a pair (all_pairs) of distinct int (not bool)
+    vertex ids in [0, n) and no two edges join the same pair: a few passes
+    over all the edges at once."""
+    if not all_pairs(edges):
         return False
     us = list(map(itemgetter(0), edges))
     vs = list(map(itemgetter(1), edges))
@@ -87,8 +93,11 @@ def _edges_fit(n: int, edges: tuple) -> bool:
 
 
 def _edge_errors(n: int, edges) -> None:
-    """Raise the ValueError that names the first bad edge, edge by edge."""
-    edges = tuple((u, v) for u, v in edges)
+    """Raise the ValueError that names the first bad edge: the first edge
+    that is not a pair, then, edge by edge, the first other fault."""
+    for i, e in enumerate(edges):
+        if not all_pairs([e]):
+            raise ValueError(f"edge {i} is not a pair of vertex ids")
     seen = set()
     for u, v in edges:
         if type(u) is not int or type(v) is not int:

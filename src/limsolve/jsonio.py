@@ -56,10 +56,6 @@ def _int(value, where: str) -> int:
 def parse_graph(obj, where: str = "graph") -> SimpleGraph:
     n = _require(obj, "n", where)
     edges = _require_list(obj, "edges", where)
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
-        for i, e in enumerate(edges):
-            if not isinstance(e, list) or len(e) != 2:
-                raise ParseError(f"{where}: edge {i} is not a pair of vertex ids")
     try:
         return SimpleGraph(n, edges)
     except ValueError as exc:
@@ -77,9 +73,15 @@ def graph_to_json(g: SimpleGraph) -> dict:
 # valid, so it is resolved to sizes and index tables before the shared
 # checks and never reaches a walk.
 
-def _walk_found_nothing(where: str):
-    return AssertionError(f"{where}: the one-pass check refused what the "
-                          f"named-error walk accepts")
+def _or_named(read, walk, *args):
+    """read, the one-pass result of a section of a document, unless it is
+    None: then walk(*args) raises the ParseError that names the section's
+    first problem."""
+    if read is not None:
+        return read
+    walk(*args)
+    raise AssertionError(f"{walk.__name__}: the named-error walk accepts "
+                         f"what the one-pass check refused")
 
 
 def _read_sets(raw: list) -> tuple[list, dict] | None:
@@ -133,14 +135,6 @@ def _set_errors(raw: list, where: str) -> None:
             raise ParseError(f"{at}: labels must be pairwise distinct")
 
 
-def _sets(raw: list, where: str) -> tuple[list, dict]:
-    read = _read_sets(raw)
-    if read is None:
-        _set_errors(raw, where)
-        raise _walk_found_nothing(where)
-    return read
-
-
 def _set_to_json(size: int, labels) -> dict:
     if labels is not None:
         return {"elements": list(labels)}
@@ -168,8 +162,7 @@ def _index_tables(maps: list, sources: list, targets: list,
     if dict in set(map(type, maps)):
         maps = [_resolved(t, *labels_of(i)) if type(t) is dict else t
                 for i, t in enumerate(maps)]
-    if not (set(map(type, maps)) <= {list, tuple}
-            and tables_fit(maps, sources, targets)):
+    if not tables_fit(maps, sources, targets):
         return None
     return list(map(tuple, maps))
 
@@ -191,16 +184,18 @@ def _table_error(obj, source: int, target: int, source_labels,
                 raise ParseError(f"{where}: unknown target element '{val}'")
         return
     try:
-        table = tuple(table)
+        entries = tuple(table)
     except TypeError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    if len(table) != source:
+    if len(entries) != source:
         raise ParseError(f"{where}: table length differs from source size")
-    for i, t in enumerate(table):
+    for i, t in enumerate(entries):
         # bool is an int subclass but no element index
         if type(t) is not int or not 0 <= t < target:
             raise ParseError(f"{where}: table entry {t!r} at {i} is not an "
                              f"integer below target size {target}")
+    if type(table) not in (list, tuple):  # "" into an empty set
+        raise ParseError(f"{where}: map must be a list or an object")
 
 
 def _table_to_json(table, source_labels, target_labels):
@@ -287,25 +282,25 @@ def _leg_tables(maps: list, shape: SimpleGraph, vsizes: list, esizes: list,
 def parse_diagram(obj) -> CoDecomposition:
     """Read a diagram straight into the columns of a CoDecomposition."""
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
-    vsizes, vlabels = _sets(_require_list(obj, "vertex_sets", "diagram"),
-                            "vertex set")
-    esizes, elabels = _sets(_require_list(obj, "edge_sets", "diagram"),
-                            "edge set")
+    raw = _require_list(obj, "vertex_sets", "diagram")
+    vsizes, vlabels = _or_named(_read_sets(raw), _set_errors, raw,
+                                "vertex set")
+    raw = _require_list(obj, "edge_sets", "diagram")
+    esizes, elabels = _or_named(_read_sets(raw), _set_errors, raw, "edge set")
     if len(vsizes) != shape.n:
         raise ParseError("diagram: one vertex set per shape vertex required")
     if len(esizes) != shape.m:
         raise ParseError("diagram: one edge set per shape edge required")
     raw = _require_list(obj, "legs", "diagram")
     maps = _leg_entries(raw, shape, "map")
-    tables = None if maps is None else _leg_tables(
-        maps, shape, vsizes, esizes, vlabels, elabels)
-    if tables is None:
-        def leg_error(leg, e, x, where):
-            _table_error(leg, vsizes[x], esizes[e], vlabels.get(x),
-                         elabels.get(e), where)
 
-        _leg_errors(raw, shape, leg_error)
-        raise _walk_found_nothing("diagram")
+    def leg_error(leg, e, x, where):
+        _table_error(leg, vsizes[x], esizes[e], vlabels.get(x),
+                     elabels.get(e), where)
+
+    tables = _or_named(None if maps is None else _leg_tables(
+        maps, shape, vsizes, esizes, vlabels, elabels),
+        _leg_errors, raw, shape, leg_error)
     return CoDecomposition(shape, vsizes, esizes, tables, vlabels, elabels)
 
 
@@ -411,8 +406,8 @@ def _cset_errors(raw: list, cat: FinCat, where: str) -> None:
     for i, o in enumerate(raw):
         at = f"{where} {i}"
         objects = _require_list(o, "objects", at)
-        _set_errors(objects, f"{at} object")
-        s, lab = _read_sets(objects)
+        s, lab = _or_named(_read_sets(objects), _set_errors, objects,
+                           f"{at} object")
         if len(s) != cat.object_count:
             raise ParseError(f"{at}: one set per C-object required")
         maps = _require_list(o, "actions", at)
@@ -421,14 +416,6 @@ def _cset_errors(raw: list, cat: FinCat, where: str) -> None:
         for f, (a, c0, c1) in enumerate(zip(maps, cat.src, cat.tgt)):
             _table_error(a, s[c0], s[c1], lab.get(c0), lab.get(c1),
                          f"{at} action {f}")
-
-
-def _csets(raw: list, cat: FinCat, where: str):
-    read = _read_csets(raw, cat)
-    if read is None:
-        _cset_errors(raw, cat, where)
-        raise _walk_found_nothing(where)
-    return read
 
 
 def _cset_slices(raw: list, shape: SimpleGraph, nc: int, vsizes, esizes,
@@ -460,29 +447,30 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     """Read a C-set diagram straight into one plain diagram per C-object
     plus the action tables."""
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
-    vsizes, vlabels, vactions = _csets(
-        _require_list(obj, "vertex_csets", "cset diagram"), cat,
-        "vertex C-set")
-    esizes, elabels, eactions = _csets(
-        _require_list(obj, "edge_csets", "cset diagram"), cat, "edge C-set")
+    raw = _require_list(obj, "vertex_csets", "cset diagram")
+    vsizes, vlabels, vactions = _or_named(_read_csets(raw, cat), _cset_errors,
+                                          raw, cat, "vertex C-set")
+    raw = _require_list(obj, "edge_csets", "cset diagram")
+    esizes, elabels, eactions = _or_named(_read_csets(raw, cat), _cset_errors,
+                                          raw, cat, "edge C-set")
     if len(vactions) != shape.n:
         raise ParseError("cset diagram: one vertex C-set per shape vertex required")
     if len(eactions) != shape.m:
         raise ParseError("cset diagram: one edge C-set per shape edge required")
     nc = cat.object_count
     raw = _require_list(obj, "legs", "cset diagram")
-    slices = _cset_slices(raw, shape, nc, vsizes, esizes, vlabels, elabels)
-    if slices is None:
-        def leg_error(leg, e, x, where):
-            maps = _require_list(leg, "maps", where)
-            if len(maps) != nc:
-                raise ParseError(f"{where}: one map per C-object required")
-            for c, m in enumerate(maps):
-                _table_error(m, vsizes[c][x], esizes[c][e], vlabels[c].get(x),
-                             elabels[c].get(e), f"{where} component {c}")
 
-        _leg_errors(raw, shape, leg_error)
-        raise _walk_found_nothing("cset diagram")
+    def leg_error(leg, e, x, where):
+        maps = _require_list(leg, "maps", where)
+        if len(maps) != nc:
+            raise ParseError(f"{where}: one map per C-object required")
+        for c, m in enumerate(maps):
+            _table_error(m, vsizes[c][x], esizes[c][e], vlabels[c].get(x),
+                         elabels[c].get(e), f"{where} component {c}")
+
+    slices = _or_named(
+        _cset_slices(raw, shape, nc, vsizes, esizes, vlabels, elabels),
+        _leg_errors, raw, shape, leg_error)
     return CSetCoDecomposition(cat, shape, slices, vactions, eactions)
 
 

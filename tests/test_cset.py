@@ -274,3 +274,71 @@ def test_columnwise_action_check_agrees_with_the_per_cset_check():
         assert _actions_hold(cat, actions, sizes, pairs) == (not found)
         seen.add(not found)
     assert seen == {True, False}
+    # a table that is no list or tuple fails both checks, not a TypeError
+    actions = [list(tables) for tables in d.vertex_actions]
+    for table in (5, None, "a", {0: 0}, range(1)):
+        actions[0][2] = table
+        assert not _actions_hold(cat, actions, sizes, pairs)
+        assert _action_problems(cat, actions[0], [col[0] for col in sizes],
+                                pairs) == [
+            "action of morphism 2: table is not a list or tuple"]
+
+
+@pytest.mark.parametrize("cat, text", [
+    (FinCat(1, (0,), (), (0,), ((0,),)), "src/tgt length mismatch"),
+    (FinCat(1, (0, 0), (0, 5), (0,), ((0, -1), (1, -1))),
+     "morphism 1: src/tgt out of range"),
+    (FinCat(2, (0,), (0,), (0,), ((0,),)), "one identity per object required"),
+    (FinCat(2, (0, 1, 0), (0, 1, 1), (2, 1), FinCat.walking_arrow().comp),
+     "identity of object 0 is not an endomorphism of it"),
+    (FinCat(1, (0,), (0,), (0,), ((0, 0),)),
+     "composition table must be morphisms x morphisms"),
+    (FinCat(2, (0, 1, 0), (0, 1, 1), (0, 1),
+            ((0, 0, -1), (-1, 1, 2), (2, -1, -1))),
+     "comp[0][1] defined although not composable"),
+    (FinCat(2, (0, 1, 0), (0, 1, 1), (0, 1),
+            ((0, -1, -1), (-1, 1, 2), (-1, -1, -1))),
+     "comp[2][0] missing for composable pair"),
+    # an endomorphism f of the one object with id after f = id
+    (FinCat(1, (0, 0), (0, 0), (0,), ((0, 0), (1, 1))),
+     "left identity law fails at morphism 1"),
+], ids=["src-tgt-length", "src-tgt-range", "identity-count",
+        "identity-endomorphism", "comp-shape", "comp-not-composable",
+        "comp-missing", "left-identity"])
+def test_validate_fincat_refusal_texts(cat, text):
+    assert validate_fincat(cat) == [text]
+
+
+def test_cset_constructor_refusals():
+    d = random_walking_arrow_diagram(random.Random(3), SimpleGraph(
+        2, [(0, 1)]), 2)
+    args = [d.cat, d.shape, d.slices, d.vertex_actions, d.edge_actions]
+    other = CoDecomposition(SimpleGraph(2), [1, 1], [], [])
+    for i, bad, text in [
+            (2, d.slices[:1], "one slice per C-object required"),
+            (2, [d.slices[0], other], "every slice must have the diagram's "
+                                      "shape"),
+            (3, d.vertex_actions[:1], "one C-set per shape vertex required"),
+            (4, [], "one C-set per shape edge required")]:
+        with pytest.raises(ValueError) as err:
+            CSetCoDecomposition(*args[:i], bad, *args[i + 1:])
+        assert str(err.value) == text
+
+
+def test_validate_cset_codecomp_refusal_texts():
+    d = lift_to_terminal_cset(path_example())
+    broken = FinCat(1, (0,), (0,), (0,), ((0, 0),))
+    assert validate_cset_codecomp(CSetCoDecomposition(
+        broken, d.shape, d.slices, d.vertex_actions, d.edge_actions)) == [
+        "category: composition table must be morphisms x morphisms"]
+    actions = list(d.vertex_actions)
+    for tables in ((), 5):
+        actions[1] = tables
+        assert validate_cset_codecomp(CSetCoDecomposition(
+            d.cat, d.shape, d.slices, actions, d.edge_actions)) == [
+            "vertex 1: one action per category morphism required"]
+    # a table that is no sequence is named, not a TypeError
+    actions[1] = (5,)
+    assert validate_cset_codecomp(CSetCoDecomposition(
+        d.cat, d.shape, d.slices, actions, d.edge_actions)) == [
+        "vertex 1: action of morphism 0: table is not a list or tuple"]

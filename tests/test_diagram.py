@@ -101,6 +101,17 @@ def test_validate_fast_check_agrees_with_the_walk():
         assert validate(bad) == walked
         seen.add(not walked)
     assert seen == {True, False}
+    # a table that is no list or tuple is named by both, not a TypeError
+    edge = SimpleGraph(2, [(0, 1)])
+    for table in (5, None, "a", {0: 0}, range(1)):
+        bad = CoDecomposition(edge, [1, 1], [1], [(table, (0,))])
+        assert validate(bad) == _table_problems(bad) == [
+            "leg of edge 0 at vertex 0: table is not a list or tuple"]
+    # and so is an edge whose legs are not a pair of tables
+    for pair in (5, None, ((0,),), ((0,), (0,), (0,))):
+        bad = CoDecomposition(edge, [1, 1], [1], [pair])
+        assert validate(bad) == _table_problems(bad) == [
+            "edge 0: legs are not a pair of tables"]
 
 
 def test_constructor_checks_arity():

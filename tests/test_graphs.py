@@ -14,7 +14,8 @@ from limsolve import (
     is_forest,
     remove_vertices,
 )
-from limsolve.generate import complete_graph, cycle_graph, path_graph, random_graph
+from limsolve.generate import (complete_graph, cycle_graph, generate_instance,
+                               path_graph, random_diagram, random_graph)
 from limsolve.graphs import MAX_SET_SIZE, _core, _cycle
 
 
@@ -293,3 +294,25 @@ def test_vertex_set_iteration_and_len():
     assert len(s) == 3
     assert 5 in s and 3 not in s
     assert sorted(s.complement()) == [0, 1, 3, 4, 6, 7, 8]
+
+
+def test_vertex_set_refuses_out_of_range():
+    for mask in (-1, 8):
+        with pytest.raises(ValueError) as err:
+            VertexSet(3, mask)
+        assert str(err.value) == "vertex mask out of range"
+    with pytest.raises(ValueError) as err:
+        VertexSet.of(3, [0, 3])
+    assert str(err.value) == "vertex 3 out of range for n=3"
+
+
+def test_generators_refuse_bad_parameters():
+    with pytest.raises(ValueError) as err:
+        cycle_graph(2)
+    assert str(err.value) == "a cycle needs at least 3 vertices"
+    with pytest.raises(ValueError) as err:
+        random_diagram(random.Random(0), path_graph(3), 0)
+    assert str(err.value) == "w must be >= 1"
+    with pytest.raises(ValueError) as err:
+        generate_instance("star", 5, 2, seed=0)
+    assert str(err.value) == "unknown instance kind 'star'"

@@ -361,3 +361,37 @@ def test_explicit_empty_adhesions_are_kept():
     edgeless = BagDecomposition(SimpleGraph(2, []), SimpleGraph(2, []),
                                 ((0,), (1,)), adhesions=())
     assert validate_decomposition(edgeless) == []
+
+
+def test_build_hom_codecomp_refuses_an_adhesion_outside_its_bag():
+    # validate_decomposition refuses this first; build_hom_codecomp must
+    # still name it when called on its own
+    b = BagDecomposition(path_graph(3), path_graph(2), [[0, 1], [1, 2]],
+                         [[0, 1]])
+    with pytest.raises(ValueError) as err:
+        build_hom_codecomp(b, K3)
+    assert str(err.value) == \
+        "adhesion of shape edge 0 is not contained in bag 1"
+
+
+def test_hom_exists_with_an_empty_adhesion():
+    # a triangle and a disjoint edge in two bags that share nothing: the
+    # adhesion's hom-set holds one empty map, so every restriction table
+    # is all zeros and the bags are solved independently
+    x = SimpleGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    b = BagDecomposition(x, path_graph(2), [[0, 1, 2], [3, 4]], [[]])
+    assert validate_decomposition(b) == []
+    inst = build_hom_codecomp(b, K3)
+    assert inst.diagram.edge_size == [1]
+    assert all(set(t) == {0} for t in inst.diagram.tables[0])
+    for h in (complete_graph(2), K3, complete_graph(4)):
+        want = find_homomorphism(x, h) is not None
+        assert hom_exists(b, h) == (want, None)
+        found, coloring = hom_exists(b, h, want_coloring=True)
+        assert found == want
+        if want:
+            hedges = set(h.edges) | {(v, u) for u, v in h.edges}
+            assert all((coloring[u], coloring[v]) in hedges
+                       for u, v in x.edges)
+        else:
+            assert coloring is None

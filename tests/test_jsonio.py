@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import pytest
@@ -522,3 +523,117 @@ def test_legs_load_in_any_order(seed):
         assert expected.startswith("ok ")
         rng.shuffle(doc["legs"])
         assert _load_outcome(doc, cat) == expected
+
+
+# Small valid documents with an empty set in them, in size form and in
+# label form; the C-set ones over the walking arrow, whose arrow acts on
+# the empty set.
+def _typed_substitution_bases():
+    plain_sized = {
+        "shape": {"n": 2, "edges": [[0, 1]]},
+        "vertex_sets": [{"size": 0}, {"size": 1}],
+        "edge_sets": [{"size": 2}],
+        "legs": [{"edge": 0, "endpoint": 0, "map": []},
+                 {"edge": 0, "endpoint": 1, "map": [1]}]}
+    plain_labelled = {
+        "shape": {"n": 2, "edges": [[0, 1]]},
+        "vertex_sets": [{"elements": []}, {"elements": ["a"]}],
+        "edge_sets": [{"elements": ["x", "y"]}],
+        "legs": [{"edge": 0, "endpoint": 0, "map": {}},
+                 {"edge": 0, "endpoint": 1, "map": {"a": "y"}}]}
+    cat = jsonio.fincat_to_json(FinCat.walking_arrow())
+
+    def cset(sizes, tables):
+        return {"objects": [{"size": s} for s in sizes],
+                "actions": [{"map": t} for t in tables]}
+
+    one = cset([1, 1], [[0], [0], [0]])
+    cset_sized = {
+        "shape": {"n": 2, "edges": [[0, 1]]},
+        "vertex_csets": [cset([0, 1], [[], [0], []]), one],
+        "edge_csets": [one],
+        "legs": [{"edge": 0, "endpoint": 0, "maps": [{"map": []},
+                                                     {"map": [0]}]},
+                 {"edge": 0, "endpoint": 1, "maps": [{"map": [0]},
+                                                     {"map": [0]}]}]}
+
+    def lcset(names, tables):
+        return {"objects": [{"elements": n} for n in names],
+                "actions": [{"map": t} for t in tables]}
+
+    lone = lcset([["p"], ["q"]], [{"p": "p"}, {"q": "q"}, {"p": "q"}])
+    cset_labelled = {
+        "shape": {"n": 2, "edges": [[0, 1]]},
+        "vertex_csets": [lcset([[], ["q"]], [{}, {"q": "q"}, {}]), lone],
+        "edge_csets": [lone],
+        "legs": [{"edge": 0, "endpoint": 0, "maps": [{"map": {}},
+                                                     {"map": {"q": "q"}}]},
+                 {"edge": 0, "endpoint": 1,
+                  "maps": [{"map": {"p": "p"}}, {"map": {"q": "q"}}]}]}
+    return [(plain_sized, None), (plain_labelled, None), (cset_sized, cat),
+            (cset_labelled, cat)]
+
+
+def _substitutions(doc, value):
+    """doc with one node replaced by value, for every node of doc (the
+    whole document included)."""
+    yield value
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc)
+             if isinstance(doc, list) else ())
+    for key, child in items:
+        for sub in _substitutions(child, value):
+            out = copy.copy(doc)
+            out[key] = sub
+            yield out
+
+
+_TYPED_VALUES = [None, "", "ab", 0, -1, True, 1.5, [], {}, [0], {"a": "x"},
+                 [[0]], "0"]
+
+
+def test_typed_substitutions_load_or_raise_parse_error():
+    # a malformed node of any JSON type is refused with a ParseError, never
+    # a TypeError or the loaders' internal AssertionError
+    loaded = refused = 0
+    for doc, cat in _typed_substitution_bases():
+        assert _load_outcome(doc, cat).startswith("ok ")
+        for value in _TYPED_VALUES:
+            variants = [(d, cat) for d in _substitutions(doc, value)]
+            if cat is not None:
+                variants += [(doc, c) for c in _substitutions(cat, value)]
+            for d, c in variants:
+                try:
+                    if c is None:
+                        jsonio.parse_diagram(d)
+                    else:
+                        jsonio.parse_cset_diagram(d, jsonio.parse_fincat(c))
+                    loaded += 1
+                except jsonio.ParseError:
+                    refused += 1
+    assert loaded and refused
+    for edges in ([(0, 1, 2)], [(0,)], [5], [None]):
+        with pytest.raises(ValueError) as err:
+            SimpleGraph(3, edges)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "edge 0 is not a pair of vertex ids"
+
+
+def test_string_map_into_an_empty_set_is_named():
+    # "" passes the length and entry checks of an empty table, but it is
+    # no table: the walk names it as the one-pass check refuses it
+    (doc, _), _, (cdoc, cat), _ = _typed_substitution_bases()
+    doc["legs"][0]["map"] = ""
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_diagram(doc)
+    assert str(err.value) == "leg 0: map must be a list or an object"
+    cdoc["vertex_csets"][0]["actions"][2]["map"] = ""
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_cset_diagram(cdoc, jsonio.parse_fincat(cat))
+    assert str(err.value) == \
+        "vertex C-set 0 action 2: map must be a list or an object"
+    cdoc["vertex_csets"][0]["actions"][2]["map"] = []
+    cdoc["legs"][0]["maps"][0]["map"] = ""
+    with pytest.raises(jsonio.ParseError) as err:
+        jsonio.parse_cset_diagram(cdoc, jsonio.parse_fincat(cat))
+    assert str(err.value) == \
+        "leg 0 component 0: map must be a list or an object"

@@ -732,3 +732,24 @@ def _image_on_base(d, sigma):
         if new is not None:
             out.edge[old] = img.edge[new]
     return out
+
+
+def test_extract_witness_refusals():
+    # one edge whose legs never agree: a mask that did not go through the
+    # leaves-to-root pass still holds elements with no partner
+    d = CoDecomposition(SimpleGraph(2, [(0, 1)]), [1, 1], [2], [((0,), (1,))])
+    with pytest.raises(ValueError) as err:
+        extract_witness(d, d.full_mask(), SectionAssignment(((0, 5),)))
+    assert str(err.value) == "pinned element 5 out of range at vertex 0"
+    with pytest.raises(ValueError) as err:
+        extract_witness(d, d.full_mask())
+    assert str(err.value) == (
+        "no element of vertex 1 matches the parent across edge 0; mask is "
+        "not swept leaves-to-root")
+    # pinned, vertex 0 is a leaf outside the plan, so only the final check
+    # sees its edge
+    with pytest.raises(ValueError) as err:
+        extract_witness(d, d.full_mask(), SectionAssignment(((0, 0),)))
+    assert str(err.value) == (
+        "extracted family violates edge constraints: edge 0: endpoint "
+        "values map to 0 and 1, edge element is 0")
