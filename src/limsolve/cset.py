@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import CoDecomposition, Verdict, tables_fit, validate
+from .diagram import (CoDecomposition, Verdict, size_problems, sized_problems,
+                      tables_fit)
 from .graphs import SimpleGraph, VertexSet
 from .solver import _resolve_fvs, inlim
 
@@ -200,15 +201,20 @@ def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
 
 
 def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
-    """The category, every slice (validate), every C-set's actions, then
-    the naturality of every leg; returns a list of violations, empty when
-    ok."""
+    """The category, every slice (as validate checks it), every C-set's
+    actions, then the naturality of every leg; returns a list of
+    violations, empty when ok."""
     problems = validate_fincat(d.cat)
     if problems:
         return [f"category: {p}" for p in problems]
     cat = d.cat
+    sized = True
     for c, s in enumerate(d.slices):
-        problems += [f"object {c}: {p}" for p in validate(s)]
+        found = size_problems(s)
+        sized = sized and not found
+        problems += [f"object {c}: {p}" for p in found or sized_problems(s)]
+    if not sized:  # the actions are read against the sizes
+        return problems
     pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
              for f, gf in enumerate(row) if gf != -1]
     for kind, actions, sizes in (

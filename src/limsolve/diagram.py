@@ -158,9 +158,17 @@ class Verdict:
 
 def validate(d: CoDecomposition) -> list[str]:
     """All diagram invariants; returns a list of violations, empty when ok.
-    Each edge needs a pair of leg tables, a table entry must be an int
-    (not a bool) in [0, edge set size), a label key must be a set index,
-    and a labelled set needs one distinct label per element."""
+    A set size must be an int (not a bool) >= 0, each edge needs a pair of
+    leg tables, a table entry must be an int (not a bool) in [0, edge set
+    size), a label key must be a set index, and a labelled set needs a list
+    or tuple of distinct labels, one per element.  The tables and labels
+    are checked against the sizes, so only when every size is one."""
+    return size_problems(d) or sized_problems(d)
+
+
+def sized_problems(d: CoDecomposition) -> list[str]:
+    """The leg tables and labels of d, checked against its set sizes, which
+    must have passed size_problems."""
     problems = []
     # the common case, every table fine, takes no Python step per table;
     # _table_problems then finds, and names, what is wrong
@@ -176,10 +184,26 @@ def validate(d: CoDecomposition) -> list[str]:
                  if type(i) is not int or not 0 <= i < len(sizes)]
         problems += [f"{kind} labels: key {i!r} names no {kind} set"
                      for i in stray]
-        problems += [f"{kind} set {i}: labels {labels[i]!r} are not "
-                     f"{sizes[i]} distinct names"
-                     for i in sorted(labels.keys() - stray)
-                     if not len(labels[i]) == len(set(labels[i])) == sizes[i]]
+        for i in sorted(labels.keys() - stray):
+            names = labels[i]
+            if type(names) not in (list, tuple):
+                problems.append(f"{kind} set {i}: labels {names!r} are not "
+                                f"a list or tuple")
+            elif not len(names) == len(set(names)) == sizes[i]:
+                problems.append(f"{kind} set {i}: labels {names!r} are not "
+                                f"{sizes[i]} distinct names")
+    return problems
+
+
+def size_problems(d: CoDecomposition) -> list[str]:
+    """Each set size that is not an int (bool excluded) >= 0, named; all
+    sizes are checked at once, and walked only to name a problem."""
+    problems = []
+    for kind, sizes in (("vertex", d.vertex_size), ("edge", d.edge_size)):
+        if not (set(map(type, sizes)) <= {int} and min(sizes, default=0) >= 0):
+            problems += [f"{kind} set {i}: size {x!r} is not a non-negative "
+                         f"integer" for i, x in enumerate(sizes)
+                         if type(x) is not int or x < 0]
     return problems
 
 

@@ -2,9 +2,9 @@
 feedback-vertex-set search.
 
 Vertices are the integers 0..n-1.  Edges are unordered pairs; the position
-of a pair in the edge list is its stable edge id.  One breadth-first
-search, _bfs, finds components here and builds the solver's forest plan;
-one builder, _induced, makes every induced subgraph.
+of a pair in the edge list is its stable edge id.  One depth-first
+search, _preorder, finds components here and lays out the solver's forest
+plan; one builder, _induced, makes every induced subgraph.
 """
 
 from __future__ import annotations
@@ -154,33 +154,35 @@ class VertexSet:
 
 def components(g: SimpleGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    return [sorted(tree) for tree in _bfs(g, [False] * g.n)[2]]
+    return [sorted([x for _, x in tree])
+            for tree in _preorder(g, [False] * g.n)]
 
 
-def _bfs(g: SimpleGraph, seen: list[bool]
-         ) -> tuple[list[int], list[int], list[list[int]]]:
-    """Breadth-first search over the vertices not yet seen, marking them
-    seen: each tree is rooted at the lowest vertex left and grows in
-    incidence order.  Returns (the tree edges in discovery order, each
-    such edge's far endpoint, each tree's vertices in discovery order)."""
+def _preorder(g: SimpleGraph, seen: list[bool]) -> list[list[tuple[int, int]]]:
+    """Depth-first search over the vertices not yet seen, marking each seen
+    when it is first reached: each tree is rooted at the lowest vertex left.
+    Returns per tree its (edge id, vertex) pairs in the order the search
+    leaves a stack, each vertex with the edge it was reached by (-1 at the
+    root); every pair but the root's is an incidence pair of g.  On a forest
+    that is a preorder, so every subtree's pairs are contiguous and the
+    reversed list is a post-order."""
     inc = g.incidence
-    tree_edges: list[int] = []
-    far: list[int] = []
     trees = []
     for r in range(g.n):
         if seen[r]:
             continue
         seen[r] = True
-        tree = [r]
-        for x in tree:  # the list grows as the search discovers vertices
-            for e, w in inc[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree_edges.append(e)
-                    far.append(w)
-                    tree.append(w)
+        tree = []
+        stack = [(-1, r)]
+        while stack:
+            reached = stack.pop()
+            tree.append(reached)
+            for arc in inc[reached[1]]:
+                if not seen[arc[1]]:
+                    seen[arc[1]] = True
+                    stack.append(arc)
         trees.append(tree)
-    return tree_edges, far, trees
+    return trees
 
 
 def is_forest(g: SimpleGraph) -> bool:
@@ -269,7 +271,10 @@ def _core_components(g: SimpleGraph, core: bytearray) -> list[tuple[list[int], S
     """The components of the live vertices, ordered by least vertex, each as
     (its vertices ascending, the subgraph it induces), so _cycle walks each
     subgraph exactly as it walks the component inside g."""
-    comps = [sorted(tree) for tree in _bfs(g, [not live for live in core])[2]]
+    # sorted copies a list at its length, a generator's items at the size
+    # the list grew to; these lists live through the whole search
+    comps = [sorted([x for _, x in tree])
+             for tree in _preorder(g, [not live for live in core])]
     return list(zip(comps, _induced(g, comps)[0]))
 
 

@@ -3,12 +3,12 @@
 The paper's reduction, as one core over the base diagram.  Every vertex of
 a feedback vertex set S is pinned to a single element, and one section test
 runs per combination of pinned values; the limit is empty iff every test is
-empty.  The BFS plan of the forest G - S is built once per solve, and its
-edge count is the check that S is a feedback vertex set.  A test filters
-the pinned vertices' edges and runs the leaves-to-root pass over the plan:
-afterwards every vertex keeps the elements that extend over its subtree,
-so that pass alone decides the test, and one root-to-leaves walk over the
-same plan reads the witness off the first nonempty test.  The
+empty.  The post-order plan of the forest G - S is built once per solve,
+and its edge count is the check that S is a feedback vertex set.  A test
+filters the pinned vertices' edges and runs the leaves-to-root pass over
+the plan: afterwards every vertex keeps the elements that extend over its
+subtree, so that pass alone decides the test, and one root-to-leaves walk
+over the same plan reads the witness off the first nonempty test.  The
 root-to-leaves filter pass, which turns masks into the image subdiagram,
 runs only in image_tree.
 
@@ -17,10 +17,15 @@ says whether combination j keeps the element; a pinned vertex is a leaf
 that restricts each neighbour once, and a plan edge restricts only its
 parent p by its child c's rows (Yannakakis's upward semijoin pass), in
 O(|d(c)| + |d(p)| + |d(e)|) B-bit word operations for B combinations.
-That is ceil(w^k / B) sweeps in Sum |d(v)| * B bits of state, within the
-paper's O(w^k * w^2 * n).  section_tests, forest_initial and image_tree run
-one test at a time on SubMasks, through the two-sided filter_edges: they
-are the per-combination reference that the tests check the sweep against.
+The plan folds each child into its parent as soon as the child is done,
+so a vertex holds rows only from the first arc into it until its own
+fold; when every child but the first holds less than half of its
+parent's subtree, at most floor(log2 n) + 1 unpinned vertices hold rows
+at once (Sethi & Ullman 1970).  B is sized
+from those rows, not from n: ceil(w^k / B) sweeps, within the paper's
+O(w^k * w^2 * n).  section_tests, forest_initial and image_tree run one
+test at a time on SubMasks, through the two-sided filter_edges: they are
+the per-combination reference that the tests check the sweep against.
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -39,7 +44,7 @@ from .diagram import (
     filter_edges,
     restrict_to_subgraph,
 )
-from .graphs import SimpleGraph, VertexSet, _bfs, fvs_exact
+from .graphs import SimpleGraph, VertexSet, _preorder, fvs_exact
 
 
 @dataclass(frozen=True)
@@ -102,40 +107,104 @@ def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
     return problems
 
 
-def _forest_plan(g: SimpleGraph, s: VertexSet | None = None) -> tuple[list[int], ...]:
-    """The sweep schedule of g minus s: (edge ids leaves-to-root, each such
-    edge's child endpoint, the root of every component in ascending order).
+def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
+                 heavy_first: bool = False) -> list[tuple[int, int]]:
+    """The sweep schedule of g minus s, as (edge id, source) arcs in the
+    order they run.  An arc (e, c) with c >= 0 folds the child c into its
+    parent, the other end of plan edge e; (e, ~u) runs out of the pinned
+    vertex u across e; (-1, r) says that the tree rooted at r is done.
 
-    One breadth-first search of g minus s serves as component finder,
-    forest check (g - s is a forest iff the search discovers all of its
-    edges) and schedule: reversed discovery order runs leaves-to-root,
-    discovery order root-to-leaves.
+    The arcs into pinned vertices come first.  Then each tree of g minus s,
+    rooted at its lowest vertex and in ascending order of root, runs in
+    post-order: per vertex, the arcs into it from pinned vertices, then its
+    own fold into its parent, or its tree's end at the root.  So a vertex
+    is restricted by everything below it before it folds, and every
+    subtree's arcs are contiguous.  With heavy_first, every child but the
+    first to fold into a vertex holds less than half of that vertex's
+    subtree; then at most floor(log2 n) + 1 unpinned vertices are between
+    their first restriction and their own fold at any time (Sethi &
+    Ullman 1970).
+
+    One depth-first search of g minus s serves as component finder, forest
+    check (g - s is a forest iff its edge count is its vertex count minus
+    its tree count) and schedule.
     """
     if s is not None and s.n != g.n:
         raise ValueError("vertex set belongs to a different shape")
     seen = [False] * g.n
-    inner = g.m
+    plan: list[tuple[int, int]] = []
+    into: dict[int, list[tuple[int, int]]] = {}
+    kept = g.n
     if s:
         inc = g.incidence
         for v in s:  # byte-wise; testing s.mask per vertex is O(n^2 / 64)
             seen[v] = True
-        inner -= len({e for v in s for e, _ in inc[v]})
-    order, kids, trees = _bfs(g, seen)
-    if len(order) != inner:
+        for u in s:
+            for e, v in inc[u]:
+                if seen[v]:
+                    plan.append((e, ~u))
+                else:
+                    into.setdefault(v, []).append((e, ~u))
+        kept -= len(s)
+    trees = _preorder(g, seen)
+    # an edge between pinned vertices gave an arc from each end
+    cut = len(plan) // 2 + sum(map(len, into.values()))
+    if g.m - cut != kept - len(trees):
         raise ValueError("shape is not a forest" if s is None else
                          "supplied vertex set is not a feedback vertex set")
-    order.reverse()
-    kids.reverse()
-    return order, kids, [tree[0] for tree in trees]
+    edges = g.edges
+    for tree in trees:
+        post = _heavy_first(edges, tree) if heavy_first else reversed(tree)
+        if into:
+            for arc in post:
+                plan += into.get(arc[1], ())
+                plan.append(arc)
+        else:
+            plan += post
+    return plan
+
+
+def _heavy_first(edges, tree: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (edge id, vertex) pairs of one tree, given in preorder, laid out
+    in post-order with a large child subtree first at every vertex.
+
+    The reversed preorder finishes each subtree after its children; a
+    finished subtree's run joins its parent's run of finished children in
+    front when it is longer than that whole run, else behind.  So every
+    child but the first holds less than half of its parent's subtree,
+    which is all the floor(log2 n) + 1 bound needs, and each arc is copied
+    only into a run at least as long as its own: O(t log t) copies in C.
+    """
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for arc in reversed(tree):
+        e, x = arc
+        run = runs.pop(x, None)  # x's finished children, x still to come
+        if run is None:
+            run = [arc]
+        else:
+            run.append(arc)
+        if e < 0:  # the root: the whole tree is done
+            break
+        u, v = edges[e]
+        p = u ^ v ^ x
+        done = runs.get(p)
+        if done is None:
+            runs[p] = run
+        elif len(run) > len(done):
+            run.extend(done)
+            runs[p] = run
+        else:
+            done.extend(run)
+    return run
 
 
 def _leaves_to_root(d: CoDecomposition, m: SubMask,
-                    plan: tuple[list[int], ...]) -> bool:
+                    plan: list[tuple[int, int]]) -> bool:
     """The first sweep pass, in place and two-sided.  Afterwards every root
     keeps the elements that extend over its tree, so the planned forest
     admits a matching family iff this returns True."""
-    up, _, roots = plan
-    return filter_edges(d, m, up) and all(m.vertex[r] for r in roots)
+    return (filter_edges(d, m, [e for e, c in plan if e >= 0 and c >= 0])
+            and all(m.vertex[r] for e, r in plan if e < 0))
 
 
 def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
@@ -148,7 +217,7 @@ def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
     plan = _forest_plan(d.shape)
     out = m.copy()
     if _leaves_to_root(d, out, plan):
-        filter_edges(d, out, reversed(plan[0]))
+        filter_edges(d, out, [e for e, _ in reversed(plan) if e >= 0])
     else:
         out.zero()
     return out
@@ -206,8 +275,10 @@ def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
     return found
 
 
-# Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // Sum |d(v)|),
-# so the rows of a block hold about 2 MB of bits.
+# Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // held) with
+# held the pinned rows plus (floor(log2 n) + 1) * w, the most rows a sweep
+# of a heavy-first plan holds at once, so those rows hold about 2 MB of
+# bits; a block never exceeds the number of combinations.
 _MIN_BLOCK = 64
 _STATE_BITS = 2 ** 24
 
@@ -237,71 +308,86 @@ def _digit_rows(lo: int, width: int, stride: int, size: int) -> list[int]:
 
 
 def _sliced_sweep(d: CoDecomposition, pinned: list[int],
-                  plan: tuple[list[int], ...], lo: int, width: int):
-    """Run the combinations lo .. lo + width - 1 as one sweep.
+                  plan: list[tuple[int, int]], lo: int, width: int,
+                  keep: bool = False):
+    """Run the combinations lo .. lo + width - 1 as one sweep over the plan.
 
-    Each arc of edge e from c into p runs once for the whole block: it ORs
-    c's rows into hits per element of d(e) and keeps in p's rows only the
-    hits at p's leg value.  A pinned vertex is a leaf: each of its edges
-    runs one arc, out of it, and its rows stay one-hot at its pinned value
-    unless another pinned vertex restricts them.  A plan edge runs the arc
-    from child into parent, so a vertex's rows keep what extends over its
-    subtree, and a combination that some arc empties dies at a root or at
-    a pinned vertex.  Returns (state, start, the bits of the combinations
-    whose test is nonempty): state[start[v] + a] has bit b set iff
-    combination lo + b keeps element a at v.  start[v] is -1 for an
-    unpinned vertex without edges, which keeps all of its elements.  The
-    rows share one flat list, so a sweep leaves no per-vertex containers
-    for the garbage collector to trace.
+    rows[v][a] has bit b set iff combination lo + b keeps element a at v.
+    A pinned vertex starts with its digit rows; an unpinned vertex has no
+    rows, and keeps every element, until an arc restricts it.  Each arc of
+    edge e from c into p runs once for the whole block: it ORs c's rows
+    into hits per element of d(e) and keeps in p's rows only the hits at
+    p's leg value.  A pinned vertex is a leaf: each of its edges runs one
+    arc, out of it, so its rows stay one-hot at its pinned value unless
+    another pinned vertex restricts them.  A child's fold is the last read
+    of its rows, and a root's rows are last read when its tree is done, so
+    both are dropped there unless keep is set: only the vertices between
+    their first restriction and their own fold hold rows.  A combination
+    that some arc empties dies at a root or at a pinned vertex, and the
+    sweep stops once no combination of the block is left.
+
+    Returns (rows, the bits of the combinations whose test is nonempty).
+    Kept rows, of every vertex that an arc restricted, mean what they mean
+    during the sweep: a vertex keeps what extends over its subtree.
     """
-    shape = d.shape
-    inc = shape.incidence
     sizes = d.vertex_size
     full = (1 << width) - 1
-    state: list[int] = []
-    start = [-1] * shape.n
+    rows: dict[int, list[int]] = {}
     stride = 1
     for v in reversed(pinned):
-        start[v] = len(state)
-        state += _digit_rows(lo, width, stride, sizes[v])
+        rows[v] = _digit_rows(lo, width, stride, sizes[v])
         stride *= sizes[v]
-    for v in range(shape.n):
-        if start[v] < 0 and inc[v]:
-            start[v] = len(state)
-            state += [full] * sizes[v]
-    edges = shape.edges
+    take = rows.get if keep else rows.pop
+    edges = d.shape.edges
     tables = d.tables
     edge_size = d.edge_size
-    up, kids, roots = plan
-    pin_arcs = ((e, v) for v in pinned for e, _ in inc[v])
-    for e, c in itertools.chain(pin_arcs, zip(up, kids)):
+    alive = full
+    for e, c in plan:
+        if e < 0:  # the tree of root c is done
+            got = take(c, None)
+            if got is None:  # c has no edge
+                if not sizes[c]:
+                    return rows, 0
+                continue
+            survive = 0
+            for row in got:
+                survive |= row
+            alive &= survive
+            if not alive:
+                return rows, 0
+            continue
+        if c < 0:
+            c = ~c
+            src = rows[c]
+        else:
+            src = take(c, None)
         u, v = edges[e]
         tu, tv = tables[e]
         if c == u:
             tc, p, tp = tu, v, tv
         else:
             tc, p, tp = tv, u, tu
-        sc = start[c]
-        sp = start[p]
-        ep = sp + len(tp)
         hit = [0] * edge_size[e]
-        for row, x in zip(state[sc:sc + len(tc)], tc):
-            hit[x] |= row
-        new = [row & hit[x] for row, x in zip(state[sp:ep], tp)]
+        if src is None:  # a leaf that no arc restricted keeps every element
+            for x in tc:
+                hit[x] = full
+        else:
+            for row, x in zip(src, tc):
+                hit[x] |= row
+        old = rows.get(p)
+        if old is None:
+            new = [hit[x] for x in tp]
+        else:
+            new = [row & hit[x] for row, x in zip(old, tp)]
         if not any(new):  # every test of the block is empty
-            return state, start, 0
-        state[sp:ep] = new
-    alive = full
-    for v in itertools.chain(roots, pinned):
-        if start[v] < 0:
-            if not sizes[v]:
-                return state, start, 0
-            continue
+            return rows, 0
+        rows[p] = new
+    for v in pinned:
         survive = 0
-        for row in state[start[v]:start[v] + sizes[v]]:
+        for row in rows[v]:
             survive |= row
         alive &= survive
-    return state, start, alive
+    return rows, alive
 
 
 def inlim(
@@ -319,44 +405,56 @@ def inlim(
     B: one int per (vertex, element) whose bit j says whether combination
     j keeps that element, and each plan edge restricts its parent by its
     child's rows once per block, in O(|d(c)| + |d(p)| + |d(e)|) B-bit word
-    operations.  That is ceil(w^k / B) sweeps in Sum |d(v)| * B bits of
-    state, where B = max(64, 2^24 // Sum |d(v)|).  The limit is
-    empty iff no combination survives, so the blocks stop at the first one
-    with a survivor.  section_test_count is the index of the first
-    survivor plus one, or every combination when early_exit is off or the
-    limit is empty.  The witness is deterministic: one root-to-leaves walk
-    over the same plan reads the lowest-index extension off the rows of
-    the lexicographically first surviving combination.
+    operations.  The plan runs in post-order and folds into every vertex
+    first a child that leaves each later one less than half of the
+    vertex's subtree, so at most floor(log2 n) + 1 unpinned vertices hold
+    rows at once, and B = max(64, 2^24 // held), capped at w^k, with held
+    the pinned rows plus (floor(log2 n) + 1) * w: that is ceil(w^k / B)
+    sweeps, their number independent of n.  A solve with one combination
+    sweeps once at width 1, so its plan skips that ordering pass and runs
+    in search order.  The limit is empty iff no combination
+    survives, so the blocks stop at the first one with a survivor.
+    section_test_count is the index of the first survivor plus one, or
+    every combination when early_exit is off or the limit is empty.  The
+    witness is deterministic: one root-to-leaves walk over the same plan
+    reads the lowest-index extension off the rows of the lexicographically
+    first surviving combination, kept by a width-1 sweep of that
+    combination alone (the block itself when it has width 1).
     """
     s = _resolve_fvs(d.shape, fvs, k_max)
-    plan = _forest_plan(d.shape, s)
     pinned = list(s)
-    total = math.prod(d.vertex_size[v] for v in pinned)
-    block = max(_MIN_BLOCK, _STATE_BITS // max(1, sum(d.vertex_size)))
+    sizes = d.vertex_size
+    total = math.prod(sizes[v] for v in pinned)
+    plan = _forest_plan(d.shape, s, total > 1)
+    held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()
+    block = max(_MIN_BLOCK, _STATE_BITS // max(1, held))
     lo = 0
     while lo < total:
         width = min(block, total - lo)
-        state, start, alive = _sliced_sweep(d, pinned, plan, lo, width)
+        rows, alive = _sliced_sweep(d, pinned, plan, lo, width,
+                                    want_witness and width == 1)
         if alive:
             break
         lo += width
     else:
         return InLimResult(Verdict(True), None, tuple(s), total)
-    first = alive & -alive
-    witness = (_read_family(d, plan, pinned, state, start, first)
-               if want_witness else None)
+    lo += (alive & -alive).bit_length() - 1  # the first survivor
+    witness = None
+    if want_witness:
+        if width > 1:
+            rows, _ = _sliced_sweep(d, pinned, plan, lo, 1, True)
+        witness = _read_family(d, plan, pinned, rows)
     return InLimResult(Verdict(False), witness, tuple(s),
-                       lo + first.bit_length() if early_exit else total)
+                       lo + 1 if early_exit else total)
 
 
-def _read_family(d: CoDecomposition, plan: tuple[list[int], ...],
-                 pinned: list[int], state: list[int], start: list[int],
-                 first: int) -> Witness:
-    """One matching family, read root-to-leaves over the plan off rows laid
-    out as _sliced_sweep leaves them: element a of vertex c is kept iff
-    start[c] < 0 or bit first is set in state[start[c] + a].
+def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
+                 pinned: list[int], rows: dict[int, list[int]]) -> Witness:
+    """One matching family, read root-to-leaves over the plan off the rows
+    of one combination as a width-1 sweep keeps them: element a of vertex c
+    is kept iff c has no rows or rows[c][a] is set.
 
-    Each root and pinned vertex takes its lowest kept element, and each
+    Each pinned vertex and root takes its lowest kept element, and each
     child its lowest kept element whose leg value matches the parent's.
     That element exists when the rows went through the leaves-to-root pass:
     a kept parent element then matches some child element that extends
@@ -364,25 +462,34 @@ def _read_family(d: CoDecomposition, plan: tuple[list[int], ...],
     d before it is returned.
     """
     vertex: list[int | None] = [None] * d.shape.n
-    up, kids, roots = plan
-    for r in itertools.chain(roots, pinned):
-        i = start[r]
-        vertex[r] = next((a for a in range(d.vertex_size[r])
-                          if i < 0 or state[i + a] & first), None)
+    sizes = d.vertex_size
+
+    def lowest(r: int) -> None:
+        got = rows.get(r)
+        vertex[r] = next((a for a in range(sizes[r])
+                          if got is None or got[a]), None)
         if vertex[r] is None:
             raise ValueError(f"empty image mask at vertex {r}")
+
+    for r in pinned:
+        lowest(r)
     edges = d.shape.edges
     tables = d.tables
-    for e, c in zip(reversed(up), reversed(kids)):
+    for e, c in reversed(plan):
+        if e < 0:
+            lowest(c)
+            continue
+        if c < 0:  # an arc out of a pinned vertex
+            continue
         u, v = edges[e]
         tu, tv = tables[e]
         if c == v:
             table, x = tv, tu[vertex[u]]
         else:
             table, x = tu, tv[vertex[v]]
-        i = start[c]  # a child has an edge, so it has rows
+        got = rows.get(c)
         for a, y in enumerate(table):
-            if y == x and state[i + a] & first:
+            if y == x and (got is None or got[a]):
                 vertex[c] = a
                 break
         else:
@@ -419,10 +526,8 @@ def extract_witness(
         if not 0 <= a < d.vertex_size[v]:
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
     plan = _forest_plan(d.shape, VertexSet.of(n, pinned))
-    state: list[int] = []
-    start = []
+    rows = {}
     for v, size in enumerate(d.vertex_size):
-        start.append(len(state))
         mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]
-        state += [mask >> a & 1 for a in range(size)]
-    return _read_family(d, plan, list(pinned), state, start, 1)
+        rows[v] = [mask >> a & 1 for a in range(size)]
+    return _read_family(d, plan, list(pinned), rows)

@@ -87,6 +87,32 @@ def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexS
     return d, VertexSet.of(n, range(n - k, n))
 
 
+def narrowing_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
+    """A NONEMPTY diagram on the spider of shifted_spider whose root set
+    has one element, which every base edge maps to element w - 1; every
+    other set has w elements and every other leg is the identity.  Branch
+    i's cycle then forces hub i to w - 1, so each branch only narrows
+    which combinations survive at the root, and the only survivor is the
+    last one.  Returns the diagram and its feedback vertex set, the k
+    hubs."""
+    b = (n - 1 - k) // k
+    if 1 + k * b + k != n or b < 2:
+        raise ValueError(f"n={n} does not split into {k} branches")
+    ident = tuple(range(w))
+    edges = []
+    tables = []
+    for i in range(k):
+        branch = range(1 + i * b, 1 + (i + 1) * b)
+        hub = n - k + i
+        edges += [(0, branch[0]), (hub, branch[-1])]
+        edges += [(branch[j], branch[j + 1]) for j in range(b - 1)]
+        edges.append((branch[0], hub))
+        tables += [((w - 1,), ident)] + [(ident, ident)] * (b + 1)
+    d = CoDecomposition(SimpleGraph(n, edges), [1] + [w] * (n - 1),
+                        [w] * len(edges), tables)
+    return d, VertexSet.of(n, range(n - k, n))
+
+
 def random_tree_diagram(seed: int, n_max: int = 10, w: int = 4) -> CoDecomposition:
     rng = random.Random(seed)
     n = rng.randint(1, n_max)

@@ -81,6 +81,36 @@ def test_validate_reads_the_columns():
         CoDecomposition(edge, [1], [2], [((0,), (1,))])
 
 
+def test_validate_names_sizes_and_label_containers():
+    # a size must be an int, not a bool, and >= 0, and labels a list or
+    # tuple: each is named before the tables are checked against the sizes
+    from limsolve import CSetCoDecomposition, validate_cset_codecomp
+    from limsolve.cset import FinCat
+
+    one, edge = SimpleGraph(1), SimpleGraph(2, [(0, 1)])
+    cases = [
+        (CoDecomposition(one, [-1], [], []),
+         ["vertex set 0: size -1 is not a non-negative integer"]),
+        (CoDecomposition(one, [True], [], []),
+         ["vertex set 0: size True is not a non-negative integer"]),
+        (CoDecomposition(edge, [1, 1], ["x"], [((0,), (0,))]),
+         ["edge set 0: size 'x' is not a non-negative integer"]),
+        (CoDecomposition(one, [1], [], [], vertex_labels={0: 5}),
+         ["vertex set 0: labels 5 are not a list or tuple"]),
+    ]
+    for d, texts in cases:
+        assert validate(d) == texts
+    # a walking-arrow C-set whose object-0 slice has a size "x": the
+    # actions, read against the sizes, are not checked
+    d = CSetCoDecomposition(
+        FinCat.walking_arrow(), one,
+        [CoDecomposition(one, ["x"], [], []),
+         CoDecomposition(one, [1], [], [])],
+        [((0,), (0,), (0,))], [])
+    assert validate_cset_codecomp(d) == [
+        "object 0: vertex set 0: size 'x' is not a non-negative integer"]
+
+
 def test_validate_fast_check_agrees_with_the_walk():
     # validate names table problems only when its all-at-once check fails,
     # so that check must fail exactly when the per-table walk finds one

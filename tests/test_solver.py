@@ -12,6 +12,7 @@ from conftest import (
     corpus_bases,
     cospan_example,
     edgeless_diagram,
+    narrowing_spider,
     path_example,
     random_graph_diagram,
     random_tree_diagram,
@@ -363,6 +364,74 @@ def test_inlim_pinned_combinations_share_one_sweep():
     assert large / small <= 20
 
 
+def test_inlim_decide_time_is_linear_in_n_at_fixed_k():
+    # k = 8, w = 3: 6561 combinations, and each branch only narrows which
+    # of them survive at the root, so no block dies early and all of them
+    # are swept.  Blocks are sized from the rows the post-order holds at
+    # once, not from n, so 16 times the vertices cost about 16 times the
+    # time (about 200 times when the width shrank as Sum |d(v)| grew)
+    def solve(n):
+        d, hubs = spiders[n]
+        result = inlim(d, fvs=hubs)
+        assert not result.verdict.empty_limit
+        assert result.section_test_count == 6561
+
+    spiders = {n: narrowing_spider(8, n) for n in (2401, 38401)}
+    small, large = best_of_interleaved(solve, 2401, 38401, repeats=3)
+    assert large / small <= 40, (small, large)
+
+
+def _live_peak(g, plan):
+    """The most unpinned vertices holding rows at once in a sweep of the
+    plan, counted from its arcs: a vertex from the first arc into it until
+    its own fold, or its tree's end."""
+    live = set()
+    most = 0
+    for e, c in plan:
+        if e >= 0:
+            live.add(sum(g.edges[e]) - c)
+            most = max(most, len(live))
+        live.discard(c)
+    return most
+
+
+def _bound_shape(name, n):
+    rng = random.Random(7)
+    if name == "comb":  # each spine vertex meets its tooth before the spine
+        m = n // 2
+        edges = []
+        for x in range(m):
+            edges.append((x, m + x))
+            if x + 1 < m:
+                edges.append((x, x + 1))
+        return SimpleGraph(n, edges)
+    parent = {"path": lambda x: x - 1, "star": lambda x: 0,
+              "binary": lambda x: (x - 1) // 2,
+              "recursive": lambda x: rng.randrange(x)}[name]
+    return SimpleGraph(n, [(parent(x), x) for x in range(1, n)])
+
+
+@pytest.mark.parametrize("name", ["path", "star", "binary", "recursive",
+                                  "comb"])
+def test_plan_holds_logarithmically_many_vertices(name):
+    # every child but the first to fold holds less than half of its
+    # parent's subtree, so at most floor(log2 n) + 1 unpinned vertices
+    # hold rows at once; planning and sweeping 10^5 vertices run without
+    # recursion
+    from limsolve.solver import _forest_plan, _sliced_sweep
+
+    n = 10 ** 5
+    g = _bound_shape(name, n)
+    plan = _forest_plan(g, None, True)
+    peak = _live_peak(g, plan)
+    assert peak <= n.bit_length(), peak
+    d = CoDecomposition(g, [1] * n, [1] * g.m, [((0,), (0,))] * g.m)
+    rows, alive = _sliced_sweep(d, [], plan, 0, 1)
+    assert alive == 1 and rows == {}  # every row dropped after its last read
+    if name == "comb":  # folding in search order, every spine vertex waits
+        assert _live_peak(g, _forest_plan(g)) >= n // 2
+
+
 def test_inlim_never_builds_fibres(monkeypatch):
     import limsolve.diagram
     import limsolve.solver
@@ -431,8 +500,8 @@ def _extending(d, u, keep):
     return {f.vertex_elements[at] for f in enumerate_limit(r.diagram)}
 
 
-def _rows(state, start, v, size, bit):
-    return {a for a in range(size) if start[v] < 0 or state[start[v] + a] >> bit & 1}
+def _rows(rows, v, size, bit):
+    return {a for a in range(size) if v not in rows or rows[v][a] >> bit & 1}
 
 
 def test_sweep_rows_extend_over_the_subtree():
@@ -445,19 +514,19 @@ def test_sweep_rows_extend_over_the_subtree():
     for seed in range(400):
         d = random_tree_diagram(seed)
         plan = _forest_plan(d.shape)
-        state, start, alive = _sliced_sweep(d, [], plan, 0, 1)
+        rows, alive = _sliced_sweep(d, [], plan, 0, 1, True)
         below = _subtrees(d.shape)
         if not alive:  # the block died, so some vertex extends nowhere
             assert not all(_extending(d, u, below[u]) for u in below)
             continue
         swept += 1
         for u, keep in below.items():
-            assert _rows(state, start, u, d.vertex_size[u], 0) \
+            assert _rows(rows, u, d.vertex_size[u], 0) \
                 == _extending(d, u, keep), (seed, u)
         m = d.full_mask()
         assert _leaves_to_root(d, m, plan)
-        for r in plan[2]:
-            assert _rows(state, start, r, d.vertex_size[r], 0) \
+        for r in (r for e, r in plan if e < 0):
+            assert _rows(rows, r, d.vertex_size[r], 0) \
                 == {a for a in range(d.vertex_size[r]) if m.vertex[r] >> a & 1}
     assert swept == 178, swept
 
@@ -479,11 +548,11 @@ def test_sweep_rows_with_a_pinned_hub():
         shape = SimpleGraph(n + 1, list(tree.edges) + hub_edges)
         d = _planted(rng, shape, w)
         plan = _forest_plan(shape, VertexSet.of(n + 1, [n]))
-        state, start, alive = _sliced_sweep(d, [n], plan, 0, w)
+        rows, alive = _sliced_sweep(d, [n], plan, 0, w, True)
         assert alive  # the planted family survives
         below = _subtrees(shape, pinned=(n,))
         for b in range(w):
-            assert _rows(state, start, n, w, b) == {b}, (seed, b)
+            assert _rows(rows, n, w, b) == {b}, (seed, b)
             if not alive >> b & 1:
                 continue
             pinned = CoDecomposition(
@@ -491,7 +560,7 @@ def test_sweep_rows_with_a_pinned_hub():
                 [(tu, tv[b:b + 1] if v == n else tv) for (_, v), (tu, tv)
                  in zip(shape.edges, d.tables)])
             for u, keep in below.items():
-                assert _rows(state, start, u, w, b) \
+                assert _rows(rows, u, w, b) \
                     == _extending(pinned, u, keep | {n}), (seed, b, u)
             checked += 1
     assert checked >= 40
