@@ -300,6 +300,7 @@ def _induced(g: SimpleGraph, parts: list[list[int]]
 def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """A feedback vertex set of minimum size if one of size <= k_max exists.
 
+    g is a forest iff its 2-core is empty, and then the set is empty.
     Each component of the 2-core of g is searched on its own, with what the
     earlier components left of the budget: iterative deepening from its
     2-core, each search node branching on the vertices of one cycle in
@@ -309,10 +310,11 @@ def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if is_forest(g):
+    core = _core(g)[0]
+    if core.find(1) < 0:
         return VertexSet(g.n, 0)
     found: list[int] = []
-    for verts, h in _core_components(g, _core(g)[0]):
+    for verts, h in _core_components(g, core):
         alive, deg = _core(h)
         for k in range(1, k_max - len(found) + 1):
             sub = _fvs_search(h, alive, deg, k)

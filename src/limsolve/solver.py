@@ -14,9 +14,10 @@ runs only in image_tree.
 
 inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
 says whether combination j keeps the element; a pinned vertex is a leaf
-that restricts each neighbour once, and a plan edge restricts only its
-parent p by its child c's rows (Yannakakis's upward semijoin pass), in
-O(|d(c)| + |d(p)| + |d(e)|) B-bit word operations for B combinations.
+that restricts each neighbour once and is done, like a root, at the end
+of the plan, and a plan edge restricts only its parent p by its child c's
+rows (Yannakakis's upward semijoin pass), in O(|d(c)| + |d(p)| + |d(e)|)
+B-bit word operations for B combinations.
 The plan folds each child into its parent as soon as the child is done,
 so a vertex holds rows only from the first arc into it until its own
 fold; when every child but the first holds less than half of its
@@ -43,6 +44,7 @@ from .diagram import (
     Verdict,
     filter_edges,
     restrict_to_subgraph,
+    size_problems,
 )
 from .graphs import SimpleGraph, VertexSet, _preorder, fvs_exact
 
@@ -112,18 +114,19 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
     """The sweep schedule of g minus s, as (edge id, source) arcs in the
     order they run.  An arc (e, c) with c >= 0 folds the child c into its
     parent, the other end of plan edge e; (e, ~u) runs out of the pinned
-    vertex u across e; (-1, r) says that the tree rooted at r is done.
+    vertex u across e; (-1, r) says that r, the root of a tree or a pinned
+    vertex, is done: nothing restricts or reads it later in the sweep.
 
     The arcs into pinned vertices come first.  Then each tree of g minus s,
     rooted at its lowest vertex and in ascending order of root, runs in
     post-order: per vertex, the arcs into it from pinned vertices, then its
     own fold into its parent, or its tree's end at the root.  So a vertex
     is restricted by everything below it before it folds, and every
-    subtree's arcs are contiguous.  With heavy_first, every child but the
-    first to fold into a vertex holds less than half of that vertex's
-    subtree; then at most floor(log2 n) + 1 unpinned vertices are between
-    their first restriction and their own fold at any time (Sethi &
-    Ullman 1970).
+    subtree's arcs are contiguous.  Last, each pinned vertex is done, in
+    ascending order.  With heavy_first, every child but the first to fold
+    into a vertex holds less than half of that vertex's subtree; then at
+    most floor(log2 n) + 1 unpinned vertices are between their first
+    restriction and their own fold at any time (Sethi & Ullman 1970).
 
     One depth-first search of g minus s serves as component finder, forest
     check (g - s is a forest iff its edge count is its vertex count minus
@@ -161,6 +164,8 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
                 plan.append(arc)
         else:
             plan += post
+    # after the last arc out of each, and not counted as edges above
+    plan += [(-1, u) for u in s or ()]
     return plan
 
 
@@ -236,15 +241,11 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     every edge incident to a pinned vertex is filtered (per vertex in
     ascending index order, edges by ascending id); if a mask empties, the
     test is tagged immediately_empty, otherwise the diagram is restricted
-    to the forest obtained by dropping s.  inlim runs the same tests
-    bit-sliced, without restricting.
+    to the forest obtained by dropping s.  An empty s has one combination,
+    the empty one, whose test restricts d to all of its vertices.  inlim
+    runs the same tests bit-sliced, without restricting.
     """
     _forest_plan(d.shape, s)
-    if not s:
-        # empty product has exactly one element; the test diagram is d itself
-        yield SectionTest(SectionAssignment(()), False, d, d.full_mask(),
-                          list(range(d.shape.n)), list(range(d.shape.m)))
-        return
     keep = s.complement()
     pinned = list(s)
     pin_edges = [e for v in pinned for e, _ in d.shape.incidence[v]]
@@ -320,11 +321,12 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     p's leg value.  A pinned vertex is a leaf: each of its edges runs one
     arc, out of it, so its rows stay one-hot at its pinned value unless
     another pinned vertex restricts them.  A child's fold is the last read
-    of its rows, and a root's rows are last read when its tree is done, so
-    both are dropped there unless keep is set: only the vertices between
-    their first restriction and their own fold hold rows.  A combination
-    that some arc empties dies at a root or at a pinned vertex, and the
-    sweep stops once no combination of the block is left.
+    of its rows, and the rows of a root or a pinned vertex are last read at
+    its done-arc, so all are dropped there unless keep is set: only the
+    vertices between their first restriction and their own fold hold rows,
+    and none is left at the end.  A combination survives iff it keeps an
+    element at every done-arc, and the sweep stops once no combination of
+    the block is left.
 
     Returns (rows, the bits of the combinations whose test is nonempty).
     Kept rows, of every vertex that an arc restricted, mean what they mean
@@ -343,7 +345,7 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     edge_size = d.edge_size
     alive = full
     for e, c in plan:
-        if e < 0:  # the tree of root c is done
+        if e < 0:  # c, a root or a pinned vertex, is done
             got = take(c, None)
             if got is None:  # c has no edge
                 if not sizes[c]:
@@ -382,11 +384,6 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
         if not any(new):  # every test of the block is empty
             return rows, 0
         rows[p] = new
-    for v in pinned:
-        survive = 0
-        for row in rows[v]:
-            survive |= row
-        alive &= survive
     return rows, alive
 
 
@@ -420,7 +417,14 @@ def inlim(
     reads the lowest-index extension off the rows of the lexicographically
     first surviving combination, kept by a width-1 sweep of that
     combination alone (the block itself when it has width 1).
+
+    A diagram with a set size that is not an int >= 0 gets no verdict:
+    ValueError names every such size.  The leg tables and labels remain
+    the caller's contract, which validate(d) checks.
     """
+    problems = size_problems(d)
+    if problems:
+        raise ValueError("invalid diagram: " + "; ".join(problems))
     s = _resolve_fvs(d.shape, fvs, k_max)
     pinned = list(s)
     sizes = d.vertex_size
@@ -443,20 +447,21 @@ def inlim(
     if want_witness:
         if width > 1:
             rows, _ = _sliced_sweep(d, pinned, plan, lo, 1, True)
-        witness = _read_family(d, plan, pinned, rows)
+        witness = _read_family(d, plan, rows)
     return InLimResult(Verdict(False), witness, tuple(s),
                        lo + 1 if early_exit else total)
 
 
 def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
-                 pinned: list[int], rows: dict[int, list[int]]) -> Witness:
+                 rows: dict[int, list[int]]) -> Witness:
     """One matching family, read root-to-leaves over the plan off the rows
     of one combination as a width-1 sweep keeps them: element a of vertex c
     is kept iff c has no rows or rows[c][a] is set.
 
-    Each pinned vertex and root takes its lowest kept element, and each
-    child its lowest kept element whose leg value matches the parent's.
-    That element exists when the rows went through the leaves-to-root pass:
+    Each pinned vertex and root takes its lowest kept element at its
+    done-arc, which the reversed plan meets before the vertex's subtree,
+    and each child its lowest kept element whose leg value matches the
+    parent's.  That element exists when the rows went through the leaves-to-root pass:
     a kept parent element then matches some child element that extends
     over the child's subtree.  The family is checked against every edge of
     d before it is returned.
@@ -471,8 +476,6 @@ def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
         if vertex[r] is None:
             raise ValueError(f"empty image mask at vertex {r}")
 
-    for r in pinned:
-        lowest(r)
     edges = d.shape.edges
     tables = d.tables
     for e, c in reversed(plan):
@@ -530,4 +533,4 @@ def extract_witness(
     for v, size in enumerate(d.vertex_size):
         mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]
         rows[v] = [mask >> a & 1 for a in range(size)]
-    return _read_family(d, plan, list(pinned), rows)
+    return _read_family(d, plan, rows)

@@ -243,6 +243,25 @@ def test_fvs_budget_shared_across_components():
     assert sorted(fvs_exact(triangles, 3)) == [0, 3, 6]
 
 
+def test_fvs_decides_forests_by_the_core(monkeypatch):
+    # the 2-core alone says whether a graph is a forest: the sets found
+    # stay the same when the union-find check refuses to run
+    import limsolve.graphs
+
+    graphs = [path_graph(6), SimpleGraph(5, [(0, 3), (1, 2)]), SimpleGraph(0),
+              cycle_graph(5), complete_graph(4)]
+    graphs += [random_graph(random.Random(seed), 9, 0.3) for seed in range(20)]
+    expected = [fvs_exact(g, g.n) for g in graphs]
+    assert any(s is not None and len(s) == 0 for s in expected)
+    assert any(s is not None and len(s) > 0 for s in expected)
+
+    def refuse(g):
+        raise AssertionError("fvs_exact ran the union-find forest check")
+
+    monkeypatch.setattr(limsolve.graphs, "is_forest", refuse)
+    assert [fvs_exact(g, g.n) for g in graphs] == expected
+
+
 def test_fvs_linear_in_disjoint_cycles():
     def two_cycles(length):
         c = cycle_graph(length).edges

@@ -140,8 +140,15 @@ def test_section_tests_empty_fvs_yields_diagram_itself():
     tests = list(section_tests(d, VertexSet(3, 0)))
     assert len(tests) == 1
     assert tests[0].assignment.choices == ()
-    assert tests[0].tau is d
+    # the one empty combination restricts d to all of its vertices
+    tau = tests[0].tau
+    assert (tau.shape, tau.vertex_size, tau.edge_size, tau.tables) \
+        == (d.shape, d.vertex_size, d.edge_size, d.tables)
+    assert (tau.vertex_labels, tau.edge_labels) \
+        == (d.vertex_labels, d.edge_labels)
     assert tests[0].tau_mask == d.full_mask()
+    assert tests[0].vertex_map == [0, 1, 2]
+    assert tests[0].edge_map == [0, 1]
 
 
 def test_section_tests_empty_pinned_set_yields_nothing():
@@ -200,6 +207,20 @@ def test_inlim_supplied_fvs_validated():
             next(section_tests(d, wrong_size))
         with pytest.raises(ValueError, match="different"):
             restrict_to_subgraph(d, d.full_mask(), wrong_size)
+
+
+@pytest.mark.parametrize("vertex_size, edge_size", [
+    ([-1], []), ([True], []), (["x"], []), ([1, 1], [-1])])
+def test_inlim_refuses_invalid_sizes(vertex_size, edge_size):
+    # a crash must not read as a verdict: no verdict on a diagram that
+    # validate refuses for its sizes, with or without a witness
+    g = SimpleGraph(len(vertex_size), [(0, 1)] if edge_size else [])
+    d = CoDecomposition(g, vertex_size, edge_size, [((0,), (0,))] * g.m)
+    for want_witness in (False, True):
+        with pytest.raises(ValueError, match="^invalid diagram: .* set 0: "
+                                             "size .* is not a non-negative "
+                                             "integer$"):
+            inlim(d, want_witness=want_witness)
 
 
 def test_inlim_no_fvs_within_budget():
@@ -564,6 +585,23 @@ def test_sweep_rows_with_a_pinned_hub():
                     == _extending(pinned, u, keep | {n}), (seed, b, u)
             checked += 1
     assert checked >= 40
+
+
+def test_sweep_drops_every_row_with_pinned_vertices():
+    # a pinned vertex is done at the end of the plan, like a root, so a
+    # sweep that does not keep rows ends with none, pinned rows included
+    from limsolve.solver import _forest_plan, _sliced_sweep
+
+    spider, hubs = narrowing_spider(3, 16)
+    cycle = c4_untwisted_example()
+    # one block of every combination: both on the cycle, the last of 3^3
+    # on the spider
+    for d, s, width, alive in ((cycle, VertexSet.of(4, [0]), 2, 0b11),
+                               (spider, hubs, 27, 1 << 26)):
+        pinned = list(s)
+        plan = _forest_plan(d.shape, s, True)
+        assert plan[-len(pinned):] == [(-1, u) for u in pinned]
+        assert _sliced_sweep(d, pinned, plan, 0, width) == ({}, alive)
 
 
 def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
