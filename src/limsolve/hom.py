@@ -121,112 +121,162 @@ class HomSet:
     maps: tuple[tuple[int, ...], ...]
 
 
-class _HomSets:
-    """Hom-sets into h of induced subgraphs of x, and restriction tables
-    between them, each computed once per labelled pattern.
+def _prefix_key(key: int, size: int) -> int:
+    """The pattern key of the first size - 1 positions of a size-vertex
+    list with pattern key key."""
+    return key >> (size - 1) if size > 1 else 0
 
-    The pattern of a sorted vertex list is, per position, the tuple of
-    earlier positions adjacent to it in x.  The hom-set depends only on the
-    pattern, so the maps of every prefix are memoised under the prefix's
-    pattern and a new pattern extends its longest memoised prefix.  A
-    restriction table depends only on the bag pattern and the positions of
-    the adhesion inside the bag.  The memo lives as long as the object:
-    one hom_set or build_hom_codecomp call.
-    """
 
-    def __init__(self, x: SimpleGraph, h: SimpleGraph):
-        self.incidence = x.incidence
+class _Allowed(dict):
+    """The one-colour tuples that may follow a colouring of earlier
+    neighbours in a map into h, ascending, keyed as itemgetter reads the
+    colouring off a map: an int for one neighbour, else a tuple.  Filled
+    on first read."""
+
+    def __init__(self, h: SimpleGraph):
+        super().__init__()
         self.h_n = h.n
         nbrs = [0] * h.n
         for u, v in h.edges:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
         self.h_nbrs = nbrs
-        # one-colour tuples appended to a map, per mask of allowed colours
-        self.allowed: dict[int, tuple[tuple[int], ...]] = {}
-        self.prefixes: dict[tuple, tuple] = {(): ((),)}
+
+    def __missing__(self, colours) -> tuple[tuple[int], ...]:
+        mask = (1 << self.h_n) - 1
+        for c in (colours if type(colours) is tuple else (colours,)):
+            mask &= self.h_nbrs[c]
+        got = self[colours] = tuple((c,) for c in range(self.h_n)
+                                    if mask >> c & 1)
+        return got
+
+
+class _HomSets:
+    """Hom-sets into h of induced subgraphs of x, and restriction tables
+    between them, each computed once per labelled pattern.
+
+    The pattern of a sorted vertex list v_0 < ... < v_{k-1} says which
+    pairs of positions are adjacent in x.  Its key is an int: 0 for the
+    empty list, else a leading 1 followed, for j = 1, ..., k-1, by j bits
+    whose bit i is set when v_i and v_j are adjacent.  So the key of the
+    prefix of length k-1 is key >> (k-1) (_prefix_key), and the low k-1
+    bits name the earlier neighbours of the last position.  Adjacency is
+    read off one set of int edge codes, so a key costs one set lookup per
+    pair, whatever the degrees in x.
+
+    The hom-set depends only on the pattern: the maps of every prefix are
+    memoised under the prefix's key, and a new key extends its longest
+    memoised prefix, keeping for each map the index of its parent in the
+    prefix's maps.  A restriction table depends only on the bag's key and
+    the positions of the adhesion inside the bag.  An adhesion that drops
+    only the bag's last position is that prefix, so its table is the
+    bag's parent indices; any other table is read through one
+    map -> index dict per adhesion key.  The memo lives as long as the
+    object: one hom_set or build_hom_codecomp call.
+    """
+
+    def __init__(self, x: SimpleGraph, h: SimpleGraph):
+        n = self.x_n = x.n
+        # one int per X-edge: hi * n + lo for endpoints lo < hi
+        self.edge_codes = {v * n + u if u < v else u * n + v
+                           for u, v in x.edges}
+        self.h_n = h.n
+        self.allowed = _Allowed(h)
+        self.prefixes: dict[int, tuple] = {0: ((),)}
+        # per nonempty key, each map's parent index in its prefix's maps
+        self.parents: dict[int, tuple[int, ...]] = {}
+        # per adhesion key, each map's index, keyed as itemgetter reads it
+        self.lookups: dict[int, dict] = {}
         self.tables: dict[tuple, tuple] = {}
 
-    def pattern(self, verts: tuple[int, ...]) -> tuple[tuple, dict]:
-        """The pattern of a sorted vertex list, and each vertex's position."""
-        pos = {v: i for i, v in enumerate(verts)}
-        inc = self.incidence
-        return tuple(tuple(sorted(pos[w] for _, w in inc[v]
-                                  if w < v and w in pos))
-                     for v in verts), pos
+    def key(self, verts: tuple[int, ...]) -> int:
+        """The pattern key of a sorted vertex list."""
+        codes = self.edge_codes
+        n = self.x_n
+        key = 1 if verts else 0
+        for j in range(1, len(verts)):
+            hi = verts[j] * n
+            for lo in verts[j - 1::-1]:
+                key = key << 1 | (hi + lo in codes)
+        return key
 
-    def maps(self, pattern: tuple, where: str) -> tuple:
-        """The hom-set of a pattern, lexicographic by vertex map."""
+    def maps(self, key: int, size: int, where: str) -> tuple:
+        """The hom-set of the pattern key of a size-vertex list,
+        lexicographic by vertex map."""
         prefixes = self.prefixes
-        maps = prefixes.get(pattern)
-        if maps is None:
-            start = len(pattern) - 1
-            while pattern[:start] not in prefixes:
-                start -= 1
-            maps = prefixes[pattern[:start]]
-            for j in range(start, len(pattern)):
-                maps = self._extend(maps, pattern[j], where)
-                prefixes[pattern[:j + 1]] = maps
+        missing = []
+        while key not in prefixes:
+            missing.append(key)
+            key = _prefix_key(key, size)
+            size -= 1
+        maps = prefixes[key]
+        for key in reversed(missing):
+            bits = key & ((1 << size) - 1)
+            maps, self.parents[key] = self._extend(
+                maps, tuple(i for i in range(size) if bits >> i & 1), where)
+            prefixes[key] = maps
+            size += 1
         return maps
 
     def _extend(self, maps: tuple, earlier: tuple[int, ...],
-                where: str) -> tuple:
+                where: str) -> tuple[tuple, tuple[int, ...]]:
         """The maps of a prefix extended by one vertex adjacent to the
         positions earlier, lexicographic: each map in turn, with every
-        colour its earlier neighbours allow, ascending.  Refuses a level
-        that could exceed MAX_SET_SIZE maps."""
-        h_n = self.h_n
-        if len(maps) * h_n > MAX_SET_SIZE:
+        colour its earlier neighbours allow, ascending; and each new map's
+        parent index.  Refuses a level that could exceed MAX_SET_SIZE
+        maps."""
+        if len(maps) * self.h_n > MAX_SET_SIZE:
             raise ValueError(
                 f"{where}: hom-set may exceed the limit of {MAX_SET_SIZE} "
-                f"maps ({len(maps)} partial maps times {h_n} template "
+                f"maps ({len(maps)} partial maps times {self.h_n} template "
                 f"vertices)")
-        allowed = self.allowed
-        nbrs = self.h_nbrs
-        full = (1 << h_n) - 1
-        out = []
-        for m in maps:
-            mask = full
-            for j in earlier:
-                mask &= nbrs[m[j]]
-            cs = allowed.get(mask)
-            if cs is None:
-                cs = allowed[mask] = tuple((c,) for c in range(h_n)
-                                           if mask >> c & 1)
-            out += [m + c for c in cs]
-        return tuple(out)
+        if earlier:
+            rows = list(map(self.allowed.__getitem__,
+                            map(itemgetter(*earlier), maps)))
+        else:
+            rows = [self.allowed[()]] * len(maps)
+        return (tuple([m + c for m, cs in zip(maps, rows) for c in cs]),
+                tuple([i for i, cs in enumerate(rows) for _ in cs]))
 
-    def table(self, pattern: tuple, sel: tuple[int, ...], where: str) -> tuple:
-        """The restriction of a bag hom-set to the positions sel, and the
-        hom-set it lands in: (table, adhesion maps)."""
-        key = (pattern, sel)
-        got = self.tables.get(key)
-        if got is None:
-            # the adhesion's own pattern, read off the bag's
-            rank = {i: r for r, i in enumerate(sel)}
-            sub = tuple(tuple(rank[j] for j in pattern[i] if j in rank)
-                        for i in sel)
-            target = self.maps(sub, where)
-            source = self.maps(pattern, where)
+    def table(self, key: int, size: int, adh: tuple[int, ...],
+              sel: tuple[int, ...], where: str) -> tuple:
+        """The restriction of the hom-set of a size-vertex bag (key: its
+        pattern key) to the adhesion adh at the positions sel, and the
+        hom-set it lands in: (table, adhesion maps), memoised under
+        (key, sel)."""
+        if size and sel == tuple(range(size - 1)):
+            got = (self.parents[key], self.prefixes[_prefix_key(key, size)])
+        else:
+            adh_key = self.key(adh)
+            target = self.maps(adh_key, len(adh), where)
+            source = self.prefixes[key]
             if sel:
-                # restriction keys made in C by one itemgetter per table
-                lookup = dict(zip(map(itemgetter(*range(len(sel))), target),
-                                  count()))
+                lookup = self.lookups.get(adh_key)
+                if lookup is None:
+                    lookup = self.lookups[adh_key] = dict(zip(
+                        map(itemgetter(*range(len(sel))), target), count()))
                 table = tuple(map(lookup.__getitem__,
                                   map(itemgetter(*sel), source)))
             else:
                 table = (0,) * len(source)
-            got = self.tables[key] = (table, target)
+            got = (table, target)
+        self.tables[key, sel] = got
         return got
 
 
 def hom_set(x: SimpleGraph, vertices, h: SimpleGraph) -> HomSet:
     """Enumerate homomorphisms from the subgraph of x induced on the given
-    vertices into h, lexicographic by vertex map.  Raises ValueError when
+    vertices into h, lexicographic by vertex map.  Raises ValueError on a
+    vertex id that is not an int (bools included) in [0, x.n), and when
     the enumeration could exceed MAX_SET_SIZE maps."""
+    vertices = list(vertices)
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < x.n:
+            raise ValueError(f"vertex {v!r} is not a vertex of the graph "
+                             f"(an int in [0, {x.n}))")
     verts = tuple(sorted(set(vertices)))
     homs = _HomSets(x, h)
-    return HomSet(verts, homs.maps(homs.pattern(verts)[0], "vertex set"))
+    return HomSet(verts, homs.maps(homs.key(verts), len(verts), "vertex set"))
 
 
 def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
@@ -273,31 +323,40 @@ class HomInstance:
 def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     """Vertex sets are the bag hom-sets, edge sets the adhesion hom-sets,
     legs the restriction maps.  Bags with one pattern share one maps tuple,
-    and equal restrictions one table.  Raises ValueError when a hom-set
-    could exceed MAX_SET_SIZE maps."""
+    and equal restrictions one table.  Bag vertex ids are not checked
+    again: b must pass validate_decomposition, as hom_exists ensures.
+    Raises ValueError when an adhesion is not contained in its bag, or a
+    hom-set could exceed MAX_SET_SIZE maps."""
     homs = _HomSets(b.x, h)
-    patterns = []
-    positions = []
+    prefixes = homs.prefixes
+    keys = []
     bag_homs = []
     for x, bag in enumerate(b.bags):
-        pattern, pos = homs.pattern(bag)
-        patterns.append(pattern)
-        positions.append(pos)
-        bag_homs.append(HomSet(bag, homs.maps(pattern, f"bag {x}")))
+        key = homs.key(bag)
+        maps = prefixes.get(key)
+        if maps is None:
+            maps = homs.maps(key, len(bag), f"bag {x}")
+        keys.append(key)
+        bag_homs.append(HomSet(bag, maps))
+    memo = homs.tables
+    bags = b.bags
     adhesion_homs = []
     tables = []
     for e, ((p, q), adh) in enumerate(zip(b.shape.edges, b.adhesions)):
-        where = f"adhesion of shape edge {e}"
         pair = []
         for end in (p, q):
-            pos = positions[end]
+            bag = bags[end]
             try:
-                sel = tuple([pos[v] for v in adh])
-            except KeyError:
-                raise ValueError(f"{where} is not contained in bag {end}")
-            table, target = homs.table(patterns[end], sel, where)
-            pair.append(table)
-        adhesion_homs.append(HomSet(adh, target))
+                sel = tuple(map(bag.index, adh))
+            except ValueError:
+                raise ValueError(f"adhesion of shape edge {e} is not "
+                                 f"contained in bag {end}") from None
+            got = memo.get((keys[end], sel))
+            if got is None:
+                got = homs.table(keys[end], len(bag), adh, sel,
+                                 f"adhesion of shape edge {e}")
+            pair.append(got[0])
+        adhesion_homs.append(HomSet(adh, got[1]))
         tables.append(tuple(pair))
     diagram = CoDecomposition(
         b.shape, [len(hs.maps) for hs in bag_homs],

@@ -326,6 +326,94 @@ def test_build_extends_each_prefix_pattern_once(monkeypatch):
     assert len({id(hs.maps) for hs in inst.bag_homs}) <= 64
 
 
+def _pattern(x, verts):
+    """Per position of a sorted vertex list, its earlier neighbours."""
+    pos = {v: i for i, v in enumerate(verts)}
+    return tuple(tuple(sorted(pos[w] for _, w in x.incidence[v]
+                              if w in pos and w < v))
+                 for v in verts)
+
+
+def _positions_decomposition(x):
+    """A star of bags around the centre bag 0..4, whose adhesions sit at
+    every kind of position: each leaf is (adhesion, leaf bag).  Shape edges
+    alternate their orientation, so both leg orders are built."""
+    centre = (0, 1, 2, 3, 4)
+    leaves = [
+        ((0, 1, 2, 3), (0, 1, 2, 3, 5)),    # centre prefix, leaf prefix
+        ((1, 2, 3, 4), (1, 2, 3, 4, 6)),    # centre suffix, leaf prefix
+        ((2, 3, 4), (2, 3, 4)),             # centre suffix, whole leaf
+        ((1, 2, 3), (1, 2, 3, 7)),          # centre middle
+        ((0, 2, 4), (0, 2, 4, 5)),          # gaps in the centre
+        ((3, 4), (3, 4, 5, 6)),             # leaf prefix two short
+        ((4,), (0, 4)),                     # one-vertex suffixes
+        (centre, centre + (7,)),            # whole centre, leaf prefix
+        ((), (5, 6, 7)),                    # empty
+        ((), (6,)),                         # empty: a one-vertex prefix
+        ((), ()),                           # empty bag
+        ((2,), (2,)),                       # whole one-vertex bag
+    ]
+    edges = [(0, i) if i % 2 else (i, 0) for i in range(1, len(leaves) + 1)]
+    return BagDecomposition(
+        x, SimpleGraph(len(leaves) + 1, edges),
+        (centre,) + tuple(bag for _, bag in leaves),
+        adhesions=tuple(adh for adh, _ in leaves))
+
+
+def test_build_matches_reference_at_every_adhesion_position():
+    # prefix adhesions take their table from the extension's parent
+    # indices, the others through one lookup per adhesion pattern; both
+    # must equal the reference's per-map tuple lookup
+    for seed in range(6):
+        rng = random.Random(seed)
+        x = random_graph(rng, 8, (0.3, 0.5, 0.7)[seed % 3])
+        b = _positions_decomposition(x)
+        for colours in range(2, 6):
+            _assert_matches_reference(b, complete_graph(colours))
+
+
+@pytest.mark.parametrize("n_bags", [400, 2000])
+def test_build_makes_each_table_once(monkeypatch, n_bags):
+    # bandwidth-3 windows have at most 64 bag patterns and two adhesion
+    # positions per bag (its prefix and its suffix), whatever the number
+    # of bags, and each pair's table is built once per call
+    b = _window_decomposition(random.Random(7), n_bags)
+    legs = [(_pattern(b.x, b.bags[end]),
+             tuple(b.bags[end].index(v) for v in adh))
+            for (p, q), adh in zip(b.shape.edges, b.adhesions)
+            for end in (p, q)]
+    assert len(set(legs)) <= 2 * 64
+    calls = []
+    table = hom._HomSets.table
+
+    def counted(self, *args):
+        calls.append(args)
+        return table(self, *args)
+
+    monkeypatch.setattr(hom._HomSets, "table", counted)
+    inst = build_hom_codecomp(b, K3)
+    assert 0 < len(calls) <= len(set(legs))
+    # equal (bag pattern, adhesion positions) share one table object
+    ids = {}
+    for leg, t in zip(legs, (t for pair in inst.diagram.tables for t in pair)):
+        ids.setdefault(leg, set()).add(id(t))
+    assert all(len(found) == 1 for found in ids.values())
+
+
+def test_hom_set_refuses_bad_vertex_ids():
+    x = SimpleGraph(3, [(1, 2)])
+    k2 = complete_graph(2)
+    # the edge {1, 2} leaves 2 of the 4 maps
+    assert len(hom_set(x, [2, 1], k2).maps) == 2
+    # -1 was read as vertex 2, [5] raised IndexError, True was read as 1
+    for bad, named in (([-1, 1], "-1"), ([5], "5"), ([True, 2], "True"),
+                       ([1.0], "1.0"), (["1"], "'1'")):
+        with pytest.raises(ValueError) as err:
+            hom_set(x, bad, k2)
+        assert str(err.value) == (f"vertex {named} is not a vertex of the "
+                                  f"graph (an int in [0, 3))")
+
+
 def test_hom_set_over_cap_is_refused():
     # 1025 maps of the first vertex times 1025 colours exceed 2**20, so the
     # second level is refused before it is built
