@@ -10,7 +10,7 @@ admits a homomorphism into H iff the diagram's limit is nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 from operator import itemgetter
 
 from .diagram import CoDecomposition
@@ -121,12 +121,6 @@ class HomSet:
     maps: tuple[tuple[int, ...], ...]
 
 
-def _prefix_key(key: int, size: int) -> int:
-    """The pattern key of the first size - 1 positions of a size-vertex
-    list with pattern key key."""
-    return key >> (size - 1) if size > 1 else 0
-
-
 class _Allowed(dict):
     """The one-colour tuples that may follow a colouring of earlier
     neighbours in a map into h, ascending, keyed as itemgetter reads the
@@ -151,27 +145,41 @@ class _Allowed(dict):
         return got
 
 
+class _Pattern:
+    """A labelled pattern: its hom-set, the pattern one position shorter
+    (up) with each map's index in its hom-set (parents), and the patterns
+    one position longer, keyed by the new position's adjacency bits."""
+
+    __slots__ = ("up", "maps", "parents", "next")
+
+    def __init__(self, up: _Pattern | None, maps: tuple,
+                 parents: tuple[int, ...]):
+        self.up = up
+        self.maps = maps
+        self.parents = parents
+        self.next: dict[int, _Pattern] = {}
+
+
 class _HomSets:
     """Hom-sets into h of induced subgraphs of x, and restriction tables
     between them, each computed once per labelled pattern.
 
     The pattern of a sorted vertex list v_0 < ... < v_{k-1} says which
-    pairs of positions are adjacent in x.  Its key is an int: 0 for the
-    empty list, else a leading 1 followed, for j = 1, ..., k-1, by j bits
-    whose bit i is set when v_i and v_j are adjacent.  So the key of the
-    prefix of length k-1 is key >> (k-1) (_prefix_key), and the low k-1
-    bits name the earlier neighbours of the last position.  Adjacency is
-    read off one set of int edge codes, so a key costs one set lookup per
-    pair, whatever the degrees in x.
+    pairs of positions are adjacent in x.  The patterns met so far form a
+    trie of _Pattern nodes from the empty one: position j steps to the
+    child keyed by a j-bit int whose bits, most significant first, say
+    whether v_0, ..., v_{j-1} are adjacent to v_j.  Adjacency is read off
+    one set of int edge codes, so a step costs one set lookup per earlier
+    position, whatever the degrees in x, and hashes one j-bit int: a bag
+    of k vertices costs O(k^2) in all.
 
-    The hom-set depends only on the pattern: the maps of every prefix are
-    memoised under the prefix's key, and a new key extends its longest
-    memoised prefix, keeping for each map the index of its parent in the
-    prefix's maps.  A restriction table depends only on the bag's key and
+    The hom-set depends only on the pattern, so each node holds the maps
+    of its pattern, built once by extending its parent's, and each map's
+    parent index.  A restriction table depends only on the bag's node and
     the positions of the adhesion inside the bag.  An adhesion that drops
-    only the bag's last position is that prefix, so its table is the
+    only the bag's last position is the parent node, so its table is the
     bag's parent indices; any other table is read through one
-    map -> index dict per adhesion key.  The memo lives as long as the
+    map -> index dict per adhesion node.  The memo lives as long as the
     object: one hom_set or build_hom_codecomp call.
     """
 
@@ -182,41 +190,31 @@ class _HomSets:
                            for u, v in x.edges}
         self.h_n = h.n
         self.allowed = _Allowed(h)
-        self.prefixes: dict[int, tuple] = {0: ((),)}
-        # per nonempty key, each map's parent index in its prefix's maps
-        self.parents: dict[int, tuple[int, ...]] = {}
-        # per adhesion key, each map's index, keyed as itemgetter reads it
-        self.lookups: dict[int, dict] = {}
+        self.root = _Pattern(None, ((),), ())
+        # per adhesion node, each map's index, keyed as itemgetter reads it
+        self.lookups: dict[_Pattern, dict] = {}
         self.tables: dict[tuple, tuple] = {}
 
-    def key(self, verts: tuple[int, ...]) -> int:
-        """The pattern key of a sorted vertex list."""
+    def pattern(self, verts: tuple[int, ...], where: str) -> _Pattern:
+        """The node of a sorted vertex list, its hom-set lexicographic by
+        vertex map."""
         codes = self.edge_codes
         n = self.x_n
-        key = 1 if verts else 0
-        for j in range(1, len(verts)):
-            hi = verts[j] * n
-            for lo in verts[j - 1::-1]:
-                key = key << 1 | (hi + lo in codes)
-        return key
-
-    def maps(self, key: int, size: int, where: str) -> tuple:
-        """The hom-set of the pattern key of a size-vertex list,
-        lexicographic by vertex map."""
-        prefixes = self.prefixes
-        missing = []
-        while key not in prefixes:
-            missing.append(key)
-            key = _prefix_key(key, size)
-            size -= 1
-        maps = prefixes[key]
-        for key in reversed(missing):
-            bits = key & ((1 << size) - 1)
-            maps, self.parents[key] = self._extend(
-                maps, tuple(i for i in range(size) if bits >> i & 1), where)
-            prefixes[key] = maps
-            size += 1
-        return maps
+        node = self.root
+        for j, v in enumerate(verts):
+            hi = v * n
+            bits = 0
+            for lo in verts[:j]:
+                bits = bits << 1 | (hi + lo in codes)
+            child = node.next.get(bits)
+            if child is None:
+                # the positions of the set bits, read off the digits
+                earlier = tuple(compress(count(), map(
+                    "1".__eq__, format(bits, f"0{j}b"))))
+                child = node.next[bits] = _Pattern(
+                    node, *self._extend(node.maps, earlier, where))
+            node = child
+        return node
 
     def _extend(self, maps: tuple, earlier: tuple[int, ...],
                 where: str) -> tuple[tuple, tuple[int, ...]]:
@@ -238,29 +236,30 @@ class _HomSets:
         return (tuple([m + c for m, cs in zip(maps, rows) for c in cs]),
                 tuple([i for i, cs in enumerate(rows) for _ in cs]))
 
-    def table(self, key: int, size: int, adh: tuple[int, ...],
+    def table(self, bag: _Pattern, size: int, adh: tuple[int, ...],
               sel: tuple[int, ...], where: str) -> tuple:
-        """The restriction of the hom-set of a size-vertex bag (key: its
-        pattern key) to the adhesion adh at the positions sel, and the
-        hom-set it lands in: (table, adhesion maps), memoised under
-        (key, sel)."""
+        """The restriction of the hom-set of a size-vertex bag to the
+        adhesion adh at the positions sel, and the hom-set it lands in:
+        (table, adhesion maps), memoised under (bag, sel)."""
+        got = self.tables.get((bag, sel))
+        if got is not None:
+            return got
         if size and sel == tuple(range(size - 1)):
-            got = (self.parents[key], self.prefixes[_prefix_key(key, size)])
+            got = (bag.parents, bag.up.maps)
         else:
-            adh_key = self.key(adh)
-            target = self.maps(adh_key, len(adh), where)
-            source = self.prefixes[key]
+            target = self.pattern(adh, where)
             if sel:
-                lookup = self.lookups.get(adh_key)
+                lookup = self.lookups.get(target)
                 if lookup is None:
-                    lookup = self.lookups[adh_key] = dict(zip(
-                        map(itemgetter(*range(len(sel))), target), count()))
+                    lookup = self.lookups[target] = dict(zip(
+                        map(itemgetter(*range(len(sel))), target.maps),
+                        count()))
                 table = tuple(map(lookup.__getitem__,
-                                  map(itemgetter(*sel), source)))
+                                  map(itemgetter(*sel), bag.maps)))
             else:
-                table = (0,) * len(source)
-            got = (table, target)
-        self.tables[key, sel] = got
+                table = (0,) * len(bag.maps)
+            got = (table, target.maps)
+        self.tables[bag, sel] = got
         return got
 
 
@@ -276,7 +275,7 @@ def hom_set(x: SimpleGraph, vertices, h: SimpleGraph) -> HomSet:
                              f"(an int in [0, {x.n}))")
     verts = tuple(sorted(set(vertices)))
     homs = _HomSets(x, h)
-    return HomSet(verts, homs.maps(homs.key(verts), len(verts), "vertex set"))
+    return HomSet(verts, homs.pattern(verts, "vertex set").maps)
 
 
 def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
@@ -328,35 +327,24 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     Raises ValueError when an adhesion is not contained in its bag, or a
     hom-set could exceed MAX_SET_SIZE maps."""
     homs = _HomSets(b.x, h)
-    prefixes = homs.prefixes
-    keys = []
-    bag_homs = []
-    for x, bag in enumerate(b.bags):
-        key = homs.key(bag)
-        maps = prefixes.get(key)
-        if maps is None:
-            maps = homs.maps(key, len(bag), f"bag {x}")
-        keys.append(key)
-        bag_homs.append(HomSet(bag, maps))
-    memo = homs.tables
-    bags = b.bags
+    patterns = [homs.pattern(bag, f"bag {x}") for x, bag in enumerate(b.bags)]
+    bag_homs = [HomSet(bag, p.maps) for bag, p in zip(b.bags, patterns)]
     adhesion_homs = []
     tables = []
     for e, ((p, q), adh) in enumerate(zip(b.shape.edges, b.adhesions)):
+        where = f"adhesion of shape edge {e}"
         pair = []
         for end in (p, q):
-            bag = bags[end]
+            bag = b.bags[end]
             try:
                 sel = tuple(map(bag.index, adh))
             except ValueError:
-                raise ValueError(f"adhesion of shape edge {e} is not "
-                                 f"contained in bag {end}") from None
-            got = memo.get((keys[end], sel))
-            if got is None:
-                got = homs.table(keys[end], len(bag), adh, sel,
-                                 f"adhesion of shape edge {e}")
-            pair.append(got[0])
-        adhesion_homs.append(HomSet(adh, got[1]))
+                raise ValueError(f"{where} is not contained in bag {end}") \
+                    from None
+            table, target = homs.table(patterns[end], len(bag), adh, sel,
+                                       where)
+            pair.append(table)
+        adhesion_homs.append(HomSet(adh, target))
         tables.append(tuple(pair))
     diagram = CoDecomposition(
         b.shape, [len(hs.maps) for hs in bag_homs],

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import best_of_interleaved
 from limsolve import (
     BagDecomposition,
     HomSet,
@@ -383,16 +384,19 @@ def test_build_makes_each_table_once(monkeypatch, n_bags):
             for (p, q), adh in zip(b.shape.edges, b.adhesions)
             for end in (p, q)]
     assert len(set(legs)) <= 2 * 64
-    calls = []
+    memos = []
     table = hom._HomSets.table
 
     def counted(self, *args):
-        calls.append(args)
+        memos.append(self)
         return table(self, *args)
 
     monkeypatch.setattr(hom._HomSets, "table", counted)
     inst = build_hom_codecomp(b, K3)
-    assert 0 < len(calls) <= len(set(legs))
+    # every leg asks, and the call's one memo holds a table per pair
+    assert len(memos) == len(legs)
+    homs, = set(memos)
+    assert 0 < len(homs.tables) <= len(set(legs))
     # equal (bag pattern, adhesion positions) share one table object
     ids = {}
     for leg, t in zip(legs, (t for pair in inst.diagram.tables for t in pair)):
@@ -412,6 +416,31 @@ def test_hom_set_refuses_bad_vertex_ids():
             hom_set(x, bad, k2)
         assert str(err.value) == (f"vertex {named} is not a vertex of the "
                                   f"graph (an int in [0, 3))")
+
+
+def _one_bag(n):
+    """X on n vertices in a single bag: a K4 on 0..3, then a path."""
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(v, v + 1) for v in range(3, n - 1)]
+    return BagDecomposition(SimpleGraph(n, edges), SimpleGraph(1),
+                            (tuple(range(n)),))
+
+
+def test_one_large_bag_costs_one_step_per_pair():
+    # the hom-set into K3 is empty from the fourth position on, and each
+    # position adds one small int to the pattern, so four times the bag
+    # costs about 16 times (one set lookup per pair of positions); one int
+    # key for the whole bag, shifted a bit at a time, cost about 256 times
+    bags = {n: _one_bag(n) for n in (250, 1000)}
+
+    def decide(n):
+        assert hom_exists(bags[n], K3) == (False, None)
+
+    small, large = best_of_interleaved(decide, 250, 1000, repeats=3)
+    assert large / small <= 40, (small, large)
+    # a path keeps two maps into K2 at every position
+    assert hom_set(path_graph(1000), range(1000), complete_graph(2)).maps \
+        == ((0, 1) * 500, (1, 0) * 500)
 
 
 def test_hom_set_over_cap_is_refused():
