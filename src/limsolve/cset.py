@@ -10,11 +10,15 @@ limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .diagram import (CoDecomposition, Verdict, size_problems, sized_problems,
                       tables_fit)
 from .graphs import SimpleGraph, VertexSet
-from .solver import _resolve_fvs, inlim
+from .solver import _combinations, _forest_plan, _resolve_fvs, _solve
+# bench/layertrace.py traces the name cset.inlim, so it stays bound here
+# though the slices run through _solve
+from .solver import inlim  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -182,19 +186,27 @@ def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
     """Whether _action_problems finds nothing in any C-set of actions,
     whose set at object c has size sizes[c][i]: checked a morphism at a
     time over all the C-sets at once, with no Python step per C-set for
-    an identity."""
+    an identity.  An identity's tables that are lists or tuples of ints
+    and equal the identity tables fit their sizes, so tables_fit reads
+    only the other morphisms' tables."""
     if not (set(map(type, actions)) <= {list, tuple}
             and set(map(len, actions)) <= {cat.morphism_count}):
         return False
     columns = list(zip(*actions)) or [()] * cat.morphism_count
-    for col, c0, c1 in zip(columns, cat.src, cat.tgt):
-        if not tables_fit(col, sizes[c0], sizes[c1]):
-            return False
-    for o, i in enumerate(cat.identity):
-        if (list(map(tuple, columns[i]))
-                != list(map(tuple, map(range, sizes[o])))):
-            return False
     ids = cat.identity
+    for f, (col, c0, c1) in enumerate(zip(columns, cat.src, cat.tgt)):
+        if f not in ids and not tables_fit(col, sizes[c0], sizes[c1]):
+            return False
+    for o, i in enumerate(ids):
+        col = columns[i]
+        # one identity table per size; the int check keeps False == 0
+        # from passing for 0
+        ident = {size: tuple(range(size)) for size in set(sizes[o])}
+        if not (set(map(type, col)) <= {list, tuple}
+                and set(map(type, chain.from_iterable(col))) <= {int}
+                and list(map(tuple, col))
+                == list(map(ident.__getitem__, sizes[o]))):
+            return False
     return all(list(tables[gf]) == [tables[g][t] for t in tables[f]]
                for g, f, gf in pairs if g not in ids and f not in ids
                for tables in actions)
@@ -264,14 +276,23 @@ def cset_inlim(
     k_max: int | None = None,
 ) -> Verdict:
     """Emptiness for C-set diagrams: the limit is the initial (everywhere
-    empty) C-set iff every pointwise slice has an empty limit."""
+    empty) C-set iff every pointwise slice has an empty limit.
+
+    The slices share the shape, so one feedback vertex set and one forest
+    plan serve them all; the plan is heavy-first when some slice has more
+    than one pinned combination.  Each slice is then swept as inlim sweeps
+    it, without checking again the sizes validate_cset_codecomp checked.
+    """
     problems = validate_cset_codecomp(d)
     if problems:
         raise ValueError("invalid C-set diagram: " + "; ".join(problems))
-    # the slices share the shape, so one feedback vertex set serves them all
     s = _resolve_fvs(d.shape, fvs, k_max)
-    for c in range(d.cat.object_count):
-        result = inlim(pointwise_slice(d, c), fvs=s)
-        if not result.verdict.empty_limit:
+    if not d.slices:  # over no C-object the one C-set is empty
+        return Verdict(True)
+    pinned = list(s)
+    plan = _forest_plan(d.shape, s, any(_combinations(slice_, pinned) > 1
+                                        for slice_ in d.slices))
+    for slice_ in d.slices:
+        if not _solve(slice_, pinned, plan).verdict.empty_limit:
             return Verdict(False)
     return Verdict(True)

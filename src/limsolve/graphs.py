@@ -267,17 +267,6 @@ def _fvs_search(g: SimpleGraph, alive: bytearray, deg: list[int],
     return None
 
 
-def _core_components(g: SimpleGraph, core: bytearray) -> list[tuple[list[int], SimpleGraph]]:
-    """The components of the live vertices, ordered by least vertex, each as
-    (its vertices ascending, the subgraph it induces), so _cycle walks each
-    subgraph exactly as it walks the component inside g."""
-    # sorted copies a list at its length, a generator's items at the size
-    # the list grew to; these lists live through the whole search
-    comps = [sorted([x for _, x in tree])
-             for tree in _preorder(g, [not live for live in core])]
-    return list(zip(comps, _induced(g, comps)[0]))
-
-
 def _induced(g: SimpleGraph, parts: list[list[int]]
              ) -> tuple[list[SimpleGraph], list[int | None]]:
     """The subgraphs that disjoint ascending vertex lists induce in g, each
@@ -301,20 +290,39 @@ def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """A feedback vertex set of minimum size if one of size <= k_max exists.
 
     g is a forest iff its 2-core is empty, and then the set is empty.
-    Each component of the 2-core of g is searched on its own, with what the
-    earlier components left of the budget: iterative deepening from its
-    2-core, each search node branching on the vertices of one cycle in
-    ascending order.  A minimum set is minimum on every component, so this
-    returns the set that one search over the whole 2-core finds first, and
-    the result is deterministic.
+    Otherwise each component of the 2-core of g is settled on its own, with
+    what the other components leave of the budget.  A component whose
+    vertices all have core degree 2 is a cycle: its minimum set is its
+    lowest vertex, the set the search below returns first, so it is taken
+    without a search (Cygan et al., Parameterized Algorithms, 2015, §3.3).
+    Each other component is searched as the subgraph it induces, by
+    iterative deepening from its 2-core, each search node branching on the
+    vertices of one cycle in ascending order.  A minimum set is minimum on
+    every component, so this returns the set that one search over the
+    whole 2-core finds first, and the result is deterministic.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    core = _core(g)[0]
+    core, core_deg = _core(g)
     if core.find(1) < 0:
         return VertexSet(g.n, 0)
     found: list[int] = []
-    for verts, h in _core_components(g, core):
+    searched: list[list[int]] = []
+    for tree in _preorder(g, [not live for live in core]):
+        verts = list(map(itemgetter(1), tree))
+        # every core degree is at least 2, so a sum of 2 per vertex means
+        # that all are 2
+        if sum(map(core_deg.__getitem__, verts)) == 2 * len(verts):
+            if len(found) == k_max:
+                return None
+            found.append(tree[0][1])  # the root, its lowest vertex
+        else:
+            searched.append(sorted(verts))
+    # _induced reads every edge of g, so it runs only for a search; each
+    # subgraph numbers its vertices in ascending order, so _cycle walks it
+    # exactly as it walks the component inside g
+    subgraphs = _induced(g, searched)[0] if searched else []
+    for verts, h in zip(searched, subgraphs):
         alive, deg = _core(h)
         for k in range(1, k_max - len(found) + 1):
             sub = _fvs_search(h, alive, deg, k)

@@ -421,15 +421,34 @@ def inlim(
     A diagram with a set size that is not an int >= 0 gets no verdict:
     ValueError names every such size.  The leg tables and labels remain
     the caller's contract, which validate(d) checks.
+
+    These checks, the resolution of S and the plan come first; the sweep
+    over the blocks and the witness read run in _solve, which cset_inlim
+    runs on every slice off one S and one plan.
     """
     problems = size_problems(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     s = _resolve_fvs(d.shape, fvs, k_max)
     pinned = list(s)
+    plan = _forest_plan(d.shape, s, _combinations(d, pinned) > 1)
+    return _solve(d, pinned, plan, want_witness, early_exit)
+
+
+def _combinations(d: CoDecomposition, pinned: list[int]) -> int:
+    """The number of pinned combinations: w^k when every set has size w."""
+    return math.prod(d.vertex_size[v] for v in pinned)
+
+
+def _solve(d: CoDecomposition, pinned: list[int],
+           plan: list[tuple[int, int]], want_witness: bool = False,
+           early_exit: bool = True) -> InLimResult:
+    """inlim after its checks: the sweep over the blocks and the witness
+    read, on a diagram whose sizes are checked, with pinned the feedback
+    vertex set ascending and plan the forest plan of the shape minus it,
+    heavy-first if d has more than one pinned combination."""
     sizes = d.vertex_size
-    total = math.prod(sizes[v] for v in pinned)
-    plan = _forest_plan(d.shape, s, total > 1)
+    total = _combinations(d, pinned)
     held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()
     block = max(_MIN_BLOCK, _STATE_BITS // max(1, held))
     lo = 0
@@ -441,14 +460,14 @@ def inlim(
             break
         lo += width
     else:
-        return InLimResult(Verdict(True), None, tuple(s), total)
+        return InLimResult(Verdict(True), None, tuple(pinned), total)
     lo += (alive & -alive).bit_length() - 1  # the first survivor
     witness = None
     if want_witness:
         if width > 1:
             rows, _ = _sliced_sweep(d, pinned, plan, lo, 1, True)
         witness = _read_family(d, plan, rows)
-    return InLimResult(Verdict(False), witness, tuple(s),
+    return InLimResult(Verdict(False), witness, tuple(pinned),
                        lo + 1 if early_exit else total)
 
 

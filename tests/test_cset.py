@@ -9,6 +9,7 @@ from limsolve import (
     CSetCoDecomposition,
     FinCat,
     SimpleGraph,
+    VertexSet,
     cset_inlim,
     enumerate_limit,
     inlim,
@@ -164,8 +165,12 @@ def test_naturality_violation_rejected():
      ["vertex 0: action of morphism 2: wrong target size"]),
     (SimpleGraph(1, []), [((2, 2), (ident(2), ident(2), (0, True)))], [], [],
      ["vertex 0: action of morphism 2: wrong target size"]),
+    # equal to the identity table, since False == 0 and True == 1, but no
+    # table of ints
+    (SimpleGraph(1, []), [((2, 2), ([False, True], ident(2), ident(2)))], [],
+     [], ["vertex 0: action of morphism 0: wrong target size"]),
 ], ids=["action-source", "leg-source", "leg-target", "action-target",
-        "action-bool"])
+        "action-bool", "identity-bool"])
 def test_validate_cset_codecomp_texts(shape, vertex_csets, edge_csets, legs,
                                       texts):
     d = cset_diagram(FinCat.walking_arrow(), shape, vertex_csets, edge_csets,
@@ -248,6 +253,52 @@ def test_cset_walking_arrow_matches_componentwise_oracle():
         d = random_walking_arrow_diagram(rng, shape, 3)
         assert validate_cset_codecomp(d) == []
         assert cset_inlim(d).empty_limit == brute_cset_empty(d)
+
+
+def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
+    import limsolve.cset
+    import limsolve.solver
+
+    calls = {"_forest_plan": 0, "size_problems": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for module in (limsolve.cset, limsolve.solver):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    d = walking_arrow_golden()
+    assert cset_inlim(d).empty_limit
+    assert calls == {"_forest_plan": 1, "size_problems": 2}
+    # the same counts, and the brute-force verdicts, on the corpus of
+    # test_cset_walking_arrow_matches_componentwise_oracle
+    for seed in range(30):
+        rng = random.Random(seed)
+        if seed % 2:
+            shape = random_tree(rng, rng.randint(1, 5))
+        else:
+            shape = random_graph(rng, rng.randint(1, 5), 0.4)
+        d = random_walking_arrow_diagram(rng, shape, 3)
+        for name in calls:
+            calls[name] = 0
+        assert cset_inlim(d).empty_limit == brute_cset_empty(d)
+        assert calls == {"_forest_plan": 1, "size_problems": 2}
+
+
+def test_cset_over_no_objects_is_empty():
+    # the one C-set over the empty category is empty everywhere; no slice
+    # is swept, so no plan is built and a supplied set is not checked
+    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    d = CSetCoDecomposition(FinCat(0, (), (), (), ()), triangle, [],
+                            [()] * 3, [()] * 3)
+    assert validate_cset_codecomp(d) == []
+    assert cset_inlim(d).empty_limit
+    assert cset_inlim(d, fvs=VertexSet(3, 0)).empty_limit
 
 
 def test_columnwise_action_check_agrees_with_the_per_cset_check():

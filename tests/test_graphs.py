@@ -16,7 +16,7 @@ from limsolve import (
 )
 from limsolve.generate import (complete_graph, cycle_graph, generate_instance,
                                path_graph, random_diagram, random_graph)
-from limsolve.graphs import MAX_SET_SIZE, _core, _cycle
+from limsolve.graphs import MAX_SET_SIZE, _core, _cycle, _fvs_search, _induced
 
 
 def reachability(g):
@@ -277,6 +277,58 @@ def test_fvs_linear_in_disjoint_cycles():
     # ten times the length: one linear pass per cycle gives about 10x, where
     # branching over one cycle per vertex of the other gives about 100x
     assert large / small <= 20
+
+
+def fvs_by_search(g, k_max):
+    """Every component of g searched as the subgraph it induces, by
+    iterative deepening from its 2-core, cycles too: the reference that
+    fvs_exact's settling of cycle components must agree with."""
+    comps = components(g)
+    found = []
+    for verts, h in zip(comps, _induced(g, comps)[0]):
+        alive, deg = _core(h)
+        for k in range(k_max - len(found) + 1):
+            sub = _fvs_search(h, alive, deg, k)
+            if sub is not None:
+                found += [verts[v] for v in sub]
+                break
+        else:
+            return None
+    return VertexSet.of(g.n, found)
+
+
+def test_fvs_cycle_components_match_the_search():
+    seen = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        parts = [cycle_graph(rng.randint(3, 9)) if rng.random() < 0.5
+                 else random_graph(rng, rng.randint(1, 8), 0.35)
+                 for _ in range(rng.randint(2, 5))]
+        g = disjoint_union(rng, parts)
+        expected = fvs_by_search(g, g.n)
+        size = len(expected)
+        for b in sorted({g.n, size, max(size - 1, 0), 2}):
+            s = fvs_exact(g, b)
+            assert s == (expected if b >= size else None), (seed, b)
+        seen.add(size)
+    assert len(seen) > 3
+
+
+def test_fvs_settles_disjoint_cycles_without_a_search(monkeypatch):
+    import limsolve.graphs
+
+    rng = random.Random(7)
+    g = disjoint_union(rng, [cycle_graph(rng.randint(3, 7))
+                             for _ in range(1000)])
+    lowest = sorted(c[0] for c in components(g))
+
+    def refuse(g, parts):
+        raise AssertionError("fvs_exact built a subgraph to search")
+
+    monkeypatch.setattr(limsolve.graphs, "_induced", refuse)
+    assert list(fvs_exact(g, 1000)) == lowest
+    # one cycle over the budget
+    assert fvs_exact(g, 999) is None
 
 
 def test_remove_vertices_c4_minus_one():

@@ -49,6 +49,11 @@ def test_validate_catches_uncovered_edge():
     b = BagDecomposition(path_graph(4), path_graph(2), ((0, 1), (2, 3)))
     problems = validate_decomposition(b)
     assert any("fits in no bag" in p for p in problems)
+    # vertex 2 of edge {1,2} has fewer bags than vertex 1, so its bags are
+    # the ones scanned
+    b = BagDecomposition(path_graph(4), path_graph(3), ((0, 1), (1,), (2, 3)))
+    assert "1 edge of the target graph fits in no bag: {1,2}" in \
+        validate_decomposition(b)
 
 
 def test_validate_catches_uncovered_vertex():
@@ -76,6 +81,29 @@ def test_validate_catches_missing_adhesion():
     )
     problems = validate_decomposition(b)
     assert any("not in its adhesion" in p for p in problems)
+
+
+def _star_decomposition(n):
+    """A star X with centre 0 and leaves 1..n, one bag (0, v) per leaf on a
+    star shape: the centre sits in all n bags."""
+    x = SimpleGraph(n + 1, [(0, v) for v in range(1, n + 1)])
+    shape = SimpleGraph(n, [(0, i) for i in range(1, n)])
+    return BagDecomposition(x, shape, tuple((0, v) for v in range(1, n + 1)))
+
+
+def test_validate_is_linear_when_one_vertex_sits_in_many_bags():
+    # each edge is looked up in the bags of its end with fewer holders;
+    # scanning the centre's n bags per edge made eight times the leaves
+    # cost about 64 times
+    bags = {n: _star_decomposition(n) for n in (2000, 16_000)}
+
+    def check(n):
+        assert validate_decomposition(bags[n]) == []
+
+    small, large = best_of_interleaved(check, 2000, 16_000, repeats=3)
+    # eight times the bags: linear time gives about 8x, and 20 leaves room
+    # for timing noise
+    assert large / small <= 20, (small, large)
 
 
 def test_generated_decompositions_validate():
