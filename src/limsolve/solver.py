@@ -12,12 +12,18 @@ over the same plan reads the witness off the first nonempty test.  The
 root-to-leaves filter pass, which turns masks into the image subdiagram,
 runs only in image_tree.
 
+With no set supplied, a shape with fewer edges than vertices is first
+planned whole, and the plan's edge count recognises a forest: S is then
+empty and no FVS search runs.
+
 inlim runs the tests bit-sliced: one int per (vertex, element) whose bit j
 says whether combination j keeps the element; a pinned vertex is a leaf
 that restricts each neighbour once and is done, like a root, at the end
 of the plan, and a plan edge restricts only its parent p by its child c's
 rows (Yannakakis's upward semijoin pass), in O(|d(c)| + |d(p)| + |d(e)|)
-B-bit word operations for B combinations.
+B-bit word operations for B combinations.  A block of one combination,
+as every forest solve and witness re-sweep runs, uses set passes in C
+instead, on rows of truth values.
 The plan folds each child into its parent as soon as the child is done,
 so a vertex holds rows only from the first arc into it until its own
 fold; when every child but the first holds less than half of its
@@ -37,6 +43,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, lt
 
 from .diagram import (
     CoDecomposition,
@@ -95,22 +103,39 @@ class InLimResult:
 
 
 def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
-    """Check a witness against every edge constraint of the diagram."""
-    problems = []
-    if len(w.vertex_elements) != d.shape.n or len(w.edge_elements) != d.shape.m:
+    """Check a witness against every edge constraint of the diagram.
+
+    First every element is checked at once: a vertex element must be an
+    int (bool excluded) in [0, |d(v)|), an edge element an int.  The
+    elements are walked only to name those that are not, and then no edge
+    is checked.  Then every edge is checked in one loop, and walked again
+    only to name the edges that fail.
+    """
+    ve, ee = w.vertex_elements, w.edge_elements
+    if len(ve) != d.shape.n or len(ee) != d.shape.m:
         return ["witness arity differs from shape"]
-    for e, ((u, v), (tu, tv)) in enumerate(zip(d.shape.edges, d.tables)):
-        au = tu[w.vertex_elements[u]]
-        av = tv[w.vertex_elements[v]]
-        if not au == av == w.edge_elements[e]:
-            problems.append(
-                f"edge {e}: endpoint values map to {au} and {av}, "
-                f"edge element is {w.edge_elements[e]}")
-    return problems
+    sizes = d.vertex_size
+    if not (set(map(type, ve)) <= {int} and set(map(type, ee)) <= {int}
+            and min(ve, default=0) >= 0 and all(map(lt, ve, sizes))):
+        return ([f"vertex {v}: element {x!r} is not an int in [0, {size})"
+                 for v, (x, size) in enumerate(zip(ve, sizes))
+                 if type(x) is not int or not 0 <= x < size]
+                + [f"edge {e}: element {x!r} is not an int"
+                   for e, x in enumerate(ee) if type(x) is not int])
+    edges, tables = d.shape.edges, d.tables
+    for (u, v), (tu, tv), x in zip(edges, tables, ee):
+        if not tu[ve[u]] == tv[ve[v]] == x:
+            break
+    else:
+        return []
+    return [f"edge {e}: endpoint values map to {tu[ve[u]]} and {tv[ve[v]]}, "
+            f"edge element is {x}"
+            for e, ((u, v), (tu, tv), x) in enumerate(zip(edges, tables, ee))
+            if not tu[ve[u]] == tv[ve[v]] == x]
 
 
 def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
-                 heavy_first: bool = False) -> list[tuple[int, int]]:
+                 heavy_first: bool = False) -> list[tuple[int, int]] | None:
     """The sweep schedule of g minus s, as (edge id, source) arcs in the
     order they run.  An arc (e, c) with c >= 0 folds the child c into its
     parent, the other end of plan edge e; (e, ~u) runs out of the pinned
@@ -130,7 +155,8 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
 
     One depth-first search of g minus s serves as component finder, forest
     check (g - s is a forest iff its edge count is its vertex count minus
-    its tree count) and schedule.
+    its tree count) and schedule.  Returns None when g minus s is not a
+    forest; _checked_plan turns that into the ValueError.
     """
     if s is not None and s.n != g.n:
         raise ValueError("vertex set belongs to a different shape")
@@ -153,8 +179,7 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
     # an edge between pinned vertices gave an arc from each end
     cut = len(plan) // 2 + sum(map(len, into.values()))
     if g.m - cut != kept - len(trees):
-        raise ValueError("shape is not a forest" if s is None else
-                         "supplied vertex set is not a feedback vertex set")
+        return None
     edges = g.edges
     for tree in trees:
         post = _heavy_first(edges, tree) if heavy_first else reversed(tree)
@@ -166,6 +191,16 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
             plan += post
     # after the last arc out of each, and not counted as edges above
     plan += [(-1, u) for u in s or ()]
+    return plan
+
+
+def _checked_plan(g: SimpleGraph, s: VertexSet | None = None,
+                  heavy_first: bool = False) -> list[tuple[int, int]]:
+    """_forest_plan, with a ValueError when g minus s is not a forest."""
+    plan = _forest_plan(g, s, heavy_first)
+    if plan is None:
+        raise ValueError("shape is not a forest" if s is None else
+                         "supplied vertex set is not a feedback vertex set")
     return plan
 
 
@@ -219,7 +254,7 @@ def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
     matching family; in particular, if any component admits no family, the
     whole result is zero (there are no global families at all).
     """
-    plan = _forest_plan(d.shape)
+    plan = _checked_plan(d.shape)
     out = m.copy()
     if _leaves_to_root(d, out, plan):
         filter_edges(d, out, [e for e, _ in reversed(plan) if e >= 0])
@@ -230,7 +265,7 @@ def image_tree(d: CoDecomposition, m: SubMask) -> SubMask:
 
 def forest_initial(d: CoDecomposition, m: SubMask) -> Verdict:
     """Emptiness for forest shapes, by the leaves-to-root pass alone."""
-    return Verdict(not _leaves_to_root(d, m.copy(), _forest_plan(d.shape)))
+    return Verdict(not _leaves_to_root(d, m.copy(), _checked_plan(d.shape)))
 
 
 def section_tests(d: CoDecomposition, s: VertexSet):
@@ -245,7 +280,7 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     the empty one, whose test restricts d to all of its vertices.  inlim
     runs the same tests bit-sliced, without restricting.
     """
-    _forest_plan(d.shape, s)
+    _checked_plan(d.shape, s)
     keep = s.complement()
     pinned = list(s)
     pin_edges = [e for v in pinned for e, _ in d.shape.incidence[v]]
@@ -274,6 +309,31 @@ def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
     if found is None:
         raise ValueError(f"no feedback vertex set of size <= {budget}")
     return found
+
+
+def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
+                  k_max: int | None, diagrams: list[CoDecomposition]
+                  ) -> tuple[list[int], list[tuple[int, int]]]:
+    """The feedback vertex set S, ascending, and the forest plan of the
+    shape minus S, heavy-first if one of the diagrams over the shape has
+    more than one pinned combination.
+
+    With no set supplied, a shape with fewer edges than vertices may be a
+    forest: the plan of the whole shape is built first, and when its edge
+    count says "forest", S is empty and that plan is the solve's plan, with
+    no FVS search.  Otherwise, and always when m >= n, S is resolved by
+    _resolve_fvs.
+    """
+    if fvs is None and shape.m < shape.n:
+        if k_max is not None and k_max < 0:
+            raise ValueError("k_max must be >= 0")
+        plan = _forest_plan(shape)
+        if plan is not None:
+            return [], plan
+    s = _resolve_fvs(shape, fvs, k_max)
+    pinned = list(s)
+    return pinned, _checked_plan(shape, s, any(
+        _combinations(d, pinned) > 1 for d in diagrams))
 
 
 # Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // held) with
@@ -328,6 +388,13 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     element at every done-arc, and the sweep stops once no combination of
     the block is left.
 
+    A block of width 1 (every solve without pinned vertices, and every
+    witness re-sweep) runs each arc as set passes in C instead: the hit
+    set is the leg values of c's kept elements, p keeps the elements whose
+    leg value is a hit, and-ed with its old rows.  Its rows are truth
+    values (0/1 or bools).  A done-arc checks nothing there: the one
+    combination died at the first arc that left a vertex no element.
+
     Returns (rows, the bits of the combinations whose test is nonempty).
     Kept rows, of every vertex that an arc restricted, mean what they mean
     during the sweep: a vertex keeps what extends over its subtree.
@@ -351,6 +418,8 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
                 if not sizes[c]:
                     return rows, 0
                 continue
+            if width == 1:  # an arc that left c no element ended the sweep
+                continue
             survive = 0
             for row in got:
                 survive |= row
@@ -369,18 +438,24 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
             tc, p, tp = tu, v, tv
         else:
             tc, p, tp = tv, u, tu
-        hit = [0] * edge_size[e]
-        if src is None:  # a leaf that no arc restricted keeps every element
-            for x in tc:
-                hit[x] = full
-        else:
-            for row, x in zip(src, tc):
-                hit[x] |= row
         old = rows.get(p)
-        if old is None:
-            new = [hit[x] for x in tp]
+        # src is None at a leaf that no arc restricted: it keeps every element
+        if width == 1:  # set passes in C; a row is a truth value
+            hits = set(tc) if src is None else set(compress(tc, src))
+            new = map(hits.__contains__, tp)
+            new = list(new) if old is None else list(map(and_, old, new))
         else:
-            new = [row & hit[x] for row, x in zip(old, tp)]
+            hit = [0] * edge_size[e]
+            if src is None:
+                for x in tc:
+                    hit[x] = full
+            else:
+                for row, x in zip(src, tc):
+                    hit[x] |= row
+            if old is None:
+                new = [hit[x] for x in tp]
+            else:
+                new = [row & hit[x] for row, x in zip(old, tp)]
         if not any(new):  # every test of the block is empty
             return rows, 0
         rows[p] = new
@@ -397,20 +472,23 @@ def inlim(
     """Decide whether the limit of the diagram is empty.
 
     A feedback vertex set S is taken as given or found by exact search
-    within k_max, and one forest plan of G - S is built.  The w^k pinned
-    combinations, numbered lexicographically, run bit-sliced in blocks of
-    B: one int per (vertex, element) whose bit j says whether combination
-    j keeps that element, and each plan edge restricts its parent by its
-    child's rows once per block, in O(|d(c)| + |d(p)| + |d(e)|) B-bit word
-    operations.  The plan runs in post-order and folds into every vertex
-    first a child that leaves each later one less than half of the
-    vertex's subtree, so at most floor(log2 n) + 1 unpinned vertices hold
-    rows at once, and B = max(64, 2^24 // held), capped at w^k, with held
-    the pinned rows plus (floor(log2 n) + 1) * w: that is ceil(w^k / B)
-    sweeps, their number independent of n.  A solve with one combination
-    sweeps once at width 1, so its plan skips that ordering pass and runs
-    in search order.  The limit is empty iff no combination
-    survives, so the blocks stop at the first one with a survivor.
+    within k_max, and one forest plan of G - S is built.  With no set
+    supplied, a shape with m < n is first planned whole: when that plan's
+    own search finds a forest, S is empty and no FVS search runs.  The
+    w^k pinned combinations, numbered lexicographically, run bit-sliced in
+    blocks of B: one int per (vertex, element) whose bit j says whether
+    combination j keeps that element, and each plan edge restricts its
+    parent by its child's rows once per block, in O(|d(c)| + |d(p)| +
+    |d(e)|) B-bit word operations.  The plan runs in post-order and folds
+    into every vertex first a child that leaves each later one less than
+    half of the vertex's subtree, so at most floor(log2 n) + 1 unpinned
+    vertices hold rows at once, and B = max(64, 2^24 // held), capped at
+    w^k, with held the pinned rows plus (floor(log2 n) + 1) * w: that is
+    ceil(w^k / B) sweeps, their number independent of n.  A solve with one
+    combination sweeps once at width 1, in set passes rather than word
+    operations, so its plan skips that ordering pass and runs in search
+    order.  The limit is empty iff no combination survives, so the blocks
+    stop at the first one with a survivor.
     section_test_count is the index of the first survivor plus one, or
     every combination when early_exit is off or the limit is empty.  The
     witness is deterministic: one root-to-leaves walk over the same plan
@@ -429,9 +507,7 @@ def inlim(
     problems = size_problems(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    s = _resolve_fvs(d.shape, fvs, k_max)
-    pinned = list(s)
-    plan = _forest_plan(d.shape, s, _combinations(d, pinned) > 1)
+    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d])
     return _solve(d, pinned, plan, want_witness, early_exit)
 
 
@@ -446,7 +522,9 @@ def _solve(d: CoDecomposition, pinned: list[int],
     """inlim after its checks: the sweep over the blocks and the witness
     read, on a diagram whose sizes are checked, with pinned the feedback
     vertex set ascending and plan the forest plan of the shape minus it,
-    heavy-first if d has more than one pinned combination."""
+    heavy-first if d has more than one pinned combination, as
+    _resolve_plan gives them.  A forest shape has pinned empty and one
+    combination, swept as one width-1 block."""
     sizes = d.vertex_size
     total = _combinations(d, pinned)
     held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()
@@ -547,7 +625,7 @@ def extract_witness(
     for v, a in pinned.items():
         if not 0 <= a < d.vertex_size[v]:
             raise ValueError(f"pinned element {a} out of range at vertex {v}")
-    plan = _forest_plan(d.shape, VertexSet.of(n, pinned))
+    plan = _checked_plan(d.shape, VertexSet.of(n, pinned))
     rows = {}
     for v, size in enumerate(d.vertex_size):
         mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]

@@ -65,9 +65,14 @@ def test_solve_supplied_fvs(tmp_path, capsys):
     assert code == 0 and out[-1] == "EMPTY"
     code, _, err = run(capsys, ["solve", path, "--fvs", ""])
     assert code == 2 and "feedback vertex set" in err
-    code, out, err = run(capsys, ["solve", path, "--fvs-max", "-1"])
-    assert code == 2 and out == []
-    assert err == "error: k_max must be >= 0\n"
+    # a forest is recognised without the FVS search, which checks the
+    # budget, so the budget is checked on that path too
+    forest = write(tmp_path, "path.json",
+                   jsonio.diagram_to_json(path_example()))
+    for diagram in (path, forest):
+        code, out, err = run(capsys, ["solve", diagram, "--fvs-max", "-1"])
+        assert code == 2 and out == []
+        assert err == "error: k_max must be >= 0\n"
 
 
 def _huge_edge_set(doc):

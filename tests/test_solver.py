@@ -34,7 +34,7 @@ from limsolve import (
     section_tests,
     witness_violations,
 )
-from limsolve.generate import random_tree
+from limsolve.generate import path_graph, random_tree
 
 
 def test_inlim_edgeless_shapes():
@@ -190,6 +190,111 @@ def test_witness_violations_texts():
         ["witness arity differs from shape"]
     assert witness_violations(d, Witness((0, 1, 0), (1, 1))) == \
         ["edge 0: endpoint values map to 0 and 1, edge element is 1"]
+    # values that are not elements are named, not wrapped or coerced
+    d = CoDecomposition(SimpleGraph(2, [(0, 1)]), [2, 2], [2],
+                        [((0, 1), (0, 1))])
+    assert witness_violations(d, Witness((1, 1), (1,))) == []
+    assert witness_violations(d, Witness((-1, 1), (1,))) == \
+        ["vertex 0: element -1 is not an int in [0, 2)"]
+    assert witness_violations(d, Witness((True, 1), (1,))) == \
+        ["vertex 0: element True is not an int in [0, 2)"]
+    assert witness_violations(d, Witness((5, 1), (1,))) == \
+        ["vertex 0: element 5 is not an int in [0, 2)"]
+    assert witness_violations(d, Witness((1, "1"), (True,))) == \
+        ["vertex 1: element '1' is not an int in [0, 2)",
+         "edge 0: element True is not an int"]
+
+
+def _forest_shapes(rng):
+    """Paths, random trees, and forests of several trees whose vertices a
+    seeded permutation relabels, so that roots are not 0 and the labelling
+    is not heap-ordered."""
+    for n in (1, 2, 9, 40):
+        yield path_graph(n)
+    for _ in range(8):
+        yield random_tree(rng, rng.randint(2, 30))
+    for _ in range(8):
+        edges, n = [], 0
+        for _ in range(rng.randint(2, 4)):
+            tree = random_tree(rng, rng.randint(1, 12))
+            edges += [(u + n, v + n) for u, v in tree.edges]
+            n += tree.n
+        label = rng.sample(range(n), n)
+        yield SimpleGraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_forest_solve_never_searches(monkeypatch):
+    # with no set supplied, a forest shape is recognised by its own plan's
+    # search: the FVS search never runs, and every output stays the same
+    import limsolve.solver
+    from limsolve import hom_exists
+    from limsolve.generate import (complete_graph, elimination_decomposition,
+                                   random_diagram, random_graph)
+
+    rng = random.Random(24)
+    diagrams = []
+    for shape in _forest_shapes(rng):
+        diagrams += [_planted(rng, shape, 3), random_diagram(rng, shape, 3)]
+    decompositions = [elimination_decomposition(
+        rng, random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.4))))
+        for _ in range(20)]
+    k3 = complete_graph(3)
+
+    def outputs():
+        return ([(inlim(d), inlim(d, want_witness=True), inlim(d, k_max=0))
+                 for d in diagrams],
+                [(hom_exists(b, k3), hom_exists(b, k3, want_coloring=True))
+                 for b in decompositions])
+
+    want = outputs()
+    assert sum(not r.verdict.empty_limit for r, _, _ in want[0]) >= 20
+    assert any(ok for (ok, _), _ in want[1])
+    assert any(not ok for (ok, _), _ in want[1])
+
+    def refuse(*args):
+        raise AssertionError("a forest solve ran the FVS search")
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", refuse)
+    assert outputs() == want
+
+
+def test_cyclic_shape_with_few_edges_still_searches(monkeypatch):
+    # a 4-cycle beside a 3-vertex path has fewer edges than vertices: the
+    # plan's search finds it is no forest, and S comes from the FVS search
+    import limsolve.solver
+
+    shape = SimpleGraph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert shape.m < shape.n
+    d = _planted(random.Random(3), shape, 3)
+    calls = []
+    fvs_exact = limsolve.solver.fvs_exact
+
+    def counted(*args):
+        calls.append(args)
+        return fvs_exact(*args)
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", counted)
+    result = inlim(d, want_witness=True)
+    assert len(calls) == 1
+    assert result.fvs == (3,)
+    assert result == inlim(d, fvs=VertexSet.of(7, [3]), want_witness=True)
+    assert witness_violations(d, result.witness) == []
+
+
+def test_forest_path_refuses_a_negative_budget():
+    # the budget is checked before the plan's search, as the FVS search
+    # checks it
+    from limsolve import cset_inlim
+    from limsolve.generate import lift_to_terminal_cset
+
+    d = path_example()
+    lifted = lift_to_terminal_cset(d)
+    with pytest.raises(ValueError, match="^k_max must be >= 0$"):
+        inlim(d, k_max=-1)
+    with pytest.raises(ValueError, match="^k_max must be >= 0$"):
+        cset_inlim(lifted, k_max=-1)
+    assert not inlim(d, k_max=0).verdict.empty_limit
+    assert not cset_inlim(lifted, k_max=0).empty_limit
 
 
 def test_inlim_zero_vertex_shape_nonempty():
@@ -574,8 +679,16 @@ def test_sweep_rows_with_a_pinned_hub():
         below = _subtrees(shape, pinned=(n,))
         for b in range(w):
             assert _rows(rows, n, w, b) == {b}, (seed, b)
+            # combination b alone, as the witness re-sweep runs it: the
+            # width-1 set passes keep what bit b of the block keeps
+            one, one_alive = _sliced_sweep(d, [n], plan, b, 1, True)
+            assert one_alive == alive >> b & 1, (seed, b)
             if not alive >> b & 1:
                 continue
+            assert one.keys() == rows.keys(), (seed, b)
+            for u, got in one.items():
+                assert [bool(row) for row in got] \
+                    == [bool(row >> b & 1) for row in rows[u]], (seed, b, u)
             pinned = CoDecomposition(
                 shape, [w] * n + [1], [w] * shape.m,
                 [(tu, tv[b:b + 1] if v == n else tv) for (_, v), (tu, tv)
