@@ -33,7 +33,15 @@ def _load(path: str):
 def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
     if arg is None:
         return None
-    ids = [int(tok) for tok in arg.split(",") if tok.strip() != ""]
+    ids = []
+    for tok in arg.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        # int() would also read "1_0", "+0" and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"--fvs token {tok!r} is not a vertex id")
+        ids.append(int(tok))
     return VertexSet.of(n, ids)
 
 

@@ -281,7 +281,8 @@ def cset_inlim(
     The slices share the shape, so one feedback vertex set and one forest
     plan, resolved as inlim resolves them (a forest shape needs no FVS
     search), serve them all; the plan is heavy-first when some slice has
-    more than one pinned combination.  Each slice is then swept as inlim
+    more than 64 pinned combinations, and in search order when every
+    slice's combinations fit one block.  Each slice is then swept as inlim
     sweeps it, without checking again the sizes validate_cset_codecomp
     checked.  Over no C-object the answer is EMPTY before any plan is
     built: a bad budget is still refused, a supplied set is not checked.

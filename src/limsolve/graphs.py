@@ -120,6 +120,11 @@ class VertexSet:
     mask: int = 0
 
     def __post_init__(self):
+        # as in SimpleGraph, bool is an int subclass but no count, mask or id
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
+        if type(self.mask) is not int:
+            raise ValueError(f"vertex mask {self.mask!r} is not an integer")
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError("vertex mask out of range")
 
@@ -127,6 +132,8 @@ class VertexSet:
     def of(cls, n: int, vertices) -> "VertexSet":
         mask = 0
         for v in vertices:
+            if type(v) is not int:
+                raise ValueError(f"vertex id {v!r} is not an integer")
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range for n={n}")
             mask |= 1 << v

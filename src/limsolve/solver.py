@@ -26,11 +26,15 @@ as every forest solve and witness re-sweep runs, uses set passes in C
 instead, on rows of truth values.
 The plan folds each child into its parent as soon as the child is done,
 so a vertex holds rows only from the first arc into it until its own
-fold; when every child but the first holds less than half of its
-parent's subtree, at most floor(log2 n) + 1 unpinned vertices hold rows
-at once (Sethi & Ullman 1970).  B is sized
-from those rows, not from n: ceil(w^k / B) sweeps, within the paper's
-O(w^k * w^2 * n).  section_tests, forest_initial and image_tree run one
+fold.  A solve with more than _MIN_BLOCK = 64 combinations orders its
+plan so that every child but the first holds less than half of its
+parent's subtree; then at most floor(log2 n) + 1 unpinned vertices hold
+rows at once (Sethi & Ullman 1970), and B is sized from those rows, not
+from n: ceil(w^k / B) sweeps, within the paper's O(w^k * w^2 * n).  A
+solve with at most 64 combinations sweeps one block, of at most one
+word per row, whatever the order, so its plan runs in search order:
+rows at O(n) vertices then stay within a constant factor of the leg
+tables.  section_tests, forest_initial and image_tree run one
 test at a time on SubMasks, through the two-sided filter_edges: they are
 the per-combination reference that the tests check the sweep against.
 
@@ -152,6 +156,10 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
     into a vertex holds less than half of that vertex's subtree; then at
     most floor(log2 n) + 1 unpinned vertices are between their first
     restriction and their own fold at any time (Sethi & Ullman 1970).
+    Without it, the children fold in search order.  _resolve_plan asks for
+    heavy_first only when a solve has more than _MIN_BLOCK combinations.
+    Either way a vertex keeps the same elements once all its children have
+    folded, so the order changes no verdict, count or witness.
 
     One depth-first search of g minus s serves as component finder, forest
     check (g - s is a forest iff its edge count is its vertex count minus
@@ -316,7 +324,10 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
                   ) -> tuple[list[int], list[tuple[int, int]]]:
     """The feedback vertex set S, ascending, and the forest plan of the
     shape minus S, heavy-first if one of the diagrams over the shape has
-    more than one pinned combination.
+    more than _MIN_BLOCK pinned combinations.  Every block of a solve with
+    at most _MIN_BLOCK combinations is that whole solve, one word per row,
+    so there the ordering pass would buy nothing and the plan runs in
+    search order.
 
     With no set supplied, a shape with fewer edges than vertices may be a
     forest: the plan of the whole shape is built first, and when its edge
@@ -333,13 +344,15 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
     s = _resolve_fvs(shape, fvs, k_max)
     pinned = list(s)
     return pinned, _checked_plan(shape, s, any(
-        _combinations(d, pinned) > 1 for d in diagrams))
+        _combinations(d, pinned) > _MIN_BLOCK for d in diagrams))
 
 
 # Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // held) with
 # held the pinned rows plus (floor(log2 n) + 1) * w, the most rows a sweep
 # of a heavy-first plan holds at once, so those rows hold about 2 MB of
-# bits; a block never exceeds the number of combinations.
+# bits; a block never exceeds the number of combinations.  A solve with
+# at most _MIN_BLOCK combinations is one block of at most one word per
+# row, so its plan is not heavy-first (_resolve_plan).
 _MIN_BLOCK = 64
 _STATE_BITS = 2 ** 24
 
@@ -479,16 +492,18 @@ def inlim(
     blocks of B: one int per (vertex, element) whose bit j says whether
     combination j keeps that element, and each plan edge restricts its
     parent by its child's rows once per block, in O(|d(c)| + |d(p)| +
-    |d(e)|) B-bit word operations.  The plan runs in post-order and folds
-    into every vertex first a child that leaves each later one less than
-    half of the vertex's subtree, so at most floor(log2 n) + 1 unpinned
-    vertices hold rows at once, and B = max(64, 2^24 // held), capped at
-    w^k, with held the pinned rows plus (floor(log2 n) + 1) * w: that is
-    ceil(w^k / B) sweeps, their number independent of n.  A solve with one
-    combination sweeps once at width 1, in set passes rather than word
-    operations, so its plan skips that ordering pass and runs in search
-    order.  The limit is empty iff no combination survives, so the blocks
-    stop at the first one with a survivor.
+    |d(e)|) B-bit word operations.  The plan runs in post-order; with more
+    than 64 combinations it folds into every vertex first a child that
+    leaves each later one less than half of the vertex's subtree, so at
+    most floor(log2 n) + 1 unpinned vertices hold rows at once, and
+    B = max(64, 2^24 // held), capped at w^k, with held the pinned rows
+    plus (floor(log2 n) + 1) * w: that is ceil(w^k / B) sweeps, their
+    number independent of n.  A solve with at most 64 combinations sweeps
+    one block of at most one word per row (at width 1, in set passes
+    rather than word operations, for one combination), so its plan skips
+    that ordering pass and runs in search order.  The limit is empty iff
+    no combination survives, so the blocks stop at the first one with a
+    survivor.
     section_test_count is the index of the first survivor plus one, or
     every combination when early_exit is off or the limit is empty.  The
     witness is deterministic: one root-to-leaves walk over the same plan
@@ -522,7 +537,7 @@ def _solve(d: CoDecomposition, pinned: list[int],
     """inlim after its checks: the sweep over the blocks and the witness
     read, on a diagram whose sizes are checked, with pinned the feedback
     vertex set ascending and plan the forest plan of the shape minus it,
-    heavy-first if d has more than one pinned combination, as
+    heavy-first if d has more than _MIN_BLOCK pinned combinations, as
     _resolve_plan gives them.  A forest shape has pinned empty and one
     combination, swept as one width-1 block."""
     sizes = d.vertex_size

@@ -65,6 +65,14 @@ def test_solve_supplied_fvs(tmp_path, capsys):
     assert code == 0 and out[-1] == "EMPTY"
     code, _, err = run(capsys, ["solve", path, "--fvs", ""])
     assert code == 2 and "feedback vertex set" in err
+    # tokens are ASCII decimal digits: int() would read "1_0" as 10, and
+    # "+0" and the Arabic-Indic zero as 0
+    for token in ("1_0", "+0", "٠", "-1", "2.0", "0x2", "2 3"):
+        code, out, err = run(capsys, ["solve", path, "--fvs", f"0,{token}"])
+        assert code == 2 and out == []
+        assert err == f"error: --fvs token {token!r} is not a vertex id\n"
+    code, out, _ = run(capsys, ["solve", path, "--fvs", " 2 ,"])
+    assert code == 0 and out[-1] == "EMPTY"
     # a forest is recognised without the FVS search, which checks the
     # budget, so the budget is checked on that path too
     forest = write(tmp_path, "path.json",

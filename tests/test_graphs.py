@@ -377,6 +377,25 @@ def test_vertex_set_refuses_out_of_range():
     assert str(err.value) == "vertex 3 out of range for n=3"
 
 
+def test_vertex_set_refuses_ids_that_are_not_ints():
+    # True was once read as vertex 1, and 1.0 escaped as a bare TypeError
+    for ids, text in (([True], "vertex id True is not an integer"),
+                      ([0, 1.0], "vertex id 1.0 is not an integer"),
+                      (["2"], "vertex id '2' is not an integer")):
+        with pytest.raises(ValueError) as err:
+            VertexSet.of(5, ids)
+        assert str(err.value) == text
+    for mask in (True, 1.0, "1"):
+        with pytest.raises(ValueError) as err:
+            VertexSet(5, mask)
+        assert str(err.value) == f"vertex mask {mask!r} is not an integer"
+    for n in (True, 5.0):
+        with pytest.raises(ValueError) as err:
+            VertexSet(n, 1)
+        assert str(err.value) == f"vertex count {n!r} is not an integer"
+    assert VertexSet.of(5, [1]) == VertexSet(5, 2)
+
+
 def test_generators_refuse_bad_parameters():
     with pytest.raises(ValueError) as err:
         cycle_graph(2)

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from conftest import (
+    DISCRETE_2,
     best_of_interleaved,
     c4_example,
     c4_untwisted_example,
@@ -25,6 +26,7 @@ from limsolve import (
     VertexSet,
     Witness,
     brute_image,
+    cset_inlim,
     enumerate_limit,
     extract_witness,
     forest_initial,
@@ -510,12 +512,16 @@ def test_inlim_decide_time_is_linear_in_n_at_fixed_k():
 def _live_peak(g, plan):
     """The most unpinned vertices holding rows at once in a sweep of the
     plan, counted from its arcs: a vertex from the first arc into it until
-    its own fold, or its tree's end."""
+    its own fold, or its tree's end.  An arc (e, ~u) out of a pinned
+    vertex u restricts the other end of e, which may be pinned too."""
+    pinned = {~c for _, c in plan if c < 0}
     live = set()
     most = 0
     for e, c in plan:
         if e >= 0:
-            live.add(sum(g.edges[e]) - c)
+            p = sum(g.edges[e]) - (c if c >= 0 else ~c)
+            if p not in pinned:
+                live.add(p)
             most = max(most, len(live))
         live.discard(c)
     return most
@@ -556,6 +562,55 @@ def test_plan_holds_logarithmically_many_vertices(name):
     assert alive == 1 and rows == {}  # every row dropped after its last read
     if name == "comb":  # folding in search order, every spine vertex waits
         assert _live_peak(g, _forest_plan(g)) >= n // 2
+
+
+def test_one_word_solves_plan_in_search_order(monkeypatch):
+    # at most _MIN_BLOCK = 64 combinations sweep as one block of at most
+    # one word per row, whatever the order of the plan, so only wider
+    # solves lay it out heavy-first.  Both orders give the same verdicts,
+    # test counts and witnesses: 3, 9 and 27 combinations, EMPTY and
+    # NONEMPTY, and C-set diagrams on 3 disjoint cycles, whose two slices
+    # share one plan with 3 pinned vertices
+    import limsolve.solver
+    from limsolve import jsonio
+
+    spiders = [make(k, 601) for k in (1, 2, 3)
+               for make in (shifted_spider, narrowing_spider)]
+    cat = jsonio.parse_fincat(DISCRETE_2)
+    csets = [jsonio.parse_cset_diagram(
+        _cycles_cset_doc(random.Random(seed), 3, 8, 3, seed % 2), cat)
+        for seed in range(6)]
+
+    def outputs():
+        return ([_outputs(d, fvs=hubs) for d, hubs in spiders],
+                [cset_inlim(d) for d in csets])
+
+    want = outputs()
+    assert [out[0][0].empty_limit for out in want[0]] == [True, False] * 3
+    assert {v.empty_limit for v in want[1]} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("a one-word solve ordered its plan")
+
+    monkeypatch.setattr(limsolve.solver, "_heavy_first", refuse)
+    assert outputs() == want
+    monkeypatch.undo()
+
+    # 81 combinations need more than one word: the plan is heavy-first,
+    # and holds at most floor(log2 n) + 1 unpinned vertices at once
+    calls = []
+    heavy_first = limsolve.solver._heavy_first
+
+    def counted(*args):
+        calls.append(args)
+        return heavy_first(*args)
+
+    monkeypatch.setattr(limsolve.solver, "_heavy_first", counted)
+    d, hubs = shifted_spider(4, 601)
+    _, plan = limsolve.solver._resolve_plan(d.shape, hubs, None, [d])
+    assert calls
+    assert _live_peak(d.shape, plan) <= d.shape.n.bit_length()
+    assert inlim(d, fvs=hubs).section_test_count == 81
 
 
 def test_inlim_never_builds_fibres(monkeypatch):
