@@ -38,9 +38,13 @@ def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
         tok = tok.strip()
         if not tok:
             continue
-        # int() would also read "1_0", "+0" and non-ASCII digits
+        # int() would also read "1_0", "+0" and non-ASCII digits, and
+        # refuses more than 4300 digits in a text that names no option
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"--fvs token {tok!r} is not a vertex id")
+        if len(tok.lstrip("0")) > len(str(n - 1)):
+            raise ValueError(f"--fvs token of {len(tok)} digits is not a "
+                             f"vertex id for n={n}")
         ids.append(int(tok))
     return VertexSet.of(n, ids)
 

@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .diagram import CoDecomposition
 from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
-from .solver import InLimResult, inlim
+from .solver import inlim
 
 
 @dataclass
@@ -315,12 +315,11 @@ def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
 
 @dataclass
 class HomInstance:
-    """The hom-set diagram of a bag decomposition, keeping the underlying
-    maps for stitching a global homomorphism back together."""
+    """The hom-set diagram of a bag decomposition, and each bag's maps, for
+    stitching a global homomorphism back together."""
 
     diagram: CoDecomposition
-    bag_homs: tuple[HomSet, ...]
-    adhesion_homs: tuple[HomSet, ...]
+    bag_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
@@ -332,8 +331,7 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     hom-set could exceed MAX_SET_SIZE maps."""
     homs = _HomSets(b.x, h)
     patterns = [homs.pattern(bag, f"bag {x}") for x, bag in enumerate(b.bags)]
-    bag_homs = [HomSet(bag, p.maps) for bag, p in zip(b.bags, patterns)]
-    adhesion_homs = []
+    edge_size = []
     tables = []
     for e, ((p, q), adh) in enumerate(zip(b.shape.edges, b.adhesions)):
         where = f"adhesion of shape edge {e}"
@@ -348,27 +346,12 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
             table, target = homs.table(patterns[end], len(bag), adh, sel,
                                        where)
             pair.append(table)
-        adhesion_homs.append(HomSet(adh, target))
+        edge_size.append(len(target))
         tables.append(tuple(pair))
-    diagram = CoDecomposition(
-        b.shape, [len(hs.maps) for hs in bag_homs],
-        [len(hs.maps) for hs in adhesion_homs], tables)
-    return HomInstance(diagram, tuple(bag_homs), tuple(adhesion_homs))
-
-
-def _stitch_coloring(b: BagDecomposition, inst: HomInstance,
-                     result: InLimResult) -> tuple[int, ...]:
-    coloring: list[int | None] = [None] * b.x.n
-    for x, hom_idx in enumerate(result.witness.vertex_elements):
-        m = inst.bag_homs[x].maps[hom_idx]
-        for v, c in zip(inst.bag_homs[x].vertices, m):
-            if coloring[v] is None:
-                coloring[v] = c
-            elif coloring[v] != c:
-                raise AssertionError(
-                    f"bags disagree on vertex {v}; decomposition lacks "
-                    f"gluing completeness")
-    return tuple(coloring)
+    bag_maps = tuple(p.maps for p in patterns)
+    diagram = CoDecomposition(b.shape, list(map(len, bag_maps)), edge_size,
+                              tables)
+    return HomInstance(diagram, bag_maps)
 
 
 def hom_exists(
@@ -391,10 +374,19 @@ def hom_exists(
         return False, None
     if not want_coloring:
         return True, None
-    coloring = _stitch_coloring(b, inst, result)
+    coloring: list[int | None] = [None] * b.x.n
+    for bag, maps, hom_idx in zip(b.bags, inst.bag_maps,
+                                  result.witness.vertex_elements):
+        for v, c in zip(bag, maps[hom_idx]):
+            if coloring[v] is None:
+                coloring[v] = c
+            elif coloring[v] != c:
+                raise AssertionError(
+                    f"bags disagree on vertex {v}; decomposition lacks "
+                    f"gluing completeness")
     hadj = {(u, v) for u, v in h.edges} | {(v, u) for u, v in h.edges}
     for u, v in b.x.edges:
         if (coloring[u], coloring[v]) not in hadj:
             raise AssertionError(
                 f"stitched map sends edge {{{u},{v}}} to a non-edge")
-    return True, coloring
+    return True, tuple(coloring)

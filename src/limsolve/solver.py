@@ -109,17 +109,17 @@ class InLimResult:
 def witness_violations(d: CoDecomposition, w: Witness) -> list[str]:
     """Check a witness against every edge constraint of the diagram.
 
-    First every element is checked at once: a vertex element must be an
-    int (bool excluded) in [0, |d(v)|), an edge element an int.  The
-    elements are walked only to name those that are not, and then no edge
-    is checked.  Then every edge is checked in one loop, and walked again
-    only to name the edges that fail.
+    First every element is checked at once: one pass over both tuples
+    checks that each is an int (bool excluded), then the vertex elements
+    are checked to lie in [0, |d(v)|).  The elements are walked only to
+    name those that fail, and then no edge is checked.  Then every edge is
+    checked in one loop, and walked again only to name the edges that fail.
     """
     ve, ee = w.vertex_elements, w.edge_elements
     if len(ve) != d.shape.n or len(ee) != d.shape.m:
         return ["witness arity differs from shape"]
     sizes = d.vertex_size
-    if not (set(map(type, ve)) <= {int} and set(map(type, ee)) <= {int}
+    if not ({*map(type, ve), *map(type, ee)} <= {int}
             and min(ve, default=0) >= 0 and all(map(lt, ve, sizes))):
         return ([f"vertex {v}: element {x!r} is not an int in [0, {size})"
                  for v, (x, size) in enumerate(zip(ve, sizes))

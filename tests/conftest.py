@@ -7,7 +7,8 @@ import math
 import random
 import time
 
-from limsolve import CoDecomposition, SimpleGraph, SubMask, VertexSet
+from limsolve import (CoDecomposition, SimpleGraph, SubMask, VertexSet,
+                      Witness, jsonio, witness_violations)
 from limsolve.generate import random_diagram, random_graph, random_tree
 
 
@@ -113,6 +114,19 @@ def narrowing_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, Verte
     return d, VertexSet.of(n, range(n - k, n))
 
 
+def cli_witness_violations(diagram_path: str, solve_path: str) -> list[str]:
+    """witness_violations of the witness that `limsolve solve --witness`
+    wrote to solve_path, its elements read as indices, against the diagram
+    document at diagram_path."""
+    with open(diagram_path) as fh:
+        d = jsonio.parse_diagram(json.load(fh))
+    with open(solve_path) as fh:
+        fields = dict(line.strip().split("=", 1) for line in fh if "=" in line)
+    return witness_violations(d, Witness(*(
+        tuple(map(int, fields[key].split(",")))
+        for key in ("witness_vertices", "witness_edges"))))
+
+
 def random_tree_diagram(seed: int, n_max: int = 10, w: int = 4) -> CoDecomposition:
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
@@ -199,7 +213,7 @@ def corpus_bases() -> list[tuple[str, dict, dict | None]]:
     and a label-form plain diagram, and C-set diagrams over the terminal
     category (label form), the walking arrow and the discrete category on
     two objects (one labelled and one size-form slice)."""
-    from limsolve import CSetCoDecomposition, jsonio
+    from limsolve import CSetCoDecomposition
     from limsolve.cset import FinCat
     from limsolve.generate import (lift_to_terminal_cset,
                                    random_walking_arrow_diagram)

@@ -71,6 +71,15 @@ def test_solve_supplied_fvs(tmp_path, capsys):
         code, out, err = run(capsys, ["solve", path, "--fvs", f"0,{token}"])
         assert code == 2 and out == []
         assert err == f"error: --fvs token {token!r} is not a vertex id\n"
+    # longer than any vertex id: refused by name, not echoed, and never
+    # reaching int()'s 4300-digit limit
+    for digits in (4000, 5000):
+        code, out, err = run(capsys, ["solve", path, "--fvs", "9" * digits])
+        assert code == 2 and out == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--fvs" in err and len(err.encode()) < 200
+    code, out, _ = run(capsys, ["solve", path, "--fvs", "0002"])
+    assert code == 0 and out[-1] == "EMPTY"
     code, out, _ = run(capsys, ["solve", path, "--fvs", " 2 ,"])
     assert code == 0 and out[-1] == "EMPTY"
     # a forest is recognised without the FVS search, which checks the
