@@ -45,7 +45,8 @@ def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
         if len(tok.lstrip("0")) > len(str(n - 1)):
             raise ValueError(f"--fvs token of {len(tok)} digits is not a "
                              f"vertex id for n={n}")
-        ids.append(int(tok))
+        # int() counts leading zeros towards its 4300-digit limit
+        ids.append(int(tok.lstrip("0") or "0"))
     return VertexSet.of(n, ids)
 
 
@@ -110,7 +111,16 @@ def cmd_hom(args) -> int:
     if template.startswith("file:"):
         h = jsonio.parse_graph(_load(template[5:]))
     elif template.startswith("k") and template[1:].isdigit():
-        k = int(template[1:])
+        digits = template[1:]
+        # as for --fvs: int() would read non-ASCII digits, and refuses
+        # more than 4300 digits in a text that names no option
+        if not digits.isascii():
+            raise ValueError(f"--template {template!r}: k<n> takes ASCII "
+                             f"digits")
+        if len(digits.lstrip("0")) > len(str(MAX_SET_SIZE)):
+            raise ValueError(f"--template k of {len(digits)} digits: K_k "
+                             f"has more than {MAX_SET_SIZE} edges")
+        k = int(digits.lstrip("0") or "0")
         edges = k * (k - 1) // 2
         if edges > MAX_SET_SIZE:  # before K_k is built
             raise ValueError(f"template '{template}': K_{k} has {edges} "

@@ -10,12 +10,12 @@ admits a homomorphism into H iff the diagram's limit is nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import itemgetter
+from itertools import chain, combinations, compress, count, repeat
+from operator import and_, itemgetter
 
 from .diagram import CoDecomposition
 from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
-from .solver import inlim
+from .solver import _forest_plan, inlim
 
 
 @dataclass
@@ -45,12 +45,56 @@ class BagDecomposition:
 def validate_decomposition(b: BagDecomposition) -> list[str]:
     """Checkable sufficient conditions for the bags to reassemble X:
     coverage, adhesion containment, and gluing completeness.  A kind of
-    per-vertex or per-edge problem is one line, however many it counts."""
-    problems = []
+    per-vertex or per-edge problem is one line, however many it counts.
+
+    A valid decomposition over a forest shape is accepted by _holds in
+    whole-list passes; the walk runs on a cyclic shape, or to name the
+    problems."""
     if len(b.bags) != b.shape.n:
         return ["one bag per shape vertex required"]
     if len(b.adhesions) != b.shape.m:
         return ["one adhesion per shape edge required"]
+    return [] if _holds(b) else _walk(b)
+
+
+def _holds(b: BagDecomposition) -> bool:
+    """True only when _walk finds no problem; on a forest shape, exactly
+    then.  Ids are checked by a type set, min and max, coverage by the
+    size of the id set, and each X-edge by the bags' position pairs as
+    they stream by.  An adhesion equal to the intersection of its bags is
+    contained in both and holds every vertex in both.  Then each X-vertex
+    v in c_v components of its h_v holders has h_v - c_v adhesions on a
+    forest shape, so the bag entries less the adhesion entries count
+    every c_v, each at least 1, plus any repeated entry: that count is |X|
+    iff every c_v is 1 and no entry repeats."""
+    n = b.x.n
+    entries = list(chain.from_iterable(b.bags))
+    if entries and not ({*map(type, entries)} == {int}
+                        and min(entries) >= 0 and max(entries) < n):
+        return False
+    if len(set(entries)) != n:
+        return False
+    # combinations of a sorted bag run lo < hi, as the edges are written
+    edges = set(zip(map(min, b.x.edges), map(max, b.x.edges)))
+    if len(edges.intersection(chain.from_iterable(
+            map(combinations, b.bags, repeat(2))))) != len(edges):
+        return False
+    bag_sets = list(map(frozenset, b.bags))
+    ends = b.shape.edges
+    shared = list(map(and_,
+                      map(bag_sets.__getitem__, map(itemgetter(0), ends)),
+                      map(bag_sets.__getitem__, map(itemgetter(1), ends))))
+    if shared != list(map(frozenset, b.adhesions)):
+        return False
+    if len(entries) - sum(map(len, shared)) != n:
+        return False
+    return _forest_plan(b.shape) is not None
+
+
+def _walk(b: BagDecomposition) -> list[str]:
+    """validate_decomposition's problems, found vertex by vertex; the
+    bag and adhesion counts must fit the shape."""
+    problems = []
     # holders[v]: the shape vertices whose bags hold X-vertex v, ascending
     holders: list[list[int]] = [[] for _ in range(b.x.n)]
     for x, bag in enumerate(b.bags):

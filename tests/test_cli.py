@@ -78,8 +78,10 @@ def test_solve_supplied_fvs(tmp_path, capsys):
         assert code == 2 and out == []
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--fvs" in err and len(err.encode()) < 200
-    code, out, _ = run(capsys, ["solve", path, "--fvs", "0002"])
-    assert code == 0 and out[-1] == "EMPTY"
+    # leading zeros count towards no limit: int() refused these 5000
+    for token in ("0002", "0" * 4999 + "2", "0" * 5000):
+        code, out, _ = run(capsys, ["solve", path, "--fvs", token])
+        assert code == 0 and out[-1] == "EMPTY"
     code, out, _ = run(capsys, ["solve", path, "--fvs", " 2 ,"])
     assert code == 0 and out[-1] == "EMPTY"
     # a forest is recognised without the FVS search, which checks the
@@ -319,6 +321,30 @@ def test_template_above_edge_cap_is_refused(tmp_path, capsys):
     assert err == ("error: template 'k1449': K_1449 has 1049076 edges, "
                    "above the limit of 1048576\n")
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("template, text", [
+    # int() read the Arabic-Indic three as 3 and answered HOM (exit 1)
+    ("k\u0663", "--template 'k\u0663': k<n> takes ASCII digits"),
+    # int() refused with a text on the 4300-digit limit that named no option
+    ("k" + "9" * 5000, "--template k of 5000 digits: K_k has more than "
+                       "1048576 edges"),
+    ("k" + "0" * 4999 + "3", None),
+    ("nope", "unknown template 'nope'"),
+], ids=["non-ascii", "5000-digits", "leading-zeros", "unknown"])
+def test_template_digits(tmp_path, capsys, template, text):
+    doc = {"X": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+           "shape": {"n": 1, "edges": []}, "bags": [[0, 1, 2]]}
+    path = write(tmp_path, "triangle.json", doc)
+    code, out, err = run(capsys, ["hom", path, "--template", template])
+    if text is None:
+        # 5000 digits that are K_3: refused neither by length nor by int()
+        assert code == 1 and out[-1] == "HOM" and err == ""
+    else:
+        assert code == 2 and out == []
+        assert err == f"error: {text}\n"
+    code, out, _ = run(capsys, ["hom", path, "--template", "k3"])
+    assert code == 1 and out[-1] == "HOM"
 
 
 @pytest.mark.parametrize("kind, n, w, text", [

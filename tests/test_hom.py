@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,9 @@ from limsolve.generate import (
     path_graph,
     petersen_graph,
     random_graph,
+    random_tree,
 )
+from limsolve.graphs import is_forest
 
 K3 = complete_graph(3)
 
@@ -112,6 +115,116 @@ def test_generated_decompositions_validate():
         x = random_graph(rng, rng.randint(1, 10), 0.35)
         b = elimination_decomposition(rng, x)
         assert validate_decomposition(b) == []
+
+
+def _random_decomposition(rng):
+    """A valid decomposition over a random tree, or a tree with one to
+    three extra edges: each X-vertex held by a connected set of bags grown
+    from one, X-edges drawn between vertices that share a bag and written
+    either way round, adhesions given or derived.  Returns the X-vertex
+    count, the shape and the bags as lists."""
+    size = rng.randint(1, 7)
+    tree = random_tree(rng, size)
+    extra = [] if rng.random() < 0.5 else [
+        (u, v) for u in range(size) for v in range(u + 1, size)
+        if (u, v) not in tree.edges and (v, u) not in tree.edges]
+    shape = SimpleGraph(size, list(tree.edges)
+                        + rng.sample(extra, min(len(extra), rng.randint(1, 3))))
+    n = rng.randint(1, 8)
+    bags = [[] for _ in range(size)]
+    for v in range(n):
+        held = {rng.randrange(size)}
+        for _ in range(rng.randint(0, size)):
+            near = [y for x in held for _, y in shape.incidence[x]
+                    if y not in held]
+            if near:
+                held.add(rng.choice(near))
+        for x in held:
+            bags[x].append(v)
+    pairs = {(u, v) for bag in bags for u in bag for v in bag if u < v}
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u, v in sorted(pairs) if rng.random() < 0.6]
+    return n, shape, bags, edges
+
+
+def _mutated_decomposition(seed):
+    """One decomposition from _random_decomposition, valid or with one
+    mutation: a vertex dropped from a bag or from a given adhesion, or a
+    stray id (out of range, a bool, or a vertex of X) added to a bag."""
+    rng = random.Random(seed)
+    n, shape, bags, edges = _random_decomposition(rng)
+    given = rng.random() < 0.5
+    adhesions = [sorted(set(bags[p]) & set(bags[q])) for p, q in shape.edges]
+    kind = rng.choice(("valid", "bag", "adhesion", "stray"))
+    full = [x for x, bag in enumerate(bags) if bag]
+    if kind == "bag" and full:
+        bag = bags[rng.choice(full)]
+        bag.remove(rng.choice(bag))
+    elif kind == "adhesion" and any(adhesions):
+        given = True
+        adh = rng.choice([a for a in adhesions if a])
+        adh.remove(rng.choice(adh))
+    elif kind == "stray":
+        bags[rng.randrange(shape.n)].append(
+            rng.choice((-1, n, n + 3, True, rng.randrange(n))))
+    return BagDecomposition(SimpleGraph(n, edges), shape, bags,
+                            adhesions if given else None)
+
+
+def test_whole_list_check_agrees_with_the_walk():
+    # on a forest shape the check accepts exactly what the walk finds no
+    # problem in; on a cyclic shape it accepts nothing and the walk decides
+    forest_valid = 0
+    for seed in range(3000):
+        b = _mutated_decomposition(seed)
+        walked = hom._walk(b)
+        assert validate_decomposition(b) == walked, seed
+        accept = is_forest(b.shape) and walked == []
+        assert hom._holds(b) == accept, seed
+        forest_valid += accept
+    # both verdicts are met often on both kinds of shape
+    assert 300 < forest_valid < 2700
+    # two problems the entry count alone misses together: vertex 0 in two
+    # bags apart, vertex 2 in none
+    b = BagDecomposition(SimpleGraph(3), path_graph(3), ((0,), (1,), (0,)))
+    assert not hom._holds(b)
+    assert validate_decomposition(b) == hom._walk(b) == [
+        "1 vertex of the target graph is in no bag: 2",
+        "1 vertex of the target graph has bags that do not induce a "
+        "connected shape subgraph: 0"]
+
+
+def test_valid_forest_decompositions_skip_the_walk(monkeypatch):
+    walks = []
+    walk = hom._walk
+    monkeypatch.setattr(hom, "_walk", lambda b: walks.append(b) or walk(b))
+    for seed in range(40):
+        rng = random.Random(seed)
+        x = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.45)))
+        assert validate_decomposition(elimination_decomposition(rng, x)) == []
+        b = _window_decomposition(rng, rng.randint(1, 40))
+        assert validate_decomposition(b) == []
+    assert walks == []
+    # a problem, or a cycle in the shape, still takes the walk
+    assert validate_decomposition(BagDecomposition(
+        path_graph(4), path_graph(2), ((0, 1), (2, 3)))) != []
+    assert validate_decomposition(_ring_decomposition(5)) == []
+    assert len(walks) == 2
+
+
+def test_whole_list_check_is_linear_in_memory_on_one_bag():
+    # the bag's position pairs stream through the edge set's intersection;
+    # a set of all of them would grow 16 times from 250 to 1000 positions
+    peaks = {}
+    for n in (250, 1000):
+        b = _one_bag(n)
+        tracemalloc.start()
+        try:
+            assert validate_decomposition(b) == []
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= 8 * peaks[250], peaks
 
 
 def test_elimination_decomposition_golden_digest():
@@ -542,3 +655,27 @@ def test_hom_exists_with_an_empty_adhesion():
                        for u, v in x.edges)
         else:
             assert coloring is None
+
+
+def _ring_decomposition(n):
+    """C_n in a ring of bags {i, i+1 mod n} over a cycle shape: shape edge
+    i joins bags i and i+1, which share X-vertex i+1."""
+    return BagDecomposition(cycle_graph(n), cycle_graph(n),
+                            tuple((i, (i + 1) % n) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_hom_exists_on_a_ring_of_bags(n):
+    # a cyclic shape: the walk validates, and the solve pins a feedback
+    # vertex set of the ring
+    b = _ring_decomposition(n)
+    for h in (complete_graph(2), K3):
+        found, coloring = hom_exists(b, h, want_coloring=True)
+        assert found == (find_homomorphism(b.x, h) is not None)
+        assert found == (h.n == 3 or n % 2 == 0)
+        if found:
+            assert all(coloring[u] != coloring[v] for u, v in b.x.edges)
+            assert set(coloring) <= set(range(h.n))
+        else:
+            assert coloring is None
+        assert hom_exists(b, h) == (found, None)
