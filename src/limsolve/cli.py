@@ -30,6 +30,17 @@ def _load(path: str):
         raise jsonio.ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _decimal(token: str, max_digits: int) -> int | None:
+    """The value of a token of ASCII decimal digits with at most max_digits
+    digits after its leading zeros, else None.  int() would also read
+    "1_0", "+0" and non-ASCII digits, refuses more than 4300 digits in a
+    text that names no option, and counts leading zeros towards that."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0")
+    return int(digits or "0") if len(digits) <= max_digits else None
+
+
 def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
     if arg is None:
         return None
@@ -38,16 +49,22 @@ def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
         tok = tok.strip()
         if not tok:
             continue
-        # int() would also read "1_0", "+0" and non-ASCII digits, and
-        # refuses more than 4300 digits in a text that names no option
-        if not (tok.isascii() and tok.isdigit()):
+        v = _decimal(tok, len(str(n - 1)))
+        if v is None:
+            if tok.isascii() and tok.isdigit():
+                raise ValueError(f"--fvs token of {len(tok)} digits is not "
+                                 f"a vertex id for n={n}")
             raise ValueError(f"--fvs token {tok!r} is not a vertex id")
-        if len(tok.lstrip("0")) > len(str(n - 1)):
-            raise ValueError(f"--fvs token of {len(tok)} digits is not a "
-                             f"vertex id for n={n}")
-        # int() counts leading zeros towards its 4300-digit limit
-        ids.append(int(tok.lstrip("0") or "0"))
+        ids.append(v)
     return VertexSet.of(n, ids)
+
+
+def _verdict(empty: bool, words: tuple[str, str] = ("EMPTY", "NONEMPTY")
+             ) -> int:
+    """Print the verdict, words[0] for an empty limit, as the last line,
+    and return its exit code."""
+    print(words[not empty])
+    return int(not empty)
 
 
 def _labels(labels: dict, elements) -> str:
@@ -78,11 +95,7 @@ def cmd_solve(args) -> int:
     if args.witness and result.witness is not None:
         for line in _witness_lines(d, result.witness):
             print(line)
-    if result.verdict.empty_limit:
-        print("EMPTY")
-        return 0
-    print("NONEMPTY")
-    return 1
+    return _verdict(result.verdict.empty_limit)
 
 
 def cmd_oracle(args) -> int:
@@ -91,11 +104,7 @@ def cmd_oracle(args) -> int:
     print(f"n={d.shape.n}")
     print(f"w={d.width()}")
     print(f"family_count={len(families)}")
-    if not families:
-        print("EMPTY")
-        return 0
-    print("NONEMPTY")
-    return 1
+    return _verdict(not families)
 
 
 def cmd_image(args) -> int:
@@ -112,15 +121,13 @@ def cmd_hom(args) -> int:
         h = jsonio.parse_graph(_load(template[5:]))
     elif template.startswith("k") and template[1:].isdigit():
         digits = template[1:]
-        # as for --fvs: int() would read non-ASCII digits, and refuses
-        # more than 4300 digits in a text that names no option
-        if not digits.isascii():
-            raise ValueError(f"--template {template!r}: k<n> takes ASCII "
-                             f"digits")
-        if len(digits.lstrip("0")) > len(str(MAX_SET_SIZE)):
+        k = _decimal(digits, len(str(MAX_SET_SIZE)))
+        if k is None:
+            if not digits.isascii():
+                raise ValueError(f"--template {template!r}: k<n> takes "
+                                 f"ASCII digits")
             raise ValueError(f"--template k of {len(digits)} digits: K_k "
                              f"has more than {MAX_SET_SIZE} edges")
-        k = int(digits.lstrip("0") or "0")
         edges = k * (k - 1) // 2
         if edges > MAX_SET_SIZE:  # before K_k is built
             raise ValueError(f"template '{template}': K_{k} has {edges} "
@@ -136,11 +143,7 @@ def cmd_hom(args) -> int:
     print(f"max_bag={max((len(bag) for bag in b.bags), default=0)}")
     if args.witness and coloring is not None:
         print("coloring=" + ",".join(map(str, coloring)))
-    if exists:
-        print("HOM")
-        return 1
-    print("NO-HOM")
-    return 0
+    return _verdict(not exists, ("NO-HOM", "HOM"))
 
 
 def cmd_cset_solve(args) -> int:
@@ -151,11 +154,7 @@ def cmd_cset_solve(args) -> int:
     print(f"n={d.shape.n}")
     print(f"w_sum={d.width()}")
     print(f"w_slice={d.slice_width()}")
-    if verdict.empty_limit:
-        print("EMPTY")
-        return 0
-    print("NONEMPTY")
-    return 1
+    return _verdict(verdict.empty_limit)
 
 
 def cmd_fvs(args) -> int:
@@ -193,12 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide emptiness of limits of graph-shaped diagrams "
                     "of finite sets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the feedback vertex set options of the three solving commands
+    fvs = argparse.ArgumentParser(add_help=False)
+    fvs.add_argument("--fvs", help="comma-separated feedback vertex set "
+                                   "of the shape")
+    fvs.add_argument("--fvs-max", type=int, default=None,
+                     help="budget for the feedback vertex set search")
 
-    p = sub.add_parser("solve", help="decide emptiness of a diagram's limit")
+    p = sub.add_parser("solve", parents=[fvs],
+                       help="decide emptiness of a diagram's limit")
     p.add_argument("diagram")
-    p.add_argument("--fvs", help="comma-separated feedback vertex set")
-    p.add_argument("--fvs-max", type=int, default=None,
-                   help="budget for the feedback vertex set search")
     p.add_argument("--witness", action="store_true",
                    help="print a matching family when NONEMPTY")
     p.add_argument("--deterministic", action="store_true",
@@ -214,23 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.set_defaults(fn=cmd_image)
 
-    p = sub.add_parser("hom", help="graph homomorphism existence via a "
-                                   "bag decomposition")
+    p = sub.add_parser("hom", parents=[fvs],
+                       help="graph homomorphism existence via a bag "
+                            "decomposition")
     p.add_argument("decomposition")
     p.add_argument("--template", default="k3",
                    help="k<n> for a complete graph or file:<graph.json>")
     p.add_argument("--witness", action="store_true",
                    help="print a verified vertex map when HOM")
-    p.add_argument("--fvs", help="comma-separated feedback vertex set of the shape")
-    p.add_argument("--fvs-max", type=int, default=None)
     p.set_defaults(fn=cmd_hom)
 
-    p = sub.add_parser("cset-solve", help="decide emptiness for a diagram "
-                                          "of C-sets")
+    p = sub.add_parser("cset-solve", parents=[fvs],
+                       help="decide emptiness for a diagram of C-sets")
     p.add_argument("category")
     p.add_argument("diagram")
-    p.add_argument("--fvs")
-    p.add_argument("--fvs-max", type=int, default=None)
     p.set_defaults(fn=cmd_cset_solve)
 
     p = sub.add_parser("fvs", help="exact bounded feedback vertex set")

@@ -15,7 +15,7 @@ from itertools import chain
 from .diagram import (CoDecomposition, Verdict, size_problems, sized_problems,
                       tables_fit)
 from .graphs import SimpleGraph, VertexSet
-from .solver import _resolve_fvs, _resolve_plan, _solve
+from .solver import _resolve_plan, _solve
 # bench/layertrace.py traces the name cset.inlim, so it stays bound here
 # though the slices run through _solve
 from .solver import inlim  # noqa: F401
@@ -278,21 +278,16 @@ def cset_inlim(
     """Emptiness for C-set diagrams: the limit is the initial (everywhere
     empty) C-set iff every pointwise slice has an empty limit.
 
-    The slices share the shape, so one feedback vertex set and one forest
-    plan, resolved as inlim resolves them (a forest shape needs no FVS
-    search), serve them all; the plan is heavy-first when some slice has
-    more than 64 pinned combinations, and in search order when every
-    slice's combinations fit one block.  Each slice is then swept as inlim
-    sweeps it, without checking again the sizes validate_cset_codecomp
-    checked.  Over no C-object the answer is EMPTY before any plan is
-    built: a bad budget is still refused, a supplied set is not checked.
+    fvs and k_max are read as inlim reads them, and one feedback vertex
+    set and one forest plan serve every slice, which is swept without
+    checking again the sizes validate_cset_codecomp checked.  Over no
+    C-object the answer is EMPTY with no FVS search: only a negative
+    k_max without a set is refused, and a supplied set is not checked.
+    ValueError names the problems of an invalid diagram.
     """
     problems = validate_cset_codecomp(d)
     if problems:
         raise ValueError("invalid C-set diagram: " + "; ".join(problems))
-    if not d.slices:  # over no C-object the one C-set is empty
-        _resolve_fvs(d.shape, fvs, k_max)  # which refuses a bad budget
-        return Verdict(True)
     pinned, plan = _resolve_plan(d.shape, fvs, k_max, d.slices)
     for slice_ in d.slices:
         if not _solve(slice_, pinned, plan).verdict.empty_limit:

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain
 from operator import lt
 
-from .graphs import SimpleGraph, VertexSet, all_pairs, remove_vertices
+from .graphs import SimpleGraph, VertexSet, _induced, all_pairs
 
 
 def bits(mask: int):
@@ -311,8 +311,10 @@ def restrict_to_subgraph(d: CoDecomposition, m: SubMask, keep: VertexSet) -> Res
     """Restrict to the induced subgraph on keep; only edges with both
     endpoints kept survive.  The leg tables are shared, not copied, and the
     labels are re-indexed."""
-    sub_shape, vmap = remove_vertices(d.shape, keep.complement())
+    if keep.n != d.shape.n:
+        raise ValueError("vertex set belongs to a different graph")
     kept = list(keep)
+    (sub_shape,), vmap = _induced(d.shape, [kept])
     eids = [e for e, (u, v) in enumerate(d.shape.edges)
             if vmap[u] is not None and vmap[v] is not None]
     emap: list[int | None] = [None] * d.shape.m

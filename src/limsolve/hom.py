@@ -24,7 +24,8 @@ class BagDecomposition:
 
     Adhesions not given (None) default to the intersection of the endpoint
     bags; given ones are kept, even an empty tuple on a shape with edges,
-    which validate_decomposition then refuses.
+    which validate_decomposition then refuses.  Each bag and adhesion is
+    stored as its distinct ids, ascending.
     """
 
     x: SimpleGraph
@@ -33,13 +34,27 @@ class BagDecomposition:
     adhesions: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        self.bags = tuple(tuple(sorted(set(b))) for b in self.bags)
+        self.bags = _sorted_ids(self.bags, "bag")
         if self.adhesions is not None:
-            self.adhesions = tuple(tuple(sorted(set(a))) for a in self.adhesions)
+            self.adhesions = _sorted_ids(self.adhesions, "adhesion")
         else:
             self.adhesions = tuple(
                 tuple(sorted(set(self.bags[u]) & set(self.bags[v])))
                 for u, v in self.shape.edges)
+
+
+def _sorted_ids(groups, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Each group's distinct ids, ascending; ValueError names a group
+    whose ids cannot be sorted.  Ids of the wrong type or range are left
+    for validate_decomposition."""
+    out = []
+    for i, group in enumerate(groups):
+        try:
+            out.append(tuple(sorted(set(group))))
+        except TypeError as exc:
+            raise ValueError(f"{kind} {i}: ids cannot be sorted ({exc})"
+                             ) from None
+    return tuple(out)
 
 
 def validate_decomposition(b: BagDecomposition) -> list[str]:

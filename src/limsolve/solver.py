@@ -23,7 +23,10 @@ of the plan, and a plan edge restricts only its parent p by its child c's
 rows (Yannakakis's upward semijoin pass), in O(|d(c)| + |d(p)| + |d(e)|)
 B-bit word operations for B combinations.  A block of one combination,
 as every forest solve and witness re-sweep runs, uses set passes in C
-instead, on rows of truth values.
+instead, on rows of truth values: the hit set is the leg values of the
+child's kept elements, and the parent keeps the elements whose leg value
+is a hit.
+
 The plan folds each child into its parent as soon as the child is done,
 so a vertex holds rows only from the first arc into it until its own
 fold.  A solve with more than _MIN_BLOCK = 64 combinations orders its
@@ -34,9 +37,11 @@ from n: ceil(w^k / B) sweeps, within the paper's O(w^k * w^2 * n).  A
 solve with at most 64 combinations sweeps one block, of at most one
 word per row, whatever the order, so its plan runs in search order:
 rows at O(n) vertices then stay within a constant factor of the leg
-tables.  section_tests, forest_initial and image_tree run one
-test at a time on SubMasks, through the two-sided filter_edges: they are
-the per-combination reference that the tests check the sweep against.
+tables.
+
+section_tests, forest_initial and image_tree run one test at a time on
+SubMasks, through the two-sided filter_edges: they are the
+per-combination reference that the tests check the sweep against.
 
 The passes are iterative on purpose: path shapes with 10^5 vertices would
 overflow the recursion limit.
@@ -152,14 +157,10 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
     own fold into its parent, or its tree's end at the root.  So a vertex
     is restricted by everything below it before it folds, and every
     subtree's arcs are contiguous.  Last, each pinned vertex is done, in
-    ascending order.  With heavy_first, every child but the first to fold
-    into a vertex holds less than half of that vertex's subtree; then at
-    most floor(log2 n) + 1 unpinned vertices are between their first
-    restriction and their own fold at any time (Sethi & Ullman 1970).
-    Without it, the children fold in search order.  _resolve_plan asks for
-    heavy_first only when a solve has more than _MIN_BLOCK combinations.
-    Either way a vertex keeps the same elements once all its children have
-    folded, so the order changes no verdict, count or witness.
+    ascending order.  The children of a vertex fold as _heavy_first lays
+    them out with heavy_first, else in search order.  Either way a vertex
+    keeps the same elements once all its children have folded, so the
+    order changes no verdict, count or witness.
 
     One depth-first search of g minus s serves as component finder, forest
     check (g - s is a forest iff its edge count is its vertex count minus
@@ -283,16 +284,19 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     Pinned combinations are enumerated lexicographically.  For each one,
     every edge incident to a pinned vertex is filtered (per vertex in
     ascending index order, edges by ascending id); if a mask empties, the
-    test is tagged immediately_empty, otherwise the diagram is restricted
-    to the forest obtained by dropping s.  An empty s has one combination,
-    the empty one, whose test restricts d to all of its vertices.  inlim
-    runs the same tests bit-sliced, without restricting.
+    test is tagged immediately_empty, otherwise its tau_mask is the
+    filtered mask on the forest obtained by dropping s.  d is restricted
+    to that forest once per call, so every test shares tau, vertex_map and
+    edge_map.  An empty s has one combination, the empty one, whose test
+    restricts d to all of its vertices.
     """
     _checked_plan(d.shape, s)
-    keep = s.complement()
     pinned = list(s)
     pin_edges = [e for v in pinned for e, _ in d.shape.incidence[v]]
     base = d.full_mask()
+    r = restrict_to_subgraph(d, base, s.complement())
+    kept = [v for v, new in enumerate(r.vertex_map) if new is not None]
+    eids = [e for e, new in enumerate(r.edge_map) if new is not None]
     for combo in itertools.product(*(range(d.vertex_size[v]) for v in pinned)):
         assignment = SectionAssignment(tuple(zip(pinned, combo)))
         m = base.copy()
@@ -301,58 +305,44 @@ def section_tests(d: CoDecomposition, s: VertexSet):
         if not filter_edges(d, m, pin_edges):
             yield SectionTest(assignment, True, None, None, None, None)
         else:
-            r = restrict_to_subgraph(d, m, keep)
-            yield SectionTest(assignment, False, r.diagram, r.mask,
+            tau_mask = SubMask([m.vertex[v] for v in kept],
+                               [m.edge[e] for e in eids])
+            yield SectionTest(assignment, False, r.diagram, tau_mask,
                               r.vertex_map, r.edge_map)
-
-
-def _resolve_fvs(shape: SimpleGraph, fvs: VertexSet | None,
-                 k_max: int | None) -> VertexSet:
-    """The supplied set (whether it is a feedback vertex set is checked when
-    the forest plan is built), or a minimum one found within k_max."""
-    if fvs is not None:
-        return fvs
-    budget = shape.n if k_max is None else k_max
-    found = fvs_exact(shape, budget)
-    if found is None:
-        raise ValueError(f"no feedback vertex set of size <= {budget}")
-    return found
 
 
 def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
                   k_max: int | None, diagrams: list[CoDecomposition]
                   ) -> tuple[list[int], list[tuple[int, int]]]:
     """The feedback vertex set S, ascending, and the forest plan of the
-    shape minus S, heavy-first if one of the diagrams over the shape has
-    more than _MIN_BLOCK pinned combinations.  Every block of a solve with
-    at most _MIN_BLOCK combinations is that whole solve, one word per row,
-    so there the ordering pass would buy nothing and the plan runs in
-    search order.
+    shape minus S that the diagrams over the shape are swept on.
 
-    With no set supplied, a shape with fewer edges than vertices may be a
-    forest: the plan of the whole shape is built first, and when its edge
-    count says "forest", S is empty and that plan is the solve's plan, with
-    no FVS search.  Otherwise, and always when m >= n, S is resolved by
-    _resolve_fvs.
+    With no set supplied, a negative k_max is refused first, and S is
+    found within k_max (n when None).  A supplied set is checked when its
+    plan is built.  With no diagram to sweep, S and the plan are empty: no
+    search runs and a supplied set is not checked.
     """
-    if fvs is None and shape.m < shape.n:
-        if k_max is not None and k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        plan = _forest_plan(shape)
+    if fvs is None and k_max is not None and k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if not diagrams:
+        return [], []
+    if fvs is None:
+        plan = _forest_plan(shape) if shape.m < shape.n else None
         if plan is not None:
             return [], plan
-    s = _resolve_fvs(shape, fvs, k_max)
-    pinned = list(s)
-    return pinned, _checked_plan(shape, s, any(
+        budget = shape.n if k_max is None else k_max
+        fvs = fvs_exact(shape, budget)
+        if fvs is None:
+            raise ValueError(f"no feedback vertex set of size <= {budget}")
+    pinned = list(fvs)
+    return pinned, _checked_plan(shape, fvs, any(
         _combinations(d, pinned) > _MIN_BLOCK for d in diagrams))
 
 
 # Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // held) with
 # held the pinned rows plus (floor(log2 n) + 1) * w, the most rows a sweep
 # of a heavy-first plan holds at once, so those rows hold about 2 MB of
-# bits; a block never exceeds the number of combinations.  A solve with
-# at most _MIN_BLOCK combinations is one block of at most one word per
-# row, so its plan is not heavy-first (_resolve_plan).
+# bits; a block never exceeds the number of combinations.
 _MIN_BLOCK = 64
 _STATE_BITS = 2 ** 24
 
@@ -401,12 +391,9 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     element at every done-arc, and the sweep stops once no combination of
     the block is left.
 
-    A block of width 1 (every solve without pinned vertices, and every
-    witness re-sweep) runs each arc as set passes in C instead: the hit
-    set is the leg values of c's kept elements, p keeps the elements whose
-    leg value is a hit, and-ed with its old rows.  Its rows are truth
-    values (0/1 or bools).  A done-arc checks nothing there: the one
-    combination died at the first arc that left a vertex no element.
+    At width 1 the rows are truth values (0/1 or bools), and a done-arc
+    checks nothing: the one combination died at the first arc that left a
+    vertex no element.
 
     Returns (rows, the bits of the combinations whose test is nonempty).
     Kept rows, of every vertex that an arc restricted, mean what they mean
@@ -482,42 +469,21 @@ def inlim(
     want_witness: bool = False,
     early_exit: bool = True,
 ) -> InLimResult:
-    """Decide whether the limit of the diagram is empty.
+    """Decide whether the limit of the diagram is empty, by the reduction
+    the module docstring describes.
 
-    A feedback vertex set S is taken as given or found by exact search
-    within k_max, and one forest plan of G - S is built.  With no set
-    supplied, a shape with m < n is first planned whole: when that plan's
-    own search finds a forest, S is empty and no FVS search runs.  The
-    w^k pinned combinations, numbered lexicographically, run bit-sliced in
-    blocks of B: one int per (vertex, element) whose bit j says whether
-    combination j keeps that element, and each plan edge restricts its
-    parent by its child's rows once per block, in O(|d(c)| + |d(p)| +
-    |d(e)|) B-bit word operations.  The plan runs in post-order; with more
-    than 64 combinations it folds into every vertex first a child that
-    leaves each later one less than half of the vertex's subtree, so at
-    most floor(log2 n) + 1 unpinned vertices hold rows at once, and
-    B = max(64, 2^24 // held), capped at w^k, with held the pinned rows
-    plus (floor(log2 n) + 1) * w: that is ceil(w^k / B) sweeps, their
-    number independent of n.  A solve with at most 64 combinations sweeps
-    one block of at most one word per row (at width 1, in set passes
-    rather than word operations, for one combination), so its plan skips
-    that ordering pass and runs in search order.  The limit is empty iff
-    no combination survives, so the blocks stop at the first one with a
-    survivor.
-    section_test_count is the index of the first survivor plus one, or
-    every combination when early_exit is off or the limit is empty.  The
-    witness is deterministic: one root-to-leaves walk over the same plan
-    reads the lowest-index extension off the rows of the lexicographically
-    first surviving combination, kept by a width-1 sweep of that
-    combination alone (the block itself when it has width 1).
+    fvs is the feedback vertex set to pin; ValueError when it belongs to
+    another shape or the shape minus it is not a forest.  Without it, a
+    minimum set is found within k_max (n when None): ValueError when none
+    is, or when k_max < 0.  want_witness asks for a matching family when
+    the limit is nonempty; it is deterministic, the lowest-index family of
+    the lexicographically first surviving combination.
+    section_test_count is the index of that combination plus one, or every
+    combination when early_exit is off or the limit is empty.
 
     A diagram with a set size that is not an int >= 0 gets no verdict:
     ValueError names every such size.  The leg tables and labels remain
     the caller's contract, which validate(d) checks.
-
-    These checks, the resolution of S and the plan come first; the sweep
-    over the blocks and the witness read run in _solve, which cset_inlim
-    runs on every slice off one S and one plan.
     """
     problems = size_problems(d)
     if problems:
@@ -535,11 +501,8 @@ def _solve(d: CoDecomposition, pinned: list[int],
            plan: list[tuple[int, int]], want_witness: bool = False,
            early_exit: bool = True) -> InLimResult:
     """inlim after its checks: the sweep over the blocks and the witness
-    read, on a diagram whose sizes are checked, with pinned the feedback
-    vertex set ascending and plan the forest plan of the shape minus it,
-    heavy-first if d has more than _MIN_BLOCK pinned combinations, as
-    _resolve_plan gives them.  A forest shape has pinned empty and one
-    combination, swept as one width-1 block."""
+    read, on a diagram whose sizes are checked, with pinned and plan as
+    _resolve_plan gives them."""
     sizes = d.vertex_size
     total = _combinations(d, pinned)
     held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()

@@ -5,9 +5,9 @@ import tracemalloc
 import pytest
 
 from conftest import c4_example, cospan_example, path_example
-from limsolve import FinCat, jsonio
+from limsolve import CSetCoDecomposition, FinCat, jsonio
 from limsolve.cli import main
-from limsolve.generate import lift_to_terminal_cset
+from limsolve.generate import cycle_graph, lift_to_terminal_cset
 
 
 def write(tmp_path, name, doc):
@@ -412,6 +412,23 @@ def test_cset_solve_command(tmp_path, capsys):
         lift_to_terminal_cset(c4_example())))
     code, out, _ = run(capsys, ["cset-solve", cat_path, dia_path])
     assert code == 0 and out[-1] == "EMPTY"
+
+
+def test_cset_solve_over_no_objects_is_empty(tmp_path, capsys):
+    # over no C-object the answer is EMPTY with no FVS search, so a budget
+    # of 0 on a 6-cycle is not refused
+    empty = FinCat(0, (), (), (), ())
+    cat_path = write(tmp_path, "cat.json", jsonio.fincat_to_json(empty))
+    d = CSetCoDecomposition(empty, cycle_graph(6), [], [()] * 6, [()] * 6)
+    dia_path = write(tmp_path, "cd.json", jsonio.cset_diagram_to_json(d))
+    for flags in ([], ["--fvs-max", "0"], ["--fvs", "0,1,2,3,4,5"]):
+        code, out, err = run(capsys, ["cset-solve", cat_path, dia_path]
+                             + flags)
+        assert (code, out, err) == (0, ["n=6", "w_sum=0", "w_slice=0",
+                                        "EMPTY"], "")
+    code, out, err = run(capsys, ["cset-solve", cat_path, dia_path,
+                                  "--fvs-max", "-1"])
+    assert (code, out, err) == (2, [], "error: k_max must be >= 0\n")
 
 
 def test_cset_solve_duplicate_leg_is_an_error(tmp_path, capsys):

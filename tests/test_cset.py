@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import c4_example, corrupt_table, path_example, random_graph_diagram
+from conftest import (c4_example, corrupt_table, narrowing_spider,
+                      path_example, random_graph_diagram)
 from limsolve import (
     CoDecomposition,
     CSetCoDecomposition,
@@ -294,15 +295,26 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
         assert calls == {"_forest_plan": 1, "size_problems": 2}
 
 
-def test_cset_over_no_objects_is_empty():
+def test_cset_over_no_objects_is_empty(monkeypatch):
     # the one C-set over the empty category is empty everywhere; no slice
-    # is swept, so no plan is built and a supplied set is not checked
+    # is swept, so no FVS search runs, no plan is built and a supplied set
+    # is not checked, whatever the budget; only a negative one is refused
+    import limsolve.solver
+
+    def refuse(*args):
+        raise AssertionError("FVS search over no C-object")
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", refuse)
     triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
-    d = CSetCoDecomposition(FinCat(0, (), (), (), ()), triangle, [],
-                            [()] * 3, [()] * 3)
-    assert validate_cset_codecomp(d) == []
-    assert cset_inlim(d).empty_limit
-    assert cset_inlim(d, fvs=VertexSet(3, 0)).empty_limit
+    for shape in (triangle, narrowing_spider(3, 601)[0].shape):
+        d = CSetCoDecomposition(FinCat(0, (), (), (), ()), shape, [],
+                                [()] * shape.n, [()] * shape.m)
+        assert validate_cset_codecomp(d) == []
+        assert cset_inlim(d).empty_limit
+        assert cset_inlim(d, k_max=0).empty_limit
+        assert cset_inlim(d, fvs=VertexSet(shape.n, 0)).empty_limit
+        with pytest.raises(ValueError, match="^k_max must be >= 0$"):
+            cset_inlim(d, k_max=-1)
 
 
 def test_columnwise_action_check_agrees_with_the_per_cset_check():

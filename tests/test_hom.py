@@ -86,6 +86,22 @@ def test_validate_catches_missing_adhesion():
     assert any("not in its adhesion" in p for p in problems)
 
 
+def test_unsortable_ids_are_refused_by_name():
+    # sorted() raised a bare TypeError naming neither the bag nor the ids
+    x, shape = path_graph(3), path_graph(2)
+    for bags, adhesions, name in ((((0, "a"), (1, 2)), None, "bag 0"),
+                                  (((0, 1), (1, None)), None, "bag 1"),
+                                  (((0, 1), (1, 2)), (([1],),), "adhesion 0")):
+        with pytest.raises(ValueError, match=f"^{name}: ids cannot be "
+                                             f"sorted"):
+            BagDecomposition(x, shape, bags, adhesions)
+    # ids that sort reach validate_decomposition unchanged
+    b = BagDecomposition(x, shape, ((True, 0, 1.0), (1, 2, 7)))
+    assert b.bags == ((0, True), (1, 2, 7))
+    assert validate_decomposition(b) == [
+        "bag vertex True outside the target graph"]
+
+
 def _star_decomposition(n):
     """A star X with centre 0 and leaves 1..n, one bag (0, v) per leaf on a
     star shape: the centre sits in all n bags."""

@@ -36,6 +36,7 @@ from limsolve import (
     section_tests,
     witness_violations,
 )
+from limsolve.diagram import filter_edges
 from limsolve.generate import path_graph, random_tree
 
 
@@ -459,6 +460,45 @@ def test_inlim_matches_section_tests_per_combination():
         assert all(result.witness.vertex_elements[v] == a
                    for v, a in tests[nonempty[0]].assignment.choices)
     assert min(pinned.values()) > 30, pinned
+
+
+def test_section_tests_restrict_once_per_call(monkeypatch):
+    # every test of a call shares one restriction of d to G - S, and each
+    # equals the restriction of its own pinned-and-filtered mask
+    import limsolve.solver
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restrict_to_subgraph(*args)
+
+    monkeypatch.setattr(limsolve.solver, "restrict_to_subgraph", counted)
+    kept_tests = 0
+    for d in _seeded_diagrams(200):
+        s = VertexSet.of(d.shape.n, inlim(d).fvs)
+        keep = s.complement()
+        pin_edges = [e for v in s for e, _ in d.shape.incidence[v]]
+        del calls[:]
+        tests = list(section_tests(d, s))
+        assert len(calls) == 1
+        for t in tests:
+            m = d.full_mask()
+            for v, a in t.assignment.choices:
+                m.vertex[v] = 1 << a
+            if not filter_edges(d, m, pin_edges):
+                assert t.immediately_empty and t.tau is None
+                continue
+            r = restrict_to_subgraph(d, m, keep)
+            assert (t.tau.shape, t.tau.vertex_size, t.tau.edge_size,
+                    t.tau.tables, t.tau.vertex_labels, t.tau.edge_labels) \
+                == (r.diagram.shape, r.diagram.vertex_size,
+                    r.diagram.edge_size, r.diagram.tables,
+                    r.diagram.vertex_labels, r.diagram.edge_labels)
+            assert (t.tau_mask, t.vertex_map, t.edge_map) \
+                == (r.mask, r.vertex_map, r.edge_map)
+            kept_tests += 1
+    assert kept_tests > 100
 
 
 # 5 per block also tiles a digit period of 3 inside blocks that start past 0
