@@ -41,6 +41,31 @@ def _decimal(token: str, max_digits: int) -> int | None:
     return int(digits or "0") if len(digits) <= max_digits else None
 
 
+# integer options by dest, and the most digits one is read with after its
+# leading zeros
+_INTEGERS = {"fvs_max": "--fvs-max", "cap": "--cap", "max": "--max",
+             "n": "--n", "w": "--w", "seed": "--seed"}
+_INTEGER_DIGITS = 20
+
+
+def _integer(flag: str, token: str) -> int:
+    """The value of an integer option: ASCII digits after an optional
+    leading -.  ValueError names the option, and the length of a long
+    token instead of echoing it."""
+    negative = token.startswith("-")
+    digits = token[negative:]
+    value = _decimal(digits, _INTEGER_DIGITS)
+    if value is not None:
+        return -value if negative else value
+    if digits.isascii() and digits.isdigit():
+        raise ValueError(f"{flag} of {len(digits)} digits is longer than "
+                         f"{_INTEGER_DIGITS} digits")
+    # echoed only when no longer than the longest value read
+    shown = (repr(token) if len(token) <= _INTEGER_DIGITS + 1
+             else f"of {len(token)} characters")
+    raise ValueError(f"{flag} {shown} is not an integer of ASCII digits")
+
+
 def _parse_fvs(arg: str | None, n: int) -> VertexSet | None:
     if arg is None:
         return None
@@ -124,8 +149,8 @@ def cmd_hom(args) -> int:
         k = _decimal(digits, len(str(MAX_SET_SIZE)))
         if k is None:
             if not digits.isascii():
-                raise ValueError(f"--template {template!r}: k<n> takes "
-                                 f"ASCII digits")
+                raise ValueError(f"--template k<n> with len(n) = "
+                                 f"{len(digits)}: n takes ASCII digits")
             raise ValueError(f"--template k of {len(digits)} digits: K_k "
                              f"has more than {MAX_SET_SIZE} edges")
         edges = k * (k - 1) // 2
@@ -196,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     fvs = argparse.ArgumentParser(add_help=False)
     fvs.add_argument("--fvs", help="comma-separated feedback vertex set "
                                    "of the shape")
-    fvs.add_argument("--fvs-max", type=int, default=None,
+    fvs.add_argument("--fvs-max", default=None,
                      help="budget for the feedback vertex set search")
 
     p = sub.add_parser("solve", parents=[fvs],
@@ -210,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decide by brute-force enumeration")
     p.add_argument("diagram")
-    p.add_argument("--cap", type=int, default=oracle.CAP_DEFAULT)
+    p.add_argument("--cap", default=oracle.CAP_DEFAULT)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("image", help="print the image subdiagram (forest shapes)")
@@ -235,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fvs", help="exact bounded feedback vertex set")
     p.add_argument("graph", help="a graph, or a diagram whose shape is read")
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", default=None)
     p.set_defaults(fn=cmd_fvs)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("kind", choices=["tree", "path", "cycle", "random"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", required=True)
+    p.add_argument("--w", required=True)
+    p.add_argument("--seed", default=0)
     p.add_argument("--p", type=float, default=0.3,
                    help="edge probability for kind=random")
     p.add_argument("--fixed-size", action="store_true",
@@ -255,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # read here, not by argparse, so that a refusal is one error: line
+        for dest, flag in _INTEGERS.items():
+            token = getattr(args, dest, None)
+            if isinstance(token, str):
+                setattr(args, dest, _integer(flag, token))
         return args.fn(args)
     except (jsonio.ParseError, oracle.CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

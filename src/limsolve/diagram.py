@@ -16,9 +16,10 @@ Subdiagrams never copy the base diagram: they are bitmasks over its
 sets (one mask per vertex set, one per edge set, whose bit a is set when
 element a is kept).  The mask invariant is leg-closure: masked vertex
 elements must map into the masked edge set.  ``filter_edge`` narrows a
-mask edge by edge, in place.  It is the one-combination reference that
-image_tree, forest_initial and section_tests run on and that inlim's
-bit-sliced sweep is tested against; inlim itself never calls it.
+mask across one edge, in place, and ``filter_edges`` across a list of
+edges.  filter_edges is the one-combination reference that image_tree,
+forest_initial and section_tests run on and that inlim's bit-sliced sweep
+is tested against; inlim itself never calls either.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from operator import and_, itemgetter
 
 from .diagram import CoDecomposition
 from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
-from .solver import _forest_plan, inlim
+from .solver import _forest_plan, _resolve_plan, _solve
 
 
 @dataclass
@@ -422,13 +422,18 @@ def hom_exists(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether X admits a homomorphism into h, via the hom-set
     diagram: the limit is nonempty iff a homomorphism exists.  Optionally
-    stitches the per-bag maps of a witness into one verified map."""
+    stitches the per-bag maps of a witness into one verified map.
+
+    fvs and k_max are read as inlim reads them.  The hom-set diagram is
+    swept without checking its sizes again: build_hom_codecomp writes each
+    as the length of a tuple."""
     problems = validate_decomposition(b)
     if problems:
         raise ValueError("invalid decomposition: " + "; ".join(problems))
     inst = build_hom_codecomp(b, h)
-    result = inlim(inst.diagram, fvs=fvs, k_max=k_max,
-                   want_witness=want_coloring)
+    d = inst.diagram
+    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d])
+    result = _solve(d, pinned, plan, want_coloring)
     if result.verdict.empty_limit:
         return False, None
     if not want_coloring:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, lt
 
 from .diagram import (
@@ -389,11 +389,7 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
     vertices between their first restriction and their own fold hold rows,
     and none is left at the end.  A combination survives iff it keeps an
     element at every done-arc, and the sweep stops once no combination of
-    the block is left.
-
-    At width 1 the rows are truth values (0/1 or bools), and a done-arc
-    checks nothing: the one combination died at the first arc that left a
-    vertex no element.
+    the block is left.  At width 1 the rows are truth values (0/1 or bools).
 
     Returns (rows, the bits of the combinations whose test is nonempty).
     Kept rows, of every vertex that an arc restricted, mean what they mean
@@ -417,8 +413,6 @@ def _sliced_sweep(d: CoDecomposition, pinned: list[int],
             if got is None:  # c has no edge
                 if not sizes[c]:
                     return rows, 0
-                continue
-            if width == 1:  # an arc that left c no element ended the sweep
                 continue
             survive = 0
             for row in got:
@@ -543,28 +537,20 @@ def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
     """
     vertex: list[int | None] = [None] * d.shape.n
     sizes = d.vertex_size
-
-    def lowest(r: int) -> None:
-        got = rows.get(r)
-        vertex[r] = next((a for a in range(sizes[r])
-                          if got is None or got[a]), None)
-        if vertex[r] is None:
-            raise ValueError(f"empty image mask at vertex {r}")
-
     edges = d.shape.edges
     tables = d.tables
     for e, c in reversed(plan):
-        if e < 0:
-            lowest(c)
+        if e < 0:  # a root or pinned vertex: no leg value to match
+            table, x = repeat(None, sizes[c]), None
+        elif c < 0:  # an arc out of a pinned vertex
             continue
-        if c < 0:  # an arc out of a pinned vertex
-            continue
-        u, v = edges[e]
-        tu, tv = tables[e]
-        if c == v:
-            table, x = tv, tu[vertex[u]]
         else:
-            table, x = tu, tv[vertex[v]]
+            u, v = edges[e]
+            tu, tv = tables[e]
+            if c == v:
+                table, x = tv, tu[vertex[u]]
+            else:
+                table, x = tu, tv[vertex[v]]
         got = rows.get(c)
         for a, y in enumerate(table):
             if y == x and (got is None or got[a]):
@@ -572,6 +558,7 @@ def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
                 break
         else:
             raise ValueError(
+                f"empty image mask at vertex {c}" if e < 0 else
                 f"no element of vertex {c} matches the parent across "
                 f"edge {e}; mask is not swept leaves-to-root")
     w = Witness(tuple(vertex),

@@ -7,8 +7,7 @@ import math
 import random
 import time
 
-from limsolve import (CoDecomposition, SimpleGraph, SubMask, VertexSet,
-                      Witness, jsonio, witness_violations)
+from limsolve import CoDecomposition, SimpleGraph, SubMask, VertexSet, jsonio
 from limsolve.generate import random_diagram, random_graph, random_tree
 
 
@@ -112,19 +111,6 @@ def narrowing_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, Verte
     d = CoDecomposition(SimpleGraph(n, edges), [1] + [w] * (n - 1),
                         [w] * len(edges), tables)
     return d, VertexSet.of(n, range(n - k, n))
-
-
-def cli_witness_violations(diagram_path: str, solve_path: str) -> list[str]:
-    """witness_violations of the witness that `limsolve solve --witness`
-    wrote to solve_path, its elements read as indices, against the diagram
-    document at diagram_path."""
-    with open(diagram_path) as fh:
-        d = jsonio.parse_diagram(json.load(fh))
-    with open(solve_path) as fh:
-        fields = dict(line.strip().split("=", 1) for line in fh if "=" in line)
-    return witness_violations(d, Witness(*(
-        tuple(map(int, fields[key].split(",")))
-        for key in ("witness_vertices", "witness_edges"))))
 
 
 def random_tree_diagram(seed: int, n_max: int = 10, w: int = 4) -> CoDecomposition:

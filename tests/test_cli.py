@@ -325,13 +325,17 @@ def test_template_above_edge_cap_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("template, text", [
     # int() read the Arabic-Indic three as 3 and answered HOM (exit 1)
-    ("k\u0663", "--template 'k\u0663': k<n> takes ASCII digits"),
+    ("k\u0663", "--template k<n> with len(n) = 1: n takes ASCII digits"),
+    # the refusal once echoed all 5000 Arabic-Indic digits
+    ("k" + "\u0663" * 5000, "--template k<n> with len(n) = 5000: n takes "
+                             "ASCII digits"),
     # int() refused with a text on the 4300-digit limit that named no option
     ("k" + "9" * 5000, "--template k of 5000 digits: K_k has more than "
                        "1048576 edges"),
     ("k" + "0" * 4999 + "3", None),
     ("nope", "unknown template 'nope'"),
-], ids=["non-ascii", "5000-digits", "leading-zeros", "unknown"])
+], ids=["non-ascii", "5000-non-ascii", "5000-digits", "leading-zeros",
+        "unknown"])
 def test_template_digits(tmp_path, capsys, template, text):
     doc = {"X": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
            "shape": {"n": 1, "edges": []}, "bags": [[0, 1, 2]]}
@@ -360,6 +364,65 @@ def test_gen_above_cap_is_refused(capsys, kind, n, w, text):
     assert code == 2 and out == []
     assert err == f"error: {text}\n"
     assert peak < 2 ** 20
+
+
+def _integer_argv(tmp_path, command, flag, token):
+    """argv that runs command with one integer option set to token."""
+    path = write(tmp_path, "path.json", jsonio.diagram_to_json(path_example()))
+    if command == "solve":
+        return [command, path, "--deterministic", flag, token]
+    if command in ("oracle", "fvs"):
+        return [command, path, flag, token]
+    if command == "hom":
+        one = write(tmp_path, "one.json", {"X": {"n": 1, "edges": []},
+                                           "shape": {"n": 1, "edges": []},
+                                           "bags": [[0]]})
+        return [command, one, flag, token]
+    if command == "cset-solve":
+        cat = write(tmp_path, "cat.json",
+                    jsonio.fincat_to_json(FinCat.terminal()))
+        dia = write(tmp_path, "cd.json", jsonio.cset_diagram_to_json(
+            lift_to_terminal_cset(path_example())))
+        return [command, cat, dia, flag, token]
+    return ["gen", "path", "--n", "4", "--w", "2", flag, token]
+
+
+INTEGER_OPTIONS = [("solve", "--fvs-max"), ("hom", "--fvs-max"),
+                   ("cset-solve", "--fvs-max"), ("oracle", "--cap"),
+                   ("fvs", "--max"), ("gen", "--n"), ("gen", "--w"),
+                   ("gen", "--seed")]
+
+
+@pytest.mark.parametrize("command, flag", INTEGER_OPTIONS,
+                         ids=[f"{c}{f}" for c, f in INTEGER_OPTIONS])
+@pytest.mark.parametrize("token, text", [
+    # int() read each of these as a number
+    ("\u0663", "'\u0663' is not an integer of ASCII digits"),
+    ("1_0", "'1_0' is not an integer of ASCII digits"),
+    ("+1", "'+1' is not an integer of ASCII digits"),
+    (" +1", "' +1' is not an integer of ASCII digits"),
+    # int() refused these in 5 KB of usage that echoed the token
+    ("9" * 5000, "of 5000 digits is longer than 20 digits"),
+], ids=["non-ascii", "underscore", "plus", "space-plus", "5000-digits"])
+def test_integer_options_take_ascii_digits(tmp_path, capsys, command, flag,
+                                           token, text):
+    code, out, err = run(capsys, _integer_argv(tmp_path, command, flag,
+                                               token))
+    assert (code, out, err) == (2, [], f"error: {flag} {text}\n")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("command, flag", INTEGER_OPTIONS,
+                         ids=[f"{c}{f}" for c, f in INTEGER_OPTIONS])
+def test_integer_options_read_leading_zeros_and_minus(tmp_path, capsys,
+                                                      command, flag):
+    # 5000 leading zeros count towards no limit, and a value means what
+    # the same option given as plain digits means
+    for token, plain in (("0" * 5000 + "3", "3"), ("-0", "0"),
+                         ("-05", "-5")):
+        got = run(capsys, _integer_argv(tmp_path, command, flag, token))
+        assert got == run(capsys, _integer_argv(tmp_path, command, flag,
+                                                plain))
 
 
 # sha256 prefixes of `gen <kind> --n 30 --w 4 --seed 7`, as written before

@@ -449,6 +449,57 @@ def test_build_matches_reference_on_window_decompositions():
         _assert_matches_reference(b, complete_graph(2 + seed % 4))
 
 
+def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
+    # build_hom_codecomp writes every size as the length of a tuple, so
+    # hom_exists sweeps its diagram without inlim's size pass; its verdicts
+    # and colourings are those that inlim reads off the same diagram
+    import limsolve.diagram
+    import limsolve.solver
+
+    cases = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        x = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.45)))
+        cases.append((elimination_decomposition(rng, x),
+                       complete_graph(2 + seed % 3)))
+    for seed in range(8):
+        rng = random.Random(seed)
+        cases.append((_window_decomposition(rng, rng.randint(1, 40)), K3))
+    want = []
+    for b, h in cases:
+        inst = build_hom_codecomp(b, h)
+        result = inlim(inst.diagram, want_witness=True)
+        if result.verdict.empty_limit:
+            want.append((False, None))
+            continue
+        coloring = [None] * b.x.n
+        for bag, maps, i in zip(b.bags, inst.bag_maps,
+                                result.witness.vertex_elements):
+            for v, c in zip(bag, maps[i]):
+                coloring[v] = c
+        want.append((True, tuple(coloring)))
+    assert {exists for exists, _ in want} == {False, True}
+
+    calls = {"_resolve_plan": 0, "size_problems": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for module in (hom, limsolve.solver, limsolve.diagram):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    for (b, h), expected in zip(cases, want):
+        for name in calls:
+            calls[name] = 0
+        assert hom_exists(b, h, want_coloring=True) == expected
+        assert calls == {"_resolve_plan": 1, "size_problems": 0}
+
+
 def test_hom_set_matches_reference():
     rng = random.Random(4)
     for _ in range(30):
