@@ -23,7 +23,6 @@ from .diagram import (
 )
 from .solver import (
     InLimResult,
-    SectionAssignment,
     SectionTest,
     Witness,
     extract_witness,
@@ -63,7 +62,6 @@ __all__ = [
     "HomSet",
     "InLimResult",
     "Restriction",
-    "SectionAssignment",
     "SectionTest",
     "SimpleGraph",
     "SubMask",

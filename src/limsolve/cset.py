@@ -265,8 +265,8 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
 def pointwise_slice(d: CSetCoDecomposition, c: int) -> CoDecomposition:
     """The plain diagram obtained by evaluating every C-set and leg at one
     C-object: the stored slice itself, not a copy."""
-    if not 0 <= c < d.cat.object_count:
-        raise ValueError(f"no C-object {c}")
+    if type(c) is not int or not 0 <= c < d.cat.object_count:
+        raise ValueError(f"no C-object {c!r}")
     return d.slices[c]
 
 
@@ -281,8 +281,8 @@ def cset_inlim(
     fvs and k_max are read as inlim reads them, and one feedback vertex
     set and one forest plan serve every slice, which is swept without
     checking again the sizes validate_cset_codecomp checked.  Over no
-    C-object the answer is EMPTY with no FVS search: only a negative
-    k_max without a set is refused, and a supplied set is not checked.
+    C-object the answer is EMPTY with no FVS search, and a supplied set is
+    not checked.
     ValueError names the problems of an invalid diagram.
     """
     problems = validate_cset_codecomp(d)

@@ -65,6 +65,12 @@ def tables_fit(tables, sources: list[int], targets: list[int]) -> bool:
                                  targets)))))
 
 
+def leg_sizes(edges, vertex_size, edge_size) -> tuple[list[int], list[int]]:
+    """Each leg table's source and target size, in (edge, endpoint) order."""
+    return (list(map(vertex_size.__getitem__, chain.from_iterable(edges))),
+            list(chain.from_iterable(zip(edge_size, edge_size))))
+
+
 def table_image(table, source_mask: int) -> int:
     """Bitmask of the values table[s] over the set bits s of source_mask."""
     out = 0
@@ -175,8 +181,7 @@ def sized_problems(d: CoDecomposition) -> list[str]:
     # _table_problems then finds, and names, what is wrong
     if not (all_pairs(d.tables) and tables_fit(
             list(chain.from_iterable(d.tables)),
-            [d.vertex_size[x] for uv in d.shape.edges for x in uv],
-            [size for size in d.edge_size for _ in (0, 1)])):
+            *leg_sizes(d.shape.edges, d.vertex_size, d.edge_size))):
         problems += _table_problems(d)
     # only the labelled sets are read: no Python step per unlabelled set
     for kind, sizes, labels in (("vertex", d.vertex_size, d.vertex_labels),
@@ -271,8 +276,6 @@ def filter_edges(d: CoDecomposition, m: SubMask, eids) -> bool:
     side keeps the elements whose table value lands in the shared image.
     Returns False at the first edge whose shared image is empty; that edge
     and both its endpoints are then zeroed, so the mask stays leg-closed.
-    image_tree, forest_initial and section_tests run on this loop; inlim
-    filters many section tests at once over the same leg tables instead.
     """
     vert = m.vertex
     edge = m.edge

@@ -293,6 +293,13 @@ def _induced(g: SimpleGraph, parts: list[list[int]]
     return [SimpleGraph(len(verts), es) for verts, es in zip(parts, edges)], local
 
 
+def _check_budget(k_max) -> None:
+    if type(k_max) is not int:
+        raise ValueError(f"k_max {k_max!r} is not an int")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+
+
 def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     """A feedback vertex set of minimum size if one of size <= k_max exists.
 
@@ -308,8 +315,7 @@ def fvs_exact(g: SimpleGraph, k_max: int) -> VertexSet | None:
     every component, so this returns the set that one search over the
     whole 2-core finds first, and the result is deterministic.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _check_budget(k_max)
     core, core_deg = _core(g)
     if core.find(1) < 0:
         return VertexSet(g.n, 0)

@@ -73,15 +73,17 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
 
 
 def _holds(b: BagDecomposition) -> bool:
-    """True only when _walk finds no problem; on a forest shape, exactly
-    then.  Ids are checked by a type set, min and max, coverage by the
-    size of the id set, and each X-edge by the bags' position pairs as
-    they stream by.  An adhesion equal to the intersection of its bags is
-    contained in both and holds every vertex in both.  Then each X-vertex
-    v in c_v components of its h_v holders has h_v - c_v adhesions on a
-    forest shape, so the bag entries less the adhesion entries count
-    every c_v, each at least 1, plus any repeated entry: that count is |X|
-    iff every c_v is 1 and no entry repeats."""
+    """False on a cyclic shape, left to _walk; on a forest shape, True
+    exactly when _walk finds no problem.  Ids are checked by a type set,
+    min and max, coverage by the size of the id set, and each X-edge by
+    the bags' position pairs as they stream by.  An adhesion equal to the
+    intersection of its bags is contained in both and holds every vertex
+    in both.  Then each X-vertex v in c_v components of its h_v holders
+    has h_v - c_v adhesions on a forest shape, so the bag entries less the
+    adhesion entries count every c_v, each at least 1, plus any repeated
+    entry: that count is |X| iff every c_v is 1 and no entry repeats."""
+    if _forest_plan(b.shape) is None:
+        return False
     n = b.x.n
     entries = list(chain.from_iterable(b.bags))
     if entries and not ({*map(type, entries)} == {int}
@@ -101,9 +103,7 @@ def _holds(b: BagDecomposition) -> bool:
                       map(bag_sets.__getitem__, map(itemgetter(1), ends))))
     if shared != list(map(frozenset, b.adhesions)):
         return False
-    if len(entries) - sum(map(len, shared)) != n:
-        return False
-    return _forest_plan(b.shape) is not None
+    return len(entries) - sum(map(len, shared)) == n
 
 
 def _walk(b: BagDecomposition) -> list[str]:

@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import contains, itemgetter
 
 from .cset import CSetCoDecomposition, FinCat, validate_fincat
-from .diagram import CoDecomposition, tables_fit
+from .diagram import CoDecomposition, leg_sizes, tables_fit
 from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
 
@@ -273,9 +273,7 @@ def _leg_tables(maps: list, shape: SimpleGraph, vsizes: list, esizes: list,
         e, side = divmod(i, 2)
         return vlabels.get(edges[e][side]), elabels.get(e)
 
-    tables = _index_tables(
-        maps, list(map(vsizes.__getitem__, chain.from_iterable(edges))),
-        list(chain.from_iterable(zip(esizes, esizes))), labels_of)
+    tables = _index_tables(maps, *leg_sizes(edges, vsizes, esizes), labels_of)
     return None if tables is None else list(zip(tables[0::2], tables[1::2]))
 
 

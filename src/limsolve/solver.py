@@ -63,7 +63,8 @@ from .diagram import (
     restrict_to_subgraph,
     size_problems,
 )
-from .graphs import SimpleGraph, VertexSet, _preorder, fvs_exact
+from .graphs import (SimpleGraph, VertexSet, _check_budget, _preorder,
+                     fvs_exact)
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,6 @@ class Witness:
 
     vertex_elements: tuple[int, ...]
     edge_elements: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SectionAssignment:
-    """One chosen element per feedback vertex, sorted by vertex index."""
-
-    choices: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.choices)
 
 
 @dataclass
@@ -95,7 +86,7 @@ class SectionTest:
     relate it back to the original shape.
     """
 
-    assignment: SectionAssignment
+    assignment: tuple[tuple[int, int], ...]
     immediately_empty: bool
     tau: CoDecomposition | None
     tau_mask: SubMask | None
@@ -298,9 +289,9 @@ def section_tests(d: CoDecomposition, s: VertexSet):
     kept = [v for v, new in enumerate(r.vertex_map) if new is not None]
     eids = [e for e, new in enumerate(r.edge_map) if new is not None]
     for combo in itertools.product(*(range(d.vertex_size[v]) for v in pinned)):
-        assignment = SectionAssignment(tuple(zip(pinned, combo)))
+        assignment = tuple(zip(pinned, combo))
         m = base.copy()
-        for v, a in assignment.choices:
+        for v, a in assignment:
             m.vertex[v] = 1 << a
         if not filter_edges(d, m, pin_edges):
             yield SectionTest(assignment, True, None, None, None, None)
@@ -317,13 +308,13 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
     """The feedback vertex set S, ascending, and the forest plan of the
     shape minus S that the diagrams over the shape are swept on.
 
-    With no set supplied, a negative k_max is refused first, and S is
-    found within k_max (n when None).  A supplied set is checked when its
-    plan is built.  With no diagram to sweep, S and the plan are empty: no
-    search runs and a supplied set is not checked.
+    With no set supplied, a k_max that is not an int >= 0 is refused
+    first, and S is found within k_max (n when None).  A supplied set is
+    checked when its plan is built.  With no diagram to sweep, S and the
+    plan are empty: no search runs and a supplied set is not checked.
     """
-    if fvs is None and k_max is not None and k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if fvs is None and k_max is not None:
+        _check_budget(k_max)
     if not diagrams:
         return [], []
     if fvs is None:
@@ -468,8 +459,8 @@ def inlim(
 
     fvs is the feedback vertex set to pin; ValueError when it belongs to
     another shape or the shape minus it is not a forest.  Without it, a
-    minimum set is found within k_max (n when None): ValueError when none
-    is, or when k_max < 0.  want_witness asks for a matching family when
+    minimum set is found within k_max, an int >= 0 (n when None):
+    ValueError when none is.  want_witness asks for a matching family when
     the limit is nonempty; it is deterministic, the lowest-index family of
     the lexicographically first surviving combination.
     section_test_count is the index of that combination plus one, or every
@@ -573,24 +564,28 @@ def _read_family(d: CoDecomposition, plan: list[tuple[int, int]],
 def extract_witness(
     d: CoDecomposition,
     image_mask: SubMask,
-    sigma: SectionAssignment | None = None,
+    sigma: tuple[tuple[int, int], ...] = (),
 ) -> Witness:
     """Read one matching family off a mask after the leaves-to-root pass
     over this shape's plan (an image mask is one).
 
-    The shape minus the pinned vertices (if any) must be a forest, else
-    ValueError.  The vertex masks go as width-1 rows, a pinned vertex's
-    holding only its pinned element, through the walk inlim reads its
-    witness with.  After the leaves-to-root pass, a child's mask and its
-    image mask agree on the elements that match a parent element of the
+    sigma holds the (vertex, element) pairs to pin.  ValueError names a bad
+    or repeated vertex, a bad element, or a shape that is not a forest less
+    the pinned vertices.  The vertex masks go as width-1 rows, a pinned
+    vertex's holding only its pinned element, through the walk inlim reads
+    its witness with.  After the leaves-to-root pass, a child's mask and
+    its image mask agree on the elements that match a parent element of the
     image, so both give the same family.
     """
-    pinned = sigma.as_dict() if sigma is not None else {}
-    n = d.shape.n
-    for v, a in pinned.items():
-        if not 0 <= a < d.vertex_size[v]:
-            raise ValueError(f"pinned element {a} out of range at vertex {v}")
-    plan = _checked_plan(d.shape, VertexSet.of(n, pinned))
+    s = VertexSet.of(d.shape.n, [v for v, _ in sigma])
+    pinned: dict[int, int] = {}
+    for v, a in sigma:
+        if v in pinned:
+            raise ValueError(f"vertex {v} is pinned twice")
+        if type(a) is not int or not 0 <= a < d.vertex_size[v]:
+            raise ValueError(f"pinned element {a!r} out of range at vertex {v}")
+        pinned[v] = a
+    plan = _checked_plan(d.shape, s)
     rows = {}
     for v, size in enumerate(d.vertex_size):
         mask = 1 << pinned[v] if v in pinned else image_mask.vertex[v]

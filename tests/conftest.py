@@ -62,55 +62,51 @@ def edgeless_diagram(sizes) -> CoDecomposition:
     return CoDecomposition(SimpleGraph(len(sizes), []), list(sizes), [], [])
 
 
-def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
-    """An EMPTY diagram on a spider: root 0 with k equal branches, and hub
-    n - k + i closing a cycle through the tip and the base of branch i.
-    Every leg is the identity on w elements except one per hub cycle, which
-    shifts by one, so no cycle carries a matching family.  Returns the
-    diagram and its feedback vertex set, the k hubs."""
+def _spider(k: int, n: int) -> tuple[list[tuple[int, int]], VertexSet]:
+    """Root 0 with k equal branches, and hub n - k + i closing a cycle
+    through the tip and the base of branch i.  Returns the edges, branch
+    by branch: base, hub to tip, the branch's path, then base to hub; and
+    the feedback vertex set, the k hubs."""
     b = (n - 1 - k) // k
     if 1 + k * b + k != n or b < 2:
         raise ValueError(f"n={n} does not split into {k} branches")
-    ident = tuple(range(w))
-    shift = tuple((a + 1) % w for a in range(w))
     edges = []
-    tables = []
     for i in range(k):
         branch = range(1 + i * b, 1 + (i + 1) * b)
         hub = n - k + i
         edges += [(0, branch[0]), (hub, branch[-1])]
         edges += [(branch[j], branch[j + 1]) for j in range(b - 1)]
         edges.append((branch[0], hub))
-        tables += [(ident, ident)] * (b + 1) + [(ident, shift)]
-    d = CoDecomposition(SimpleGraph(n, edges), [w] * n, [w] * len(edges),
-                        tables)
-    return d, VertexSet.of(n, range(n - k, n))
+    return edges, VertexSet.of(n, range(n - k, n))
+
+
+def shifted_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
+    """An EMPTY diagram on _spider(k, n).  Every leg is the identity on w
+    elements except one per hub cycle, which shifts by one, so no cycle
+    carries a matching family.  Returns the diagram and its feedback
+    vertex set, the k hubs."""
+    edges, hubs = _spider(k, n)
+    ident = tuple(range(w))
+    shift = tuple((a + 1) % w for a in range(w))
+    branch = [(ident, ident)] * (len(edges) // k - 1) + [(ident, shift)]
+    tables = branch * k
+    return CoDecomposition(SimpleGraph(n, edges), [w] * n, [w] * len(edges),
+                           tables), hubs
 
 
 def narrowing_spider(k: int, n: int, w: int = 3) -> tuple[CoDecomposition, VertexSet]:
-    """A NONEMPTY diagram on the spider of shifted_spider whose root set
-    has one element, which every base edge maps to element w - 1; every
-    other set has w elements and every other leg is the identity.  Branch
-    i's cycle then forces hub i to w - 1, so each branch only narrows
-    which combinations survive at the root, and the only survivor is the
-    last one.  Returns the diagram and its feedback vertex set, the k
-    hubs."""
-    b = (n - 1 - k) // k
-    if 1 + k * b + k != n or b < 2:
-        raise ValueError(f"n={n} does not split into {k} branches")
+    """A NONEMPTY diagram on _spider(k, n) whose root set has one element,
+    which every base edge maps to element w - 1; every other set has w
+    elements and every other leg is the identity.  Branch i's cycle then
+    forces hub i to w - 1, so each branch only narrows which combinations
+    survive at the root, and the only survivor is the last one.  Returns
+    the diagram and its feedback vertex set, the k hubs."""
+    edges, hubs = _spider(k, n)
     ident = tuple(range(w))
-    edges = []
-    tables = []
-    for i in range(k):
-        branch = range(1 + i * b, 1 + (i + 1) * b)
-        hub = n - k + i
-        edges += [(0, branch[0]), (hub, branch[-1])]
-        edges += [(branch[j], branch[j + 1]) for j in range(b - 1)]
-        edges.append((branch[0], hub))
-        tables += [((w - 1,), ident)] + [(ident, ident)] * (b + 1)
-    d = CoDecomposition(SimpleGraph(n, edges), [1] + [w] * (n - 1),
-                        [w] * len(edges), tables)
-    return d, VertexSet.of(n, range(n - k, n))
+    branch = [((w - 1,), ident)] + [(ident, ident)] * (len(edges) // k - 1)
+    tables = branch * k
+    return CoDecomposition(SimpleGraph(n, edges), [1] + [w] * (n - 1),
+                           [w] * len(edges), tables), hubs
 
 
 def random_tree_diagram(seed: int, n_max: int = 10, w: int = 4) -> CoDecomposition:

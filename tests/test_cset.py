@@ -125,8 +125,8 @@ def test_pointwise_slice_walking_arrow():
     assert s1.vertex_size == [1, 1] and s1.tables == [((0,), (0,))]
     # the stored slices themselves, not copies
     assert s0 is d.slices[0] and s1 is d.slices[1]
-    for c in (-1, 2):
-        with pytest.raises(ValueError, match=f"no C-object {c}"):
+    for c in (-1, 2, True, 1.0):
+        with pytest.raises(ValueError, match=f"^no C-object {c}$"):
             pointwise_slice(d, c)
 
 

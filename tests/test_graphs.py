@@ -166,6 +166,22 @@ def test_fvs_k_zero_only_for_forests():
     assert len(fvs_exact(SimpleGraph(6, [(0, 3)]), 0)) == 0
 
 
+def test_fvs_budget_must_be_an_int():
+    # three disjoint 5-cycles need three vertices; a budget that is not an
+    # int never equals the count of cycles taken, so 1.5 would admit all
+    # three
+    g = SimpleGraph(15, [(c + i, c + (i + 1) % 5)
+                         for c in (0, 5, 10) for i in range(5)])
+    assert list(fvs_exact(g, 3)) == [0, 5, 10]
+    assert fvs_exact(g, 2) is None
+    for k in (1.5, True, "2", None):
+        with pytest.raises(ValueError) as err:
+            fvs_exact(g, k)
+        assert str(err.value) == f"k_max {k!r} is not an int"
+    with pytest.raises(ValueError, match="^k_max must be >= 0$"):
+        fvs_exact(g, -1)
+
+
 def test_fvs_matches_exhaustive_search():
     for seed in range(40):
         g = random_graph(random.Random(seed), 8, 0.3)

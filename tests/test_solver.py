@@ -21,7 +21,6 @@ from conftest import (
 )
 from limsolve import (
     CoDecomposition,
-    SectionAssignment,
     SimpleGraph,
     VertexSet,
     Witness,
@@ -126,8 +125,8 @@ def test_section_tests_c4_matches_worked_example():
     d = c4_example()
     tests = list(section_tests(d, VertexSet.of(4, [0])))
     assert len(tests) == 2
-    assert tests[0].assignment.choices == ((0, 0),)
-    assert tests[1].assignment.choices == ((0, 1),)
+    assert tests[0].assignment == ((0, 0),)
+    assert tests[1].assignment == ((0, 1),)
     # tau vertices are old 1, 2, 3 in order
     assert tests[0].tau_mask.vertex == [0b10, 0b11, 0b01]  # {d}, {c,d}, {a}
     assert tests[1].tau_mask.vertex == [0b01, 0b11, 0b10]  # {c}, {c,d}, {b}
@@ -142,7 +141,7 @@ def test_section_tests_empty_fvs_yields_diagram_itself():
     d = path_example()
     tests = list(section_tests(d, VertexSet(3, 0)))
     assert len(tests) == 1
-    assert tests[0].assignment.choices == ()
+    assert tests[0].assignment == ()
     # the one empty combination restricts d to all of its vertices
     tau = tests[0].tau
     assert (tau.shape, tau.vertex_size, tau.edge_size, tau.tables) \
@@ -298,6 +297,26 @@ def test_forest_path_refuses_a_negative_budget():
         cset_inlim(lifted, k_max=-1)
     assert not inlim(d, k_max=0).verdict.empty_limit
     assert not cset_inlim(lifted, k_max=0).empty_limit
+
+
+def test_solvers_refuse_a_budget_that_is_not_an_int():
+    # k_max=1.5 on three disjoint 5-cycles must not pin all three cycle
+    # vertices; the forest path checks the budget too
+    from limsolve.generate import lift_to_terminal_cset
+
+    ident = (0, 1)
+    cycles = CoDecomposition(
+        SimpleGraph(15, [(c + i, c + (i + 1) % 5)
+                         for c in (0, 5, 10) for i in range(5)]),
+        [2] * 15, [2] * 15, [(ident, ident)] * 15)
+    assert inlim(cycles, k_max=3).fvs == (0, 5, 10)
+    for d in (cycles, path_example()):
+        lifted = lift_to_terminal_cset(d)
+        for k in (1.5, True, "2"):
+            for solve, target in ((inlim, d), (cset_inlim, lifted)):
+                with pytest.raises(ValueError) as err:
+                    solve(target, k_max=k)
+                assert str(err.value) == f"k_max {k!r} is not an int"
 
 
 def test_inlim_zero_vertex_shape_nonempty():
@@ -458,7 +477,7 @@ def test_inlim_matches_section_tests_per_combination():
             continue
         assert result.section_test_count == nonempty[0] + 1
         assert all(result.witness.vertex_elements[v] == a
-                   for v, a in tests[nonempty[0]].assignment.choices)
+                   for v, a in tests[nonempty[0]].assignment)
     assert min(pinned.values()) > 30, pinned
 
 
@@ -484,7 +503,7 @@ def test_section_tests_restrict_once_per_call(monkeypatch):
         assert len(calls) == 1
         for t in tests:
             m = d.full_mask()
-            for v, a in t.assignment.choices:
+            for v, a in t.assignment:
                 m.vertex[v] = 1 << a
             if not filter_edges(d, m, pin_edges):
                 assert t.immediately_empty and t.tau is None
@@ -813,7 +832,7 @@ def test_sweep_drops_every_row_with_pinned_vertices():
 
 
 def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
-    # one forest plan per solve, and no masks or assignment objects
+    # one forest plan per solve, and no masks
     import limsolve.solver
 
     plans = []
@@ -824,11 +843,10 @@ def test_inlim_witness_reads_the_sweep_rows(monkeypatch):
         return forest_plan(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("inlim built a SubMask or a SectionAssignment")
+        raise AssertionError("inlim built a SubMask")
 
     monkeypatch.setattr(limsolve.solver, "_forest_plan", counted)
     monkeypatch.setattr(limsolve.solver, "SubMask", refuse)
-    monkeypatch.setattr(limsolve.solver, "SectionAssignment", refuse)
     for d in (c4_untwisted_example(), _planted_tree(5, 300, 4)):
         plans.clear()
         result = inlim(d, want_witness=True)
@@ -996,7 +1014,7 @@ def test_extract_witness_random_trees():
 def test_extract_witness_with_pinned_vertices():
     d = c4_untwisted_example()
     result = inlim(d, want_witness=True)
-    sigma = SectionAssignment(((0, result.witness.vertex_elements[0]),))
+    sigma = ((0, result.witness.vertex_elements[0]),)
     w = extract_witness(d, _image_on_base(d, sigma), sigma)
     assert witness_violations(d, w) == []
     # over image masks the walk picks what inlim picks off its sweep rows
@@ -1007,8 +1025,8 @@ def test_extract_witness_with_pinned_vertices():
         if result.verdict.empty_limit:
             continue
         nonempty += 1
-        sigma = SectionAssignment(tuple(
-            (v, result.witness.vertex_elements[v]) for v in result.fvs))
+        sigma = tuple((v, result.witness.vertex_elements[v])
+                      for v in result.fvs)
         assert extract_witness(d, _image_on_base(d, sigma), sigma) \
             == result.witness
     assert nonempty == 722
@@ -1027,7 +1045,7 @@ def _image_on_base(d, sigma):
     from limsolve import filter_edge
 
     m = d.full_mask()
-    pinned = sigma.as_dict()
+    pinned = dict(sigma)
     for v, a in pinned.items():
         m.vertex[v] = 1 << a
     for v in pinned:
@@ -1054,7 +1072,7 @@ def test_extract_witness_refusals():
     # leaves-to-root pass still holds elements with no partner
     d = CoDecomposition(SimpleGraph(2, [(0, 1)]), [1, 1], [2], [((0,), (1,))])
     with pytest.raises(ValueError) as err:
-        extract_witness(d, d.full_mask(), SectionAssignment(((0, 5),)))
+        extract_witness(d, d.full_mask(), ((0, 5),))
     assert str(err.value) == "pinned element 5 out of range at vertex 0"
     with pytest.raises(ValueError) as err:
         extract_witness(d, d.full_mask())
@@ -1064,7 +1082,19 @@ def test_extract_witness_refusals():
     # pinned, vertex 0 is a leaf outside the plan, so only the final check
     # sees its edge
     with pytest.raises(ValueError) as err:
-        extract_witness(d, d.full_mask(), SectionAssignment(((0, 0),)))
+        extract_witness(d, d.full_mask(), ((0, 0),))
     assert str(err.value) == (
         "extracted family violates edge constraints: edge 0: endpoint "
         "values map to 0 and 1, edge element is 0")
+    # malformed pairs are named before any plan is built; vertex ids are
+    # read as every VertexSet reads them
+    d = path_example()
+    for sigma, text in (
+            (((5, 0),), "vertex 5 out of range for n=3"),
+            (((True, 0),), "vertex id True is not an integer"),
+            (((0, True),), "pinned element True out of range at vertex 0"),
+            (((0, 1.0),), "pinned element 1.0 out of range at vertex 0"),
+            (((0, 2), (0, 1)), "vertex 0 is pinned twice")):
+        with pytest.raises(ValueError) as err:
+            extract_witness(d, d.full_mask(), sigma)
+        assert str(err.value) == text
