@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import (CoDecomposition, Verdict, size_problems, sized_problems,
-                      tables_fit)
+from .diagram import (CoDecomposition, Verdict, size_problems, tables_fit,
+                      validate)
 from .graphs import SimpleGraph, VertexSet
 from .solver import _resolve_plan, _solve
 # bench/layertrace.py traces the name cset.inlim, so it stays bound here
@@ -213,8 +213,8 @@ def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
 
 
 def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
-    """The category, every slice (as validate checks it), every C-set's
-    actions, then the naturality of every leg; returns a list of
+    """The category, every slice not recorded valid (by validate), every
+    C-set's actions, then the naturality of every leg; returns a list of
     violations, empty when ok."""
     problems = validate_fincat(d.cat)
     if problems:
@@ -222,9 +222,9 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
     cat = d.cat
     sized = True
     for c, s in enumerate(d.slices):
-        found = size_problems(s)
-        sized = sized and not found
-        problems += [f"object {c}: {p}" for p in found or sized_problems(s)]
+        found = validate(s)
+        sized = sized and not (found and size_problems(s))
+        problems += [f"object {c}: {p}" for p in found]
     if not sized:  # the actions are read against the sizes
         return problems
     pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
@@ -279,11 +279,10 @@ def cset_inlim(
     empty) C-set iff every pointwise slice has an empty limit.
 
     fvs and k_max are read as inlim reads them, and one feedback vertex
-    set and one forest plan serve every slice, which is swept without
-    checking again the sizes validate_cset_codecomp checked.  Over no
-    C-object the answer is EMPTY with no FVS search, and a supplied set is
-    not checked.
-    ValueError names the problems of an invalid diagram.
+    set and one forest plan serve every slice.  Over no C-object the answer
+    is EMPTY with no FVS search, and a supplied set is not checked.
+    ValueError names the problems of an invalid diagram: every call runs
+    validate_cset_codecomp, which reads no slice recorded valid.
     """
     problems = validate_cset_codecomp(d)
     if problems:

@@ -87,12 +87,16 @@ class CoDecomposition:
     shape.edges[e], and tables[e][i][a] is the edge element that element a
     of that endpoint maps to.  vertex_labels and edge_labels map a set's
     index to its labels, for the labelled sets only.  The columns are
-    kept, not copied; only their lengths are checked here, and validate(d)
-    checks the tables.
+    kept, not copied, and not edited once the diagram is made.
+
+    A diagram is checked once: by its loader or build_hom_codecomp as they
+    make it, else by its first validate(d), which inlim and cset_inlim
+    call; only the lengths are checked here.  Found valid, it is recorded
+    so, and no later check reads it again.
     """
 
     __slots__ = ("shape", "vertex_size", "edge_size", "tables",
-                 "vertex_labels", "edge_labels")
+                 "vertex_labels", "edge_labels", "_valid")
 
     def __init__(self, shape: SimpleGraph, vertex_size: list[int],
                  edge_size: list[int], tables: list[tuple],
@@ -110,6 +114,7 @@ class CoDecomposition:
         self.tables = tables
         self.vertex_labels = vertex_labels or {}
         self.edge_labels = edge_labels or {}
+        self._valid = False
 
     @property
     def edge_data(self) -> list[tuple[int, int, tuple, tuple]]:
@@ -169,8 +174,19 @@ def validate(d: CoDecomposition) -> list[str]:
     leg tables, a table entry must be an int (not a bool) in [0, edge set
     size), a label key must be a set index, and a labelled set needs a list
     or tuple of distinct labels, one per element.  The tables and labels
-    are checked against the sizes, so only when every size is one."""
-    return size_problems(d) or sized_problems(d)
+    are checked against the sizes, so only when every size is one.  A
+    diagram recorded valid is not read: validate returns [] at once."""
+    if d._valid:
+        return []
+    problems = size_problems(d) or sized_problems(d)
+    d._valid = not problems
+    return problems
+
+
+def _recorded(d: CoDecomposition) -> CoDecomposition:
+    """d, recorded valid by a maker that checks all that validate does."""
+    d._valid = True
+    return d
 
 
 def sized_problems(d: CoDecomposition) -> list[str]:

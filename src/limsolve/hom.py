@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, repeat
 from operator import and_, itemgetter
 
-from .diagram import CoDecomposition
+from .diagram import CoDecomposition, _recorded
 from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
 from .solver import _forest_plan, _resolve_plan, _solve
 
@@ -65,15 +65,22 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
     A valid decomposition over a forest shape is accepted by _holds in
     whole-list passes; the walk runs on a cyclic shape, or to name the
     problems."""
+    return _checked(b)[0]
+
+
+def _checked(b: BagDecomposition) -> tuple[list[str], list | None]:
+    """validate_decomposition's problems, and the shape's forest plan when
+    _holds accepts b, for hom_exists to sweep on."""
     if len(b.bags) != b.shape.n:
-        return ["one bag per shape vertex required"]
+        return ["one bag per shape vertex required"], None
     if len(b.adhesions) != b.shape.m:
-        return ["one adhesion per shape edge required"]
-    return [] if _holds(b) else _walk(b)
+        return ["one adhesion per shape edge required"], None
+    plan = _holds(b)
+    return ([], plan) if plan is not None else (_walk(b), None)
 
 
-def _holds(b: BagDecomposition) -> bool:
-    """False on a cyclic shape, left to _walk; on a forest shape, True
+def _holds(b: BagDecomposition) -> list[tuple[int, int]] | None:
+    """None on a cyclic shape, left to _walk; on a forest shape, its plan
     exactly when _walk finds no problem.  Ids are checked by a type set,
     min and max, coverage by the size of the id set, and each X-edge by
     the bags' position pairs as they stream by.  An adhesion equal to the
@@ -82,28 +89,29 @@ def _holds(b: BagDecomposition) -> bool:
     has h_v - c_v adhesions on a forest shape, so the bag entries less the
     adhesion entries count every c_v, each at least 1, plus any repeated
     entry: that count is |X| iff every c_v is 1 and no entry repeats."""
-    if _forest_plan(b.shape) is None:
-        return False
+    plan = _forest_plan(b.shape)
+    if plan is None:
+        return None
     n = b.x.n
     entries = list(chain.from_iterable(b.bags))
     if entries and not ({*map(type, entries)} == {int}
                         and min(entries) >= 0 and max(entries) < n):
-        return False
+        return None
     if len(set(entries)) != n:
-        return False
+        return None
     # combinations of a sorted bag run lo < hi, as the edges are written
     edges = set(zip(map(min, b.x.edges), map(max, b.x.edges)))
     if len(edges.intersection(chain.from_iterable(
             map(combinations, b.bags, repeat(2))))) != len(edges):
-        return False
+        return None
     bag_sets = list(map(frozenset, b.bags))
     ends = b.shape.edges
     shared = list(map(and_,
                       map(bag_sets.__getitem__, map(itemgetter(0), ends)),
                       map(bag_sets.__getitem__, map(itemgetter(1), ends))))
     if shared != list(map(frozenset, b.adhesions)):
-        return False
-    return len(entries) - sum(map(len, shared)) == n
+        return None
+    return plan if len(entries) - sum(map(len, shared)) == n else None
 
 
 def _walk(b: BagDecomposition) -> list[str]:
@@ -386,6 +394,7 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
     legs the restriction maps.  Bags with one pattern share one maps tuple,
     and equal restrictions one table.  Bag vertex ids are not checked
     again: b must pass validate_decomposition, as hom_exists ensures.
+    The diagram is valid as built, and recorded so.
     Raises ValueError when an adhesion is not contained in its bag, or a
     hom-set could exceed MAX_SET_SIZE maps."""
     homs = _HomSets(b.x, h)
@@ -408,8 +417,8 @@ def build_hom_codecomp(b: BagDecomposition, h: SimpleGraph) -> HomInstance:
         edge_size.append(len(target))
         tables.append(tuple(pair))
     bag_maps = tuple(p.maps for p in patterns)
-    diagram = CoDecomposition(b.shape, list(map(len, bag_maps)), edge_size,
-                              tables)
+    diagram = _recorded(CoDecomposition(b.shape, list(map(len, bag_maps)),
+                                        edge_size, tables))
     return HomInstance(diagram, bag_maps)
 
 
@@ -424,15 +433,15 @@ def hom_exists(
     diagram: the limit is nonempty iff a homomorphism exists.  Optionally
     stitches the per-bag maps of a witness into one verified map.
 
-    fvs and k_max are read as inlim reads them.  The hom-set diagram is
-    swept without checking its sizes again: build_hom_codecomp writes each
-    as the length of a tuple."""
-    problems = validate_decomposition(b)
+    fvs and k_max are read as inlim reads them.  A forest shape is swept
+    on the plan that checking b built, and the hom-set diagram, recorded
+    valid as built, is not checked."""
+    problems, whole = _checked(b)
     if problems:
         raise ValueError("invalid decomposition: " + "; ".join(problems))
     inst = build_hom_codecomp(b, h)
     d = inst.diagram
-    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d])
+    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d], whole)
     result = _solve(d, pinned, plan, want_coloring)
     if result.verdict.empty_limit:
         return False, None

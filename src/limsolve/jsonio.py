@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import contains, itemgetter
 
 from .cset import CSetCoDecomposition, FinCat, validate_fincat
-from .diagram import CoDecomposition, leg_sizes, tables_fit
+from .diagram import CoDecomposition, _recorded, leg_sizes, tables_fit
 from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
 
@@ -278,7 +278,8 @@ def _leg_tables(maps: list, shape: SimpleGraph, vsizes: list, esizes: list,
 
 
 def parse_diagram(obj) -> CoDecomposition:
-    """Read a diagram straight into the columns of a CoDecomposition."""
+    """Read a diagram straight into the columns of a CoDecomposition,
+    recorded valid: the loader checks all that validate checks."""
     shape = parse_graph(_require(obj, "shape", "diagram"), "diagram shape")
     raw = _require_list(obj, "vertex_sets", "diagram")
     vsizes, vlabels = _or_named(_read_sets(raw), _set_errors, raw,
@@ -299,7 +300,8 @@ def parse_diagram(obj) -> CoDecomposition:
     tables = _or_named(None if maps is None else _leg_tables(
         maps, shape, vsizes, esizes, vlabels, elabels),
         _leg_errors, raw, shape, leg_error)
-    return CoDecomposition(shape, vsizes, esizes, tables, vlabels, elabels)
+    return _recorded(CoDecomposition(shape, vsizes, esizes, tables, vlabels,
+                                    elabels))
 
 
 def diagram_to_json(d: CoDecomposition, meta: dict | None = None) -> dict:
@@ -420,7 +422,8 @@ def _cset_slices(raw: list, shape: SimpleGraph, nc: int, vsizes, esizes,
                  vlabels, elabels) -> list[CoDecomposition] | None:
     """The plain diagram at every C-object, from the legs of a C-set
     diagram and the columns _read_csets read; checked a C-object at a time
-    over all the legs at once.  None when some leg is malformed."""
+    over all the legs at once, each recorded valid.  None when some leg is
+    malformed."""
     legs = _leg_entries(raw, shape, "maps")
     if legs is None or not (set(map(type, legs)) <= {list}
                             and set(map(len, legs)) <= {nc}):
@@ -436,8 +439,8 @@ def _cset_slices(raw: list, shape: SimpleGraph, nc: int, vsizes, esizes,
                              vlabels[c], elabels[c])
         if tables is None:
             return None
-        slices.append(CoDecomposition(shape, vsizes[c], esizes[c], tables,
-                                      vlabels[c], elabels[c]))
+        slices.append(_recorded(CoDecomposition(
+            shape, vsizes[c], esizes[c], tables, vlabels[c], elabels[c])))
     return slices
 
 

@@ -61,7 +61,7 @@ from .diagram import (
     Verdict,
     filter_edges,
     restrict_to_subgraph,
-    size_problems,
+    validate,
 )
 from .graphs import (SimpleGraph, VertexSet, _check_budget, _preorder,
                      fvs_exact)
@@ -303,13 +303,15 @@ def section_tests(d: CoDecomposition, s: VertexSet):
 
 
 def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
-                  k_max: int | None, diagrams: list[CoDecomposition]
+                  k_max: int | None, diagrams: list[CoDecomposition],
+                  whole: list[tuple[int, int]] | None = None
                   ) -> tuple[list[int], list[tuple[int, int]]]:
     """The feedback vertex set S, ascending, and the forest plan of the
     shape minus S that the diagrams over the shape are swept on.
 
     With no set supplied, a k_max that is not an int >= 0 is refused
-    first, and S is found within k_max (n when None).  A supplied set is
+    first, and S is found within k_max (n when None), or is empty when
+    the caller passes whole, the shape's forest plan.  A supplied set is
     checked when its plan is built.  With no diagram to sweep, S and the
     plan are empty: no search runs and a supplied set is not checked.
     """
@@ -318,9 +320,10 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
     if not diagrams:
         return [], []
     if fvs is None:
-        plan = _forest_plan(shape) if shape.m < shape.n else None
-        if plan is not None:
-            return [], plan
+        if whole is None and shape.m < shape.n:
+            whole = _forest_plan(shape)
+        if whole is not None:
+            return [], whole
         budget = shape.n if k_max is None else k_max
         fvs = fvs_exact(shape, budget)
         if fvs is None:
@@ -466,11 +469,10 @@ def inlim(
     section_test_count is the index of that combination plus one, or every
     combination when early_exit is off or the limit is empty.
 
-    A diagram with a set size that is not an int >= 0 gets no verdict:
-    ValueError names every such size.  The leg tables and labels remain
-    the caller's contract, which validate(d) checks.
+    A diagram that validate(d) refuses gets no verdict: ValueError names
+    its problems.  A diagram recorded valid is not checked again.
     """
-    problems = size_problems(d)
+    problems = validate(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
     pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d])
@@ -486,8 +488,8 @@ def _solve(d: CoDecomposition, pinned: list[int],
            plan: list[tuple[int, int]], want_witness: bool = False,
            early_exit: bool = True) -> InLimResult:
     """inlim after its checks: the sweep over the blocks and the witness
-    read, on a diagram whose sizes are checked, with pinned and plan as
-    _resolve_plan gives them."""
+    read, on a valid diagram, with pinned and plan as _resolve_plan gives
+    them."""
     sizes = d.vertex_size
     total = _combinations(d, pinned)
     held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()

@@ -257,8 +257,12 @@ def test_cset_walking_arrow_matches_componentwise_oracle():
 
 
 def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
+    # validate reads a slice's sizes until the slice is found valid once;
+    # a loaded slice was checked by its loader, and is not read at all
     import limsolve.cset
+    import limsolve.diagram
     import limsolve.solver
+    from limsolve import jsonio
 
     calls = {"_forest_plan": 0, "size_problems": 0}
 
@@ -272,14 +276,26 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
             return got
         return run
 
-    for module in (limsolve.cset, limsolve.solver):
+    def solved(solve, d):
+        for name in calls:
+            calls[name] = 0
+        return solve(d).empty_limit, dict(calls)
+
+    def plain(d):
+        return inlim(d).verdict
+
+    for module in (limsolve.cset, limsolve.diagram, limsolve.solver):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
+    once = {"_forest_plan": 1, "size_problems": 2}
+    again = {"_forest_plan": 1, "size_problems": 0}
     d = walking_arrow_golden()
-    assert cset_inlim(d).empty_limit
-    assert calls == {"_forest_plan": 1, "size_problems": 2}
+    assert solved(cset_inlim, d) == (True, once)
+    assert solved(cset_inlim, d) == (True, again)
+    loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d), d.cat)
+    assert solved(cset_inlim, loaded) == (True, again)
     # the same counts, and the brute-force verdicts, on the corpus of
     # test_cset_walking_arrow_matches_componentwise_oracle
     for seed in range(30):
@@ -289,10 +305,18 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
         else:
             shape = random_graph(rng, rng.randint(1, 5), 0.4)
         d = random_walking_arrow_diagram(rng, shape, 3)
-        for name in calls:
-            calls[name] = 0
-        assert cset_inlim(d).empty_limit == brute_cset_empty(d)
-        assert calls == {"_forest_plan": 1, "size_problems": 2}
+        empty = brute_cset_empty(d)
+        loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d),
+                                           d.cat)
+        assert solved(cset_inlim, d) == (empty, once)
+        assert solved(cset_inlim, d) == (empty, again)
+        assert solved(cset_inlim, loaded) == (empty, again)
+    # a plain diagram: checked by its first solve, or by its loader
+    d = c4_example()
+    assert solved(plain, d) == (True, {"_forest_plan": 1, "size_problems": 1})
+    assert solved(plain, d) == (True, again)
+    loaded = jsonio.parse_diagram(jsonio.diagram_to_json(d))
+    assert solved(plain, loaded) == (True, again)
 
 
 def test_cset_over_no_objects_is_empty(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from conftest import best_of_interleaved
 from limsolve import (
     BagDecomposition,
+    CoDecomposition,
     HomSet,
     SimpleGraph,
     build_hom_codecomp,
@@ -14,6 +15,7 @@ from limsolve import (
     hom_exists,
     hom_set,
     inlim,
+    validate,
     validate_decomposition,
 )
 from limsolve import hom
@@ -196,14 +198,14 @@ def test_whole_list_check_agrees_with_the_walk():
         walked = hom._walk(b)
         assert validate_decomposition(b) == walked, seed
         accept = is_forest(b.shape) and walked == []
-        assert hom._holds(b) == accept, seed
+        assert (hom._holds(b) is not None) == accept, seed
         forest_valid += accept
     # both verdicts are met often on both kinds of shape
     assert 300 < forest_valid < 2700
     # two problems the entry count alone misses together: vertex 0 in two
     # bags apart, vertex 2 in none
     b = BagDecomposition(SimpleGraph(3), path_graph(3), ((0,), (1,), (0,)))
-    assert not hom._holds(b)
+    assert hom._holds(b) is None
     assert validate_decomposition(b) == hom._walk(b) == [
         "1 vertex of the target graph is in no bag: 2",
         "1 vertex of the target graph has bags that do not induce a "
@@ -432,6 +434,10 @@ def _assert_matches_reference(b, h):
     assert inst.diagram.vertex_size == [len(hs.maps) for hs in bag_homs]
     assert inst.diagram.edge_size == [len(hs.maps) for hs in adhesion_homs]
     assert list(inst.diagram.tables) == tables
+    # the diagram is recorded valid as built; a fresh copy bears that out
+    d = inst.diagram
+    assert validate(CoDecomposition(d.shape, d.vertex_size, d.edge_size,
+                                    d.tables)) == []
 
 
 def test_build_matches_reference_on_elimination_decompositions():
@@ -450,9 +456,11 @@ def test_build_matches_reference_on_window_decompositions():
 
 
 def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
-    # build_hom_codecomp writes every size as the length of a tuple, so
-    # hom_exists sweeps its diagram without inlim's size pass; its verdicts
-    # and colourings are those that inlim reads off the same diagram
+    # the check of a forest-shaped decomposition plans the shape, and the
+    # sweep runs on that plan; build_hom_codecomp records its diagram as
+    # valid, so neither hom_exists nor inlim checks it.  hom_exists's
+    # verdicts and colourings are those that inlim reads off the same
+    # diagram
     import limsolve.diagram
     import limsolve.solver
 
@@ -480,7 +488,7 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
         want.append((True, tuple(coloring)))
     assert {exists for exists, _ in want} == {False, True}
 
-    calls = {"_resolve_plan": 0, "size_problems": 0}
+    calls = {"_resolve_plan": 0, "_forest_plan": 0, "size_problems": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -493,11 +501,18 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
+    once = {"_resolve_plan": 1, "_forest_plan": 1, "size_problems": 0}
     for (b, h), expected in zip(cases, want):
+        assert is_forest(b.shape)
         for name in calls:
             calls[name] = 0
         assert hom_exists(b, h, want_coloring=True) == expected
-        assert calls == {"_resolve_plan": 1, "size_problems": 0}
+        assert calls == once
+        d = build_hom_codecomp(b, h).diagram
+        for name in calls:
+            calls[name] = 0
+        assert inlim(d).verdict.empty_limit == (not expected[0])
+        assert calls == once
 
 
 def test_hom_set_matches_reference():

@@ -6,7 +6,7 @@ import pytest
 from conftest import (c4_example, corpus_bases, cospan_example,
                       diagrams_equal, loader_corpus, path_example)
 from conftest import size_form_doc as _size_form_doc
-from limsolve import FinCat, SimpleGraph
+from limsolve import CoDecomposition, FinCat, SimpleGraph, validate
 from limsolve.generate import (
     elimination_decomposition,
     lift_to_terminal_cset,
@@ -512,6 +512,32 @@ def test_loader_golden_digest():
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == (
         "68f59d985ed3729dacb7236be959a8fb792b04640ee7c708386549982c786d48")
+
+
+def test_loaders_record_only_what_validate_accepts():
+    # a loader records every plain diagram it makes as valid, so validate
+    # and the solvers skip it; the record is sound only while the loader
+    # checks all that validate checks, which a fresh copy of the columns
+    # pins on every document of the corpus that loads
+    loaded = {"plain": 0, "cset": 0}
+    for _, _, doc, cat in loader_corpus():
+        try:
+            if cat is None:
+                slices = [jsonio.parse_diagram(doc)]
+            else:
+                slices = jsonio.parse_cset_diagram(
+                    doc, jsonio.parse_fincat(cat)).slices
+        except jsonio.ParseError:
+            continue
+        loaded["plain" if cat is None else "cset"] += 1
+        for d in slices:
+            assert d._valid
+            assert validate(d) == []
+            fresh = CoDecomposition(d.shape, d.vertex_size, d.edge_size,
+                                    d.tables, d.vertex_labels, d.edge_labels)
+            assert not fresh._valid
+            assert validate(fresh) == []
+    assert loaded == {"plain": 11, "cset": 13}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -33,6 +33,7 @@ from limsolve import (
     inlim,
     restrict_to_subgraph,
     section_tests,
+    validate,
     witness_violations,
 )
 from limsolve.diagram import filter_edges
@@ -348,6 +349,26 @@ def test_inlim_refuses_invalid_sizes(vertex_size, edge_size):
                                              "size .* is not a non-negative "
                                              "integer$"):
             inlim(d, want_witness=want_witness)
+
+
+@pytest.mark.parametrize("vertex_size, edge_size, tables, problem", [
+    ([2, 1], [2], ((1,), (0,)),
+     "leg of edge 0 at vertex 0: source size 1 != vertex set size 2"),
+    ([1, 1], [1], ((5,), (0,)),
+     "leg of edge 0 at vertex 0: table needs target size 6 > edge set "
+     "size 1"),
+])
+def test_inlim_refuses_what_validate_refuses(vertex_size, edge_size, tables,
+                                             problem):
+    # the sizes are fine, so a size check alone would let these tables
+    # through to a verdict; inlim refuses them with validate's text
+    d = CoDecomposition(SimpleGraph(2, [(0, 1)]), vertex_size, edge_size,
+                        [tables])
+    assert validate(d) == [problem]
+    for want_witness in (False, True):
+        with pytest.raises(ValueError) as info:
+            inlim(d, want_witness=want_witness)
+        assert str(info.value) == "invalid diagram: " + problem
 
 
 def test_inlim_no_fvs_within_budget():
