@@ -125,6 +125,8 @@ class VertexSet:
             raise ValueError(f"vertex count {self.n!r} is not an integer")
         if type(self.mask) is not int:
             raise ValueError(f"vertex mask {self.mask!r} is not an integer")
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError("vertex mask out of range")
 

@@ -14,8 +14,8 @@ from itertools import chain, combinations, compress, count, repeat
 from operator import and_, itemgetter
 
 from .diagram import CoDecomposition, _recorded
-from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet
-from .solver import _forest_plan, _resolve_plan, _solve
+from .graphs import MAX_SET_SIZE, SimpleGraph, VertexSet, is_forest
+from .solver import inlim
 
 
 @dataclass
@@ -62,25 +62,18 @@ def validate_decomposition(b: BagDecomposition) -> list[str]:
     coverage, adhesion containment, and gluing completeness.  A kind of
     per-vertex or per-edge problem is one line, however many it counts.
 
-    A valid decomposition over a forest shape is accepted by _holds in
-    whole-list passes; the walk runs on a cyclic shape, or to name the
-    problems."""
-    return _checked(b)[0]
-
-
-def _checked(b: BagDecomposition) -> tuple[list[str], list | None]:
-    """validate_decomposition's problems, and the shape's forest plan when
-    _holds accepts b, for hom_exists to sweep on."""
+    A valid decomposition over a shape that is_forest accepts is accepted
+    by _holds in whole-list passes, with no plan built; the walk runs on a
+    cyclic shape, or to name the problems."""
     if len(b.bags) != b.shape.n:
-        return ["one bag per shape vertex required"], None
+        return ["one bag per shape vertex required"]
     if len(b.adhesions) != b.shape.m:
-        return ["one adhesion per shape edge required"], None
-    plan = _holds(b)
-    return ([], plan) if plan is not None else (_walk(b), None)
+        return ["one adhesion per shape edge required"]
+    return [] if _holds(b) else _walk(b)
 
 
-def _holds(b: BagDecomposition) -> list[tuple[int, int]] | None:
-    """None on a cyclic shape, left to _walk; on a forest shape, its plan
+def _holds(b: BagDecomposition) -> bool:
+    """False on a cyclic shape, left to _walk; on a forest shape, True
     exactly when _walk finds no problem.  Ids are checked by a type set,
     min and max, coverage by the size of the id set, and each X-edge by
     the bags' position pairs as they stream by.  An adhesion equal to the
@@ -89,29 +82,28 @@ def _holds(b: BagDecomposition) -> list[tuple[int, int]] | None:
     has h_v - c_v adhesions on a forest shape, so the bag entries less the
     adhesion entries count every c_v, each at least 1, plus any repeated
     entry: that count is |X| iff every c_v is 1 and no entry repeats."""
-    plan = _forest_plan(b.shape)
-    if plan is None:
-        return None
+    if not is_forest(b.shape):
+        return False
     n = b.x.n
     entries = list(chain.from_iterable(b.bags))
     if entries and not ({*map(type, entries)} == {int}
                         and min(entries) >= 0 and max(entries) < n):
-        return None
+        return False
     if len(set(entries)) != n:
-        return None
+        return False
     # combinations of a sorted bag run lo < hi, as the edges are written
     edges = set(zip(map(min, b.x.edges), map(max, b.x.edges)))
     if len(edges.intersection(chain.from_iterable(
             map(combinations, b.bags, repeat(2))))) != len(edges):
-        return None
+        return False
     bag_sets = list(map(frozenset, b.bags))
     ends = b.shape.edges
     shared = list(map(and_,
                       map(bag_sets.__getitem__, map(itemgetter(0), ends)),
                       map(bag_sets.__getitem__, map(itemgetter(1), ends))))
     if shared != list(map(frozenset, b.adhesions)):
-        return None
-    return plan if len(entries) - sum(map(len, shared)) == n else None
+        return False
+    return len(entries) - sum(map(len, shared)) == n
 
 
 def _walk(b: BagDecomposition) -> list[str]:
@@ -433,16 +425,14 @@ def hom_exists(
     diagram: the limit is nonempty iff a homomorphism exists.  Optionally
     stitches the per-bag maps of a witness into one verified map.
 
-    fvs and k_max are read as inlim reads them.  A forest shape is swept
-    on the plan that checking b built, and the hom-set diagram, recorded
-    valid as built, is not checked."""
-    problems, whole = _checked(b)
+    fvs and k_max are read as inlim reads them.  The hom-set diagram,
+    recorded valid as built, is not checked again: inlim plans its shape
+    and sweeps it."""
+    problems = validate_decomposition(b)
     if problems:
         raise ValueError("invalid decomposition: " + "; ".join(problems))
     inst = build_hom_codecomp(b, h)
-    d = inst.diagram
-    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d], whole)
-    result = _solve(d, pinned, plan, want_coloring)
+    result = inlim(inst.diagram, fvs, k_max, want_coloring)
     if result.verdict.empty_limit:
         return False, None
     if not want_coloring:

@@ -156,7 +156,8 @@ def _forest_plan(g: SimpleGraph, s: VertexSet | None = None,
     One depth-first search of g minus s serves as component finder, forest
     check (g - s is a forest iff its edge count is its vertex count minus
     its tree count) and schedule.  Returns None when g minus s is not a
-    forest; _checked_plan turns that into the ValueError.
+    forest: _resolve_plan then searches for a feedback vertex set, and
+    _checked_plan turns it into the ValueError.
     """
     if s is not None and s.n != g.n:
         raise ValueError("vertex set belongs to a different shape")
@@ -303,27 +304,26 @@ def section_tests(d: CoDecomposition, s: VertexSet):
 
 
 def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
-                  k_max: int | None, diagrams: list[CoDecomposition],
-                  whole: list[tuple[int, int]] | None = None
+                  k_max: int | None, diagrams: list[CoDecomposition]
                   ) -> tuple[list[int], list[tuple[int, int]]]:
     """The feedback vertex set S, ascending, and the forest plan of the
     shape minus S that the diagrams over the shape are swept on.
 
     With no set supplied, a k_max that is not an int >= 0 is refused
     first, and S is found within k_max (n when None), or is empty when
-    the caller passes whole, the shape's forest plan.  A supplied set is
-    checked when its plan is built.  With no diagram to sweep, S and the
-    plan are empty: no search runs and a supplied set is not checked.
+    the shape is a forest.  A supplied set is checked when its plan is
+    built.  With no diagram to sweep, S and the plan are empty: no search
+    runs and a supplied set is not checked.
     """
     if fvs is None and k_max is not None:
         _check_budget(k_max)
     if not diagrams:
         return [], []
     if fvs is None:
-        if whole is None and shape.m < shape.n:
+        if shape.m < shape.n:
             whole = _forest_plan(shape)
-        if whole is not None:
-            return [], whole
+            if whole is not None:
+                return [], whole
         budget = shape.n if k_max is None else k_max
         fvs = fvs_exact(shape, budget)
         if fvs is None:

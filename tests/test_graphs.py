@@ -391,6 +391,12 @@ def test_vertex_set_refuses_out_of_range():
     with pytest.raises(ValueError) as err:
         VertexSet.of(3, [0, 3])
     assert str(err.value) == "vertex 3 out of range for n=3"
+    # a negative count is named, not left to the shift it breaks
+    for make in (lambda: VertexSet(-1), lambda: VertexSet(-1, 0),
+                 lambda: VertexSet.of(-1, [])):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == "vertex count -1 is negative"
 
 
 def test_vertex_set_refuses_ids_that_are_not_ints():

@@ -198,14 +198,14 @@ def test_whole_list_check_agrees_with_the_walk():
         walked = hom._walk(b)
         assert validate_decomposition(b) == walked, seed
         accept = is_forest(b.shape) and walked == []
-        assert (hom._holds(b) is not None) == accept, seed
+        assert hom._holds(b) == accept, seed
         forest_valid += accept
     # both verdicts are met often on both kinds of shape
     assert 300 < forest_valid < 2700
     # two problems the entry count alone misses together: vertex 0 in two
     # bags apart, vertex 2 in none
     b = BagDecomposition(SimpleGraph(3), path_graph(3), ((0,), (1,), (0,)))
-    assert hom._holds(b) is None
+    assert hom._holds(b) is False
     assert validate_decomposition(b) == hom._walk(b) == [
         "1 vertex of the target graph is in no bag: 2",
         "1 vertex of the target graph has bags that do not induce a "
@@ -456,11 +456,12 @@ def test_build_matches_reference_on_window_decompositions():
 
 
 def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
-    # the check of a forest-shaped decomposition plans the shape, and the
-    # sweep runs on that plan; build_hom_codecomp records its diagram as
-    # valid, so neither hom_exists nor inlim checks it.  hom_exists's
-    # verdicts and colourings are those that inlim reads off the same
-    # diagram
+    # hom_exists is validate_decomposition, build_hom_codecomp and inlim,
+    # called once each by their public names: the check of a forest-shaped
+    # decomposition plans nothing, and inlim plans the shape once.
+    # build_hom_codecomp records its diagram as valid, so inlim does not
+    # check it.  hom_exists's verdicts and colourings are those that inlim
+    # reads off the same diagram
     import limsolve.diagram
     import limsolve.solver
 
@@ -488,7 +489,8 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
         want.append((True, tuple(coloring)))
     assert {exists for exists, _ in want} == {False, True}
 
-    calls = {"_resolve_plan": 0, "_forest_plan": 0, "size_problems": 0}
+    calls = {"_resolve_plan": 0, "_forest_plan": 0, "size_problems": 0,
+             "validate_decomposition": 0, "inlim": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -496,12 +498,16 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    for module in (hom, limsolve.solver, limsolve.diagram):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
-    once = {"_resolve_plan": 1, "_forest_plan": 1, "size_problems": 0}
+    # validate_decomposition and inlim are counted as hom looks them up
+    for module, names in ((hom, ("validate_decomposition", "inlim")),
+                          (limsolve.solver, ("_resolve_plan", "_forest_plan")),
+                          (limsolve.diagram, ("size_problems",))):
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    once = {"_resolve_plan": 1, "_forest_plan": 1, "size_problems": 0,
+            "validate_decomposition": 1, "inlim": 1}
+    direct = dict(once, validate_decomposition=0, inlim=0)
     for (b, h), expected in zip(cases, want):
         assert is_forest(b.shape)
         for name in calls:
@@ -512,7 +518,7 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
         for name in calls:
             calls[name] = 0
         assert inlim(d).verdict.empty_limit == (not expected[0])
-        assert calls == once
+        assert calls == direct
 
 
 def test_hom_set_matches_reference():
