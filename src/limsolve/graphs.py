@@ -19,9 +19,13 @@ MAX_SET_SIZE = 2 ** 20
 
 
 class SimpleGraph:
-    """Finite simple graph: no loops, no parallel edges."""
+    """Finite simple graph: no loops, no parallel edges.
 
-    __slots__ = ("n", "edges", "_incidence")
+    _plan is None until the solver first plans a solve on this object; it
+    then holds the feedback vertex set and forest plan of that solve, for
+    the next solve on the same object (solver._resolve_plan)."""
+
+    __slots__ = ("n", "edges", "_incidence", "_plan")
 
     def __init__(self, n: int, edges=()):
         # ids are never coerced: bool is an int subclass but no vertex id
@@ -40,6 +44,7 @@ class SimpleGraph:
         self.n = n
         self.edges = tuple(map(tuple, edges))
         self._incidence = None
+        self._plan = None
 
     @property
     def m(self) -> int:

@@ -10,6 +10,7 @@ admits a homomorphism into H iff the diagram's limit is nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, compress, count, repeat
 from operator import and_, itemgetter
 
@@ -188,23 +189,27 @@ class _Allowed(dict):
     """The one-colour tuples that may follow a colouring of earlier
     neighbours in a map into h, ascending, keyed as itemgetter reads the
     colouring off a map: an int for one neighbour, else a tuple.  Filled
-    on first read."""
+    on first read, from one neighbour set per vertex of h: O(|V(h)| +
+    |E(h)|) memory, and a missed colouring costs its colours' degrees
+    (|V(h)| for no colour)."""
 
     def __init__(self, h: SimpleGraph):
         super().__init__()
         self.h_n = h.n
-        nbrs = [0] * h.n
+        nbrs: list[set[int]] = [set() for _ in range(h.n)]
         for u, v in h.edges:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         self.h_nbrs = nbrs
 
     def __missing__(self, colours) -> tuple[tuple[int], ...]:
-        mask = (1 << self.h_n) - 1
-        for c in (colours if type(colours) is tuple else (colours,)):
-            mask &= self.h_nbrs[c]
-        got = self[colours] = tuple((c,) for c in range(self.h_n)
-                                    if mask >> c & 1)
+        if type(colours) is not tuple:
+            allowed = self.h_nbrs[colours]
+        elif colours:
+            allowed = reduce(and_, map(self.h_nbrs.__getitem__, colours))
+        else:
+            allowed = range(self.h_n)
+        got = self[colours] = tuple([(c,) for c in sorted(allowed)])
         return got
 
 
@@ -346,9 +351,8 @@ def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
 
     Used as the independent check against the diagram route.
     """
-    adj = [[False] * h.n for _ in range(h.n)]
-    for u, v in h.edges:
-        adj[u][v] = adj[v][u] = True
+    # ordered pairs: O(|E(h)|) memory, where a matrix is O(|V(h)|^2)
+    adj = {*h.edges, *((v, u) for u, v in h.edges)}
     earlier: list[list[int]] = [[] for _ in range(x.n)]
     for u, v in x.edges:
         lo, hi = (u, v) if u < v else (v, u)
@@ -364,7 +368,7 @@ def find_homomorphism(x: SimpleGraph, h: SimpleGraph) -> tuple[int, ...] | None:
             level -= 1
             continue
         c = assign[level]
-        if any(not adj[c][assign[j]] for j in earlier[level]):
+        if any((c, assign[j]) not in adj for j in earlier[level]):
             continue
         if level == x.n - 1:
             return tuple(assign)

@@ -4,7 +4,8 @@ The paper's reduction, as one core over the base diagram.  Every vertex of
 a feedback vertex set S is pinned to a single element, and one section test
 runs per combination of pinned values; the limit is empty iff every test is
 empty.  The post-order plan of the forest G - S is built once per solve,
-and its edge count is the check that S is a feedback vertex set.  A test
+and its edge count is the check that S is a feedback vertex set; the
+shape object keeps S and the plan for its next solve.  A test
 filters the pinned vertices' edges and runs the leaves-to-root pass over
 the plan: afterwards every vertex keeps the elements that extend over its
 subtree, so that pass alone decides the test, and one root-to-leaves walk
@@ -314,23 +315,48 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
     the shape is a forest.  A supplied set is checked when its plan is
     built.  With no diagram to sweep, S and the plan are empty: no search
     runs and a supplied set is not checked.
+
+    The shape object keeps its last resolution in its _plan slot, as
+    (fvs, S, heavy_first, plan), and the next call on it with the same fvs
+    reads S there, and the plan too when it asks for the same order.  A
+    supplied set matches only an equal VertexSet, n included.  A searched
+    S (fvs None) is minimum, so the search would find it again under any
+    budget of at least |S|; a smaller budget searches, and is refused.
+    Anything else resolves as above and replaces the slot.  Only what
+    resolved is kept, so every refusal is raised again on every call.  The
+    returned lists are shared between calls: they are read-only.
     """
     if fvs is None and k_max is not None:
         _check_budget(k_max)
     if not diagrams:
         return [], []
-    if fvs is None:
-        if shape.m < shape.n:
-            whole = _forest_plan(shape)
-            if whole is not None:
-                return [], whole
-        budget = shape.n if k_max is None else k_max
-        fvs = fvs_exact(shape, budget)
-        if fvs is None:
-            raise ValueError(f"no feedback vertex set of size <= {budget}")
-    pinned = list(fvs)
-    return pinned, _checked_plan(shape, fvs, any(
-        _combinations(d, pinned) > _MIN_BLOCK for d in diagrams))
+    budget = shape.n if k_max is None else k_max
+    kept = shape._plan
+    if (kept is None or kept[0] != fvs
+            or fvs is None and len(kept[1]) > budget):
+        kept = None
+        s = fvs
+        if s is None:
+            if shape.m < shape.n:
+                whole = _forest_plan(shape)
+                if whole is not None:
+                    shape._plan = (None, [], False, whole)
+                    return [], whole
+            s = fvs_exact(shape, budget)
+            if s is None:
+                raise ValueError(f"no feedback vertex set of size <= {budget}")
+        elif s.n != shape.n:  # before its vertices index the diagrams
+            raise ValueError("vertex set belongs to a different shape")
+        pinned = list(s)
+    else:
+        s, pinned = fvs, kept[1]
+    heavy = any(_combinations(d, pinned) > _MIN_BLOCK for d in diagrams)
+    if kept is None or kept[2] != heavy:
+        if s is None:  # a searched S, kept for another order
+            s = VertexSet.of(shape.n, pinned)
+        plan = _checked_plan(shape, s, heavy)
+        kept = shape._plan = (fvs, pinned, heavy, plan)
+    return pinned, kept[3]
 
 
 # Combinations per sliced sweep: max(_MIN_BLOCK, _STATE_BITS // held) with

@@ -19,6 +19,7 @@ from limsolve import (
     validate_fincat,
 )
 from limsolve.cset import _action_problems, _actions_hold
+from limsolve.graphs import is_forest
 from limsolve.generate import (
     lift_to_terminal_cset,
     random_walking_arrow_diagram,
@@ -258,13 +259,16 @@ def test_cset_walking_arrow_matches_componentwise_oracle():
 
 def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
     # validate reads a slice's sizes until the slice is found valid once;
-    # a loaded slice was checked by its loader, and is not read at all
+    # a loaded slice was checked by its loader, and is not read at all.
+    # The first solve on a shape object searches (on a cyclic shape) and
+    # plans once for every slice; a repeat on the same object does neither,
+    # and a loaded copy, a new shape object, plans again
     import limsolve.cset
     import limsolve.diagram
     import limsolve.solver
     from limsolve import jsonio
 
-    calls = {"_forest_plan": 0, "size_problems": 0}
+    calls = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -289,12 +293,17 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
-    once = {"_forest_plan": 1, "size_problems": 2}
-    again = {"_forest_plan": 1, "size_problems": 0}
+
+    def planned(shape, sizes):
+        return {"_forest_plan": 1, "fvs_exact": int(not is_forest(shape)),
+                "size_problems": sizes}
+
+    again = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0}
     d = walking_arrow_golden()
-    assert solved(cset_inlim, d) == (True, once)
+    assert solved(cset_inlim, d) == (True, planned(d.shape, 2))
     assert solved(cset_inlim, d) == (True, again)
     loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d), d.cat)
+    assert solved(cset_inlim, loaded) == (True, planned(d.shape, 0))
     assert solved(cset_inlim, loaded) == (True, again)
     # the same counts, and the brute-force verdicts, on the corpus of
     # test_cset_walking_arrow_matches_componentwise_oracle
@@ -308,15 +317,15 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
         empty = brute_cset_empty(d)
         loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d),
                                            d.cat)
-        assert solved(cset_inlim, d) == (empty, once)
+        assert solved(cset_inlim, d) == (empty, planned(shape, 2))
         assert solved(cset_inlim, d) == (empty, again)
-        assert solved(cset_inlim, loaded) == (empty, again)
+        assert solved(cset_inlim, loaded) == (empty, planned(shape, 0))
     # a plain diagram: checked by its first solve, or by its loader
     d = c4_example()
-    assert solved(plain, d) == (True, {"_forest_plan": 1, "size_problems": 1})
+    assert solved(plain, d) == (True, planned(d.shape, 1))
     assert solved(plain, d) == (True, again)
     loaded = jsonio.parse_diagram(jsonio.diagram_to_json(d))
-    assert solved(plain, loaded) == (True, again)
+    assert solved(plain, loaded) == (True, planned(d.shape, 0))
 
 
 def test_cset_over_no_objects_is_empty(monkeypatch):

@@ -366,6 +366,32 @@ def test_hom_exists_rejects_invalid_decomposition():
         hom_exists(b, K3)
 
 
+def test_template_adjacency_is_linear_in_the_template():
+    # per template vertex a neighbour set, not a |V(H)|-bit mask, and
+    # ordered pairs in find_homomorphism, not a |V(H)|^2 matrix: on a
+    # 2^16-vertex path template the masks alone took about 280 MB
+    h = path_graph(2 ** 16)
+    one = SimpleGraph(1)
+    tracemalloc.start()
+    try:
+        assert hom_exists(BagDecomposition(one, one, [(0,)]), h) == (True,
+                                                                     None)
+        # 2^16 maps of one vertex, times 2^16 colours for the second
+        with pytest.raises(ValueError, match="hom-set may exceed"):
+            hom_exists(BagDecomposition(path_graph(2), one, [(0, 1)]), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20, peak
+    tracemalloc.start()
+    try:
+        assert find_homomorphism(path_graph(3), h) == (0, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20, peak
+
+
 def _reference_hom_set(x, vertices, h):
     """Plain backtracking over the sorted vertex list, lexicographic."""
     verts = tuple(sorted(set(vertices)))
@@ -458,10 +484,11 @@ def test_build_matches_reference_on_window_decompositions():
 def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
     # hom_exists is validate_decomposition, build_hom_codecomp and inlim,
     # called once each by their public names: the check of a forest-shaped
-    # decomposition plans nothing, and inlim plans the shape once.
-    # build_hom_codecomp records its diagram as valid, so inlim does not
-    # check it.  hom_exists's verdicts and colourings are those that inlim
-    # reads off the same diagram
+    # decomposition plans nothing, and inlim plans the shape once per shape
+    # object: a repeat on the same decomposition, or inlim on a diagram
+    # built over its shape, plans nothing.  build_hom_codecomp records its
+    # diagram as valid, so inlim does not check it.  hom_exists's verdicts
+    # and colourings are those that inlim reads off the same diagram
     import limsolve.diagram
     import limsolve.solver
 
@@ -476,7 +503,10 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
         cases.append((_window_decomposition(rng, rng.randint(1, 40)), K3))
     want = []
     for b, h in cases:
-        inst = build_hom_codecomp(b, h)
+        # over a copy of the shape, so that hom_exists below plans first
+        inst = build_hom_codecomp(BagDecomposition(
+            b.x, SimpleGraph(b.shape.n, b.shape.edges), b.bags,
+            b.adhesions), h)
         result = inlim(inst.diagram, want_witness=True)
         if result.verdict.empty_limit:
             want.append((False, None))
@@ -507,13 +537,15 @@ def test_hom_exists_plans_once_and_checks_no_size(monkeypatch):
                                 counted(name, getattr(module, name)))
     once = {"_resolve_plan": 1, "_forest_plan": 1, "size_problems": 0,
             "validate_decomposition": 1, "inlim": 1}
-    direct = dict(once, validate_decomposition=0, inlim=0)
+    repeat = dict(once, _forest_plan=0)
+    direct = dict(repeat, validate_decomposition=0, inlim=0)
     for (b, h), expected in zip(cases, want):
         assert is_forest(b.shape)
-        for name in calls:
-            calls[name] = 0
-        assert hom_exists(b, h, want_coloring=True) == expected
-        assert calls == once
+        for plans in (once, repeat):
+            for name in calls:
+                calls[name] = 0
+            assert hom_exists(b, h, want_coloring=True) == expected
+            assert calls == plans
         d = build_hom_codecomp(b, h).diagram
         for name in calls:
             calls[name] = 0

@@ -284,6 +284,115 @@ def test_cyclic_shape_with_few_edges_still_searches(monkeypatch):
     assert witness_violations(d, result.witness) == []
 
 
+def _fresh(d):
+    """d over a new shape object, which keeps no plan from earlier solves."""
+    return CoDecomposition(SimpleGraph(d.shape.n, d.shape.edges),
+                           d.vertex_size, d.edge_size, d.tables)
+
+
+def _outcome(d, **kwargs):
+    try:
+        return inlim(d, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_repeat_solves_on_one_shape_match_fresh_solves(monkeypatch):
+    # a shape object keeps the S and plan of its last solve: a run of calls
+    # on one object, over diagrams that share it and with mixed sets,
+    # budgets, block orders and options, returns what each call returns on
+    # a fresh shape object, refusals included, in fewer searches
+    import limsolve.solver
+    from limsolve.generate import complete_graph, random_diagram, random_graph
+
+    rng = random.Random(33)
+    calls = searched = 0
+    fvs_exact = limsolve.solver.fvs_exact
+
+    def counted(g, k_max):
+        nonlocal searched
+        searched += g is shape
+        return fvs_exact(g, k_max)
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", counted)
+    for seed in range(60):
+        n = rng.randint(1, 7)
+        # K_n needs n - 2 pinned vertices: 2^k and 3^k pinned combinations
+        # at k >= 4 make one of the two diagrams take the heavy-first plan
+        shape = (random_tree(rng, n) if seed % 3 == 0 else
+                 complete_graph(rng.randint(6, 7)) if seed % 3 == 1 else
+                 random_graph(rng, n, rng.choice((0.3, 0.6))))
+        n = shape.n
+        diagrams = [random_diagram(rng, shape, w, fixed_size=True)
+                    for w in (2, 3)]
+        s = inlim(_fresh(diagrams[0])).fvs
+        sets = [None, None, VertexSet.of(n, s), VertexSet(n, (1 << n) - 1),
+                VertexSet(n, 0), VertexSet.of(n + 1, s)]
+        budgets = [None, len(s), len(s) - 1, n, -1]
+        for _ in range(12):
+            d = rng.choice(diagrams)
+            kwargs = dict(fvs=rng.choice(sets), k_max=rng.choice(budgets),
+                          want_witness=rng.random() < 0.5,
+                          early_exit=rng.random() < 0.5)
+            calls += kwargs["fvs"] is None and kwargs["k_max"] != -1
+            assert _outcome(d, **kwargs) == _outcome(_fresh(d), **kwargs)
+    assert searched < calls / 2, (searched, calls)
+    # the plan order changes no output, so the plans are compared: 3^4
+    # combinations take the heavy-first plan and 2^4 the search order, and
+    # a kept S gets the plan of each call's own order
+    tree = random_tree(rng, 60)
+    # four hubs, each closing a cycle through two tree vertices
+    shape = SimpleGraph(64, tree.edges + tuple(
+        (60 + i, v) for i in range(4) for v in rng.sample(range(60), 2)))
+    hubs = VertexSet.of(64, range(60, 64))
+    d, light = (random_diagram(rng, shape, w, fixed_size=True)
+                for w in (3, 2))
+    resolve = limsolve.solver._resolve_plan
+    plans = [resolve(shape, hubs, None, [x]) for x in (d, light, d)]
+    assert plans == [resolve(x.shape, hubs, None, [x])
+                     for x in map(_fresh, (d, light, d))]
+    assert plans[0] != plans[1]
+
+
+def test_repeat_solves_refuse_what_fresh_solves_refuse(monkeypatch):
+    # only what resolved is kept, so every refusal is raised on every call:
+    # a supplied non-FVS, a set of the kept set's mask over another n, a
+    # budget below the kept minimum (which searches again) and a bad budget
+    import limsolve.solver
+    from limsolve.generate import random_diagram
+
+    d = random_diagram(random.Random(0),
+                       SimpleGraph(6, [(0, 1), (1, 2), (0, 2),
+                                       (3, 4), (4, 5), (3, 5)]), 2)
+    budgets = []
+    fvs_exact = limsolve.solver.fvs_exact
+
+    def counted(g, k_max):
+        budgets.append(k_max)
+        return fvs_exact(g, k_max)
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", counted)
+    valid = VertexSet.of(6, [0, 3])
+    want = inlim(d, fvs=valid)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a feedback vertex set"):
+            inlim(d, fvs=VertexSet.of(6, [0]))
+        with pytest.raises(ValueError, match="different shape"):
+            inlim(d, fvs=VertexSet(7, valid.mask))
+        assert inlim(d, fvs=valid) == want
+    found = inlim(d, k_max=3)
+    assert found.fvs == (0, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="^no feedback vertex set of size <= 1$"):
+            inlim(d, k_max=1)
+        assert inlim(d, k_max=2) == found
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="k_max"):
+                inlim(d, k_max=bad)
+    assert budgets == [3, 1, 1]
+
+
 def test_forest_path_refuses_a_negative_budget():
     # the budget is checked before the plan's search, as the FVS search
     # checks it
@@ -328,7 +437,9 @@ def test_inlim_supplied_fvs_validated():
     d = c4_example()
     with pytest.raises(ValueError):
         inlim(d, fvs=VertexSet(4, 0))
-    for wrong_size in (VertexSet(3, 0), VertexSet.of(5, [0])):
+    # vertex 4 is no vertex of d: refused by name, not by an index error
+    for wrong_size in (VertexSet(3, 0), VertexSet.of(5, [0]),
+                       VertexSet.of(5, [4])):
         with pytest.raises(ValueError, match="different"):
             inlim(d, fvs=wrong_size)
         with pytest.raises(ValueError, match="different"):
@@ -990,6 +1101,28 @@ def test_cset_load_and_solve_build_no_set_or_function_objects(monkeypatch):
             assert s is d.slices[c]
             assert inlim(s, want_witness=True) == result
         assert jsonio.cset_diagram_to_json(d) == doc
+
+
+def test_cset_slices_share_the_search_and_plan_of_their_shape(
+        monkeypatch):
+    # every slice of a loaded C-set diagram is over its one shape object:
+    # once slice 0 is solved, slice 1 is solved with no FVS search and no
+    # plan, and gives what it gives over a shape of its own
+    import limsolve.solver
+    from limsolve import jsonio, pointwise_slice
+
+    cat = jsonio.parse_fincat(DISCRETE_2)
+    for seed in range(4):
+        doc = _cycles_cset_doc(random.Random(seed), 2 + seed % 2, 7, 3, True)
+        d = jsonio.parse_cset_diagram(doc, cat)
+        slices = [pointwise_slice(d, c) for c in range(2)]
+        want = inlim(_fresh(slices[1]), k_max=3, want_witness=True)
+        assert not want.verdict.empty_limit
+        inlim(slices[0], k_max=3, want_witness=True)
+        with monkeypatch.context() as m:
+            for name in ("fvs_exact", "_forest_plan"):
+                m.setattr(limsolve.solver, name, None)
+            assert inlim(slices[1], k_max=3, want_witness=True) == want
 
 
 def test_inlim_edgeless_vertex_state_stays_small():
