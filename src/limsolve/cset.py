@@ -14,11 +14,8 @@ from itertools import chain
 
 from .diagram import (CoDecomposition, Verdict, size_problems, tables_fit,
                       validate)
-from .graphs import SimpleGraph, VertexSet
-from .solver import _resolve_plan, _solve
-# bench/layertrace.py traces the name cset.inlim, so it stays bound here
-# though the slices run through _solve
-from .solver import inlim  # noqa: F401
+from .graphs import SimpleGraph, VertexSet, _check_budget
+from .solver import inlim
 
 
 @dataclass(frozen=True)
@@ -278,17 +275,24 @@ def cset_inlim(
     """Emptiness for C-set diagrams: the limit is the initial (everywhere
     empty) C-set iff every pointwise slice has an empty limit.
 
-    fvs and k_max are read as inlim reads them, and one feedback vertex
-    set and one forest plan serve every slice.  Over no C-object the answer
-    is EMPTY with no FVS search, and a supplied set is not checked.
-    ValueError names the problems of an invalid diagram: every call runs
-    validate_cset_codecomp, which reads no slice recorded valid.
+    inlim(slice, fvs, k_max) solves each slice in object order, and the
+    answer is NONEMPTY at the first nonempty slice.  The slices share the
+    diagram's shape object, whose kept S and plan serve them all; it keeps
+    one plan, so slices on both sides of _MIN_BLOCK pinned combinations
+    plan again per change of block order: an O(n) plan beside a sweep of
+    at least O(n).  Over no C-object the answer is EMPTY with no FVS
+    search: only a k_max that is not an int >= 0 is refused, and a
+    supplied set is not checked.  ValueError names the problems of an
+    invalid diagram: every call runs validate_cset_codecomp, which reads
+    no slice recorded valid.
     """
     problems = validate_cset_codecomp(d)
     if problems:
         raise ValueError("invalid C-set diagram: " + "; ".join(problems))
-    pinned, plan = _resolve_plan(d.shape, fvs, k_max, d.slices)
+    # inlim checks the budget too, but over no C-object no inlim runs
+    if fvs is None and k_max is not None:
+        _check_budget(k_max)
     for slice_ in d.slices:
-        if not _solve(slice_, pinned, plan).verdict.empty_limit:
+        if not inlim(slice_, fvs, k_max).verdict.empty_limit:
             return Verdict(False)
     return Verdict(True)

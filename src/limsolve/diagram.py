@@ -90,9 +90,10 @@ class CoDecomposition:
     kept, not copied, and not edited once the diagram is made.
 
     A diagram is checked once: by its loader or build_hom_codecomp as they
-    make it, else by its first validate(d), which inlim and cset_inlim
-    call; only the lengths are checked here.  Found valid, it is recorded
-    so, and no later check reads it again.
+    make it, else by its first validate(d), which inlim calls, and
+    validate_cset_codecomp on each slice; only the lengths are checked
+    here.  Found valid, it is recorded so, and no later check reads it
+    again.
     """
 
     __slots__ = ("shape", "vertex_size", "edge_size", "tables",

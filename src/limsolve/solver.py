@@ -11,7 +11,9 @@ the plan: afterwards every vertex keeps the elements that extend over its
 subtree, so that pass alone decides the test, and one root-to-leaves walk
 over the same plan reads the witness off the first nonempty test.  The
 root-to-leaves filter pass, which turns masks into the image subdiagram,
-runs only in image_tree.
+runs only in image_tree.  inlim is the only way into the sweep: cset_inlim
+solves each C-object's slice through it, and hom_exists its hom-set
+diagram.
 
 With no set supplied, a shape with fewer edges than vertices is first
 planned whole, and the plan's edge count recognises a forest: S is then
@@ -304,17 +306,17 @@ def section_tests(d: CoDecomposition, s: VertexSet):
                               r.vertex_map, r.edge_map)
 
 
-def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
-                  k_max: int | None, diagrams: list[CoDecomposition]
+def _resolve_plan(d: CoDecomposition, fvs: VertexSet | None,
+                  k_max: int | None
                   ) -> tuple[list[int], list[tuple[int, int]]]:
     """The feedback vertex set S, ascending, and the forest plan of the
-    shape minus S that the diagrams over the shape are swept on.
+    shape minus S that d is swept on: heavy-first when d has more than
+    _MIN_BLOCK pinned combinations, else in search order.
 
-    With no set supplied, a k_max that is not an int >= 0 is refused
-    first, and S is found within k_max (n when None), or is empty when
-    the shape is a forest.  A supplied set is checked when its plan is
-    built.  With no diagram to sweep, S and the plan are empty: no search
-    runs and a supplied set is not checked.
+    ValueError names an fvs that is not a VertexSet.  With no set
+    supplied, a k_max that is not an int >= 0 is refused first, and S is
+    found within k_max (n when None), or is empty when the shape is a
+    forest.  A supplied set is checked when its plan is built.
 
     The shape object keeps its last resolution in its _plan slot, as
     (fvs, S, heavy_first, plan), and the next call on it with the same fvs
@@ -326,10 +328,12 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
     resolved is kept, so every refusal is raised again on every call.  The
     returned lists are shared between calls: they are read-only.
     """
-    if fvs is None and k_max is not None:
-        _check_budget(k_max)
-    if not diagrams:
-        return [], []
+    if fvs is None:
+        if k_max is not None:
+            _check_budget(k_max)
+    elif not isinstance(fvs, VertexSet):
+        raise ValueError(f"fvs {fvs!r} is not a VertexSet")
+    shape = d.shape
     budget = shape.n if k_max is None else k_max
     kept = shape._plan
     if (kept is None or kept[0] != fvs
@@ -345,12 +349,12 @@ def _resolve_plan(shape: SimpleGraph, fvs: VertexSet | None,
             s = fvs_exact(shape, budget)
             if s is None:
                 raise ValueError(f"no feedback vertex set of size <= {budget}")
-        elif s.n != shape.n:  # before its vertices index the diagrams
+        elif s.n != shape.n:  # before its vertices index the diagram
             raise ValueError("vertex set belongs to a different shape")
         pinned = list(s)
     else:
         s, pinned = fvs, kept[1]
-    heavy = any(_combinations(d, pinned) > _MIN_BLOCK for d in diagrams)
+    heavy = math.prod(d.vertex_size[v] for v in pinned) > _MIN_BLOCK
     if kept is None or kept[2] != heavy:
         if s is None:  # a searched S, kept for another order
             s = VertexSet.of(shape.n, pinned)
@@ -486,14 +490,14 @@ def inlim(
     """Decide whether the limit of the diagram is empty, by the reduction
     the module docstring describes.
 
-    fvs is the feedback vertex set to pin; ValueError when it belongs to
-    another shape or the shape minus it is not a forest.  Without it, a
-    minimum set is found within k_max, an int >= 0 (n when None):
-    ValueError when none is.  want_witness asks for a matching family when
-    the limit is nonempty; it is deterministic, the lowest-index family of
-    the lexicographically first surviving combination.
-    section_test_count is the index of that combination plus one, or every
-    combination when early_exit is off or the limit is empty.
+    fvs is the feedback vertex set to pin, a VertexSet; ValueError when it
+    is not one, belongs to another shape or the shape minus it is not a
+    forest.  Without it, a minimum set is found within k_max, an int >= 0
+    (n when None): ValueError when none is.  want_witness asks for a
+    matching family when the limit is nonempty; it is deterministic, the
+    lowest-index family of the lexicographically first surviving
+    combination.  section_test_count is the index of that combination plus
+    one, or every combination when early_exit is off or the limit is empty.
 
     A diagram that validate(d) refuses gets no verdict: ValueError names
     its problems.  A diagram recorded valid is not checked again.
@@ -501,23 +505,9 @@ def inlim(
     problems = validate(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    pinned, plan = _resolve_plan(d.shape, fvs, k_max, [d])
-    return _solve(d, pinned, plan, want_witness, early_exit)
-
-
-def _combinations(d: CoDecomposition, pinned: list[int]) -> int:
-    """The number of pinned combinations: w^k when every set has size w."""
-    return math.prod(d.vertex_size[v] for v in pinned)
-
-
-def _solve(d: CoDecomposition, pinned: list[int],
-           plan: list[tuple[int, int]], want_witness: bool = False,
-           early_exit: bool = True) -> InLimResult:
-    """inlim after its checks: the sweep over the blocks and the witness
-    read, on a valid diagram, with pinned and plan as _resolve_plan gives
-    them."""
+    pinned, plan = _resolve_plan(d, fvs, k_max)
     sizes = d.vertex_size
-    total = _combinations(d, pinned)
+    total = math.prod(sizes[v] for v in pinned)  # w^k at one size w
     held = sum(sizes[v] for v in pinned) + d.shape.n.bit_length() * d.width()
     block = max(_MIN_BLOCK, _STATE_BITS // max(1, held))
     lo = 0

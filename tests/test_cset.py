@@ -328,10 +328,62 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
     assert solved(plain, loaded) == (True, planned(d.shape, 0))
 
 
+def test_cset_slices_on_both_sides_of_one_word(monkeypatch):
+    # over two discrete C-objects and a path with four hubs, each closing a
+    # triangle on its own path edge: slice 0, at width 2, has 2^4 = 16
+    # pinned combinations and sweeps in search order; slice 1, at width 3,
+    # has 3^4 = 81 and sweeps heavy-first.  The slices share the shape
+    # object, so one FVS search serves both, and each slice's verdict is
+    # the one inlim gives it over a fresh shape
+    import limsolve.solver
+    from limsolve.generate import random_diagram
+
+    searches = 0
+    fvs_exact = limsolve.solver.fvs_exact
+
+    def counted(g, k_max):
+        nonlocal searches
+        searches += 1
+        return fvs_exact(g, k_max)
+
+    def fresh(s):
+        return CoDecomposition(SimpleGraph(s.shape.n, s.shape.edges),
+                               s.vertex_size, s.edge_size, s.tables)
+
+    monkeypatch.setattr(limsolve.solver, "fvs_exact", counted)
+    discrete = FinCat(2, (0, 1), (0, 1), (0, 1), ((0, -1), (-1, 1)))
+    rng = random.Random(34)
+    verdicts = []
+    for i in range(6):
+        shape = SimpleGraph(64, [(x, x + 1) for x in range(59)]
+                            + [(60 + h, 15 * h + j)
+                               for h in range(4) for j in (0, 1)])
+        light = random_diagram(rng, shape, 2, fixed_size=True)
+        # identity legs on every other pass: constant families, NONEMPTY
+        heavy = (random_diagram(rng, shape, 3, fixed_size=True) if i % 2
+                 else CoDecomposition(shape, [3] * 64, [3] * 67,
+                                      [(ident(3), ident(3))] * 67))
+        assert inlim(fresh(light)).verdict.empty_limit
+        d = CSetCoDecomposition(
+            discrete, shape, [light, heavy],
+            [(ident(2), ident(3))] * shape.n,
+            [(ident(a), ident(b))
+             for a, b in zip(light.edge_size, heavy.edge_size)])
+        searches = 0
+        empty = cset_inlim(d).empty_limit
+        assert searches == 1
+        want = inlim(fresh(heavy))
+        assert len(want.fvs) == 4
+        assert empty == want.verdict.empty_limit
+        verdicts.append(empty)
+    assert set(verdicts) == {True, False}
+
+
 def test_cset_over_no_objects_is_empty(monkeypatch):
     # the one C-set over the empty category is empty everywhere; no slice
     # is swept, so no FVS search runs, no plan is built and a supplied set
-    # is not checked, whatever the budget; only a negative one is refused
+    # is not checked, whatever the budget; only a budget that is not an
+    # int >= 0 is refused
     import limsolve.solver
 
     def refuse(*args):
@@ -348,6 +400,10 @@ def test_cset_over_no_objects_is_empty(monkeypatch):
         assert cset_inlim(d, fvs=VertexSet(shape.n, 0)).empty_limit
         with pytest.raises(ValueError, match="^k_max must be >= 0$"):
             cset_inlim(d, k_max=-1)
+        for k in (1.5, True, "2"):
+            with pytest.raises(ValueError) as err:
+                cset_inlim(d, k_max=k)
+            assert str(err.value) == f"k_max {k!r} is not an int"
 
 
 def test_columnwise_action_check_agrees_with_the_per_cset_check():

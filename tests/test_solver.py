@@ -348,8 +348,8 @@ def test_repeat_solves_on_one_shape_match_fresh_solves(monkeypatch):
     d, light = (random_diagram(rng, shape, w, fixed_size=True)
                 for w in (3, 2))
     resolve = limsolve.solver._resolve_plan
-    plans = [resolve(shape, hubs, None, [x]) for x in (d, light, d)]
-    assert plans == [resolve(x.shape, hubs, None, [x])
+    plans = [resolve(x, hubs, None) for x in (d, light, d)]
+    assert plans == [resolve(x, hubs, None)
                      for x in map(_fresh, (d, light, d))]
     assert plans[0] != plans[1]
 
@@ -427,6 +427,27 @@ def test_solvers_refuse_a_budget_that_is_not_an_int():
                 with pytest.raises(ValueError) as err:
                     solve(target, k_max=k)
                 assert str(err.value) == f"k_max {k!r} is not an int"
+
+
+def test_solvers_refuse_an_fvs_that_is_not_a_vertex_set():
+    # a list, tuple, int or string of vertex ids is refused by name, not by
+    # an AttributeError from deep in the plan; hom_exists and cset_inlim
+    # reach the same check through inlim
+    from limsolve import BagDecomposition, hom_exists
+    from limsolve.generate import (complete_graph, cycle_graph,
+                                   lift_to_terminal_cset)
+
+    d = c4_example()
+    ring = cycle_graph(5)
+    bags = BagDecomposition(ring, ring, [(i, (i + 1) % 5) for i in range(5)])
+    k3 = complete_graph(3)
+    for fvs in ([0], (0,), 1, "0"):
+        for solve in (lambda: inlim(d, fvs=fvs),
+                      lambda: cset_inlim(lift_to_terminal_cset(d), fvs=fvs),
+                      lambda: hom_exists(bags, k3, fvs=fvs)):
+            with pytest.raises(ValueError) as err:
+                solve()
+            assert str(err.value) == f"fvs {fvs!r} is not a VertexSet"
 
 
 def test_inlim_zero_vertex_shape_nonempty():
@@ -798,7 +819,7 @@ def test_one_word_solves_plan_in_search_order(monkeypatch):
 
     monkeypatch.setattr(limsolve.solver, "_heavy_first", counted)
     d, hubs = shifted_spider(4, 601)
-    _, plan = limsolve.solver._resolve_plan(d.shape, hubs, None, [d])
+    _, plan = limsolve.solver._resolve_plan(d, hubs, None)
     assert calls
     assert _live_peak(d.shape, plan) <= d.shape.n.bit_length()
     assert inlim(d, fvs=hubs).section_test_count == 81
