@@ -10,7 +10,6 @@ limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .diagram import (CoDecomposition, Verdict, size_problems, tables_fit,
                       validate)
@@ -113,11 +112,17 @@ class CSetCoDecomposition:
     labels, over the shared shape.  vertex_actions[x][f] and
     edge_actions[e][f] are the tables of C-morphism f acting on the C-set
     at vertex x or edge e, from its set at src(f) to its set at tgt(f).
-    The columns are kept, not copied; only their lengths are checked here,
-    and validate_cset_codecomp(d) checks the tables.
+    The columns are kept, not copied, and not edited once the diagram is
+    made.
+
+    A C-set diagram is checked once: by parse_cset_diagram as it loads
+    it, else by its first validate_cset_codecomp(d), which cset_inlim
+    calls; only the lengths are checked here.  Found valid, it is
+    recorded so, and no later check reads it again.
     """
 
-    __slots__ = ("cat", "shape", "slices", "vertex_actions", "edge_actions")
+    __slots__ = ("cat", "shape", "slices", "vertex_actions", "edge_actions",
+                 "_valid")
 
     def __init__(self, cat: FinCat, shape: SimpleGraph,
                  slices: list[CoDecomposition], vertex_actions: list,
@@ -135,6 +140,7 @@ class CSetCoDecomposition:
         self.slices = slices
         self.vertex_actions = vertex_actions
         self.edge_actions = edge_actions
+        self._valid = False
 
     def width(self) -> int:
         """Largest total vertex C-set size (summed over C-objects)."""
@@ -179,40 +185,92 @@ def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
     return problems
 
 
-def _actions_hold(cat: FinCat, actions, sizes, pairs) -> bool:
-    """Whether _action_problems finds nothing in any C-set of actions,
-    whose set at object c has size sizes[c][i]: checked a morphism at a
-    time over all the C-sets at once, with no Python step per C-set for
-    an identity.  An identity's tables that are lists or tuples of ints
-    and equal the identity tables fit their sizes, so tables_fit reads
-    only the other morphisms' tables."""
+def _action_columns(cat: FinCat, actions, sizes) -> list[list[tuple]] | None:
+    """The action tables of the C-sets in actions, a morphism at a time,
+    as tuples: columns[f][i] is the action of morphism f on C-set i, whose
+    set at object c has size sizes[c][i] (sizes[c] a list).  None unless
+    every table is a list or tuple that fits its sizes; checked over all
+    the C-sets at once, with no Python step per C-set."""
     if not (set(map(type, actions)) <= {list, tuple}
             and set(map(len, actions)) <= {cat.morphism_count}):
-        return False
+        return None
     columns = list(zip(*actions)) or [()] * cat.morphism_count
+    if not all(tables_fit(col, sizes[c0], sizes[c1])
+               for col, c0, c1 in zip(columns, cat.src, cat.tgt)):
+        return None
+    return [list(map(tuple, col)) for col in columns]
+
+
+def _actions_lawful(cat: FinCat, columns, sizes) -> bool:
+    """Whether identities act as identities and every composite acts as
+    the composite of the actions, over columns of tuple tables that fit
+    their sizes, as _action_columns and the loader make them.  An
+    identity costs one list comparison against the identity tables."""
     ids = cat.identity
-    for f, (col, c0, c1) in enumerate(zip(columns, cat.src, cat.tgt)):
-        if f not in ids and not tables_fit(col, sizes[c0], sizes[c1]):
-            return False
     for o, i in enumerate(ids):
-        col = columns[i]
-        # one identity table per size; the int check keeps False == 0
-        # from passing for 0
         ident = {size: tuple(range(size)) for size in set(sizes[o])}
-        if not (set(map(type, col)) <= {list, tuple}
-                and set(map(type, chain.from_iterable(col))) <= {int}
-                and list(map(tuple, col))
-                == list(map(ident.__getitem__, sizes[o]))):
+        if columns[i] != list(map(ident.__getitem__, sizes[o])):
             return False
-    return all(list(tables[gf]) == [tables[g][t] for t in tables[f]]
-               for g, f, gf in pairs if g not in ids and f not in ids
-               for tables in actions)
+    # once the identities act as identities, a pair with one in it
+    # composes correctly, so only the other pairs need their tables read
+    return all(columns[gf] == [tuple(map(tg.__getitem__, tf))
+                               for tg, tf in zip(columns[g], columns[f])]
+               for g, row in enumerate(cat.comp) for f, gf in enumerate(row)
+               if gf != -1 and g not in ids and f not in ids)
+
+
+def _naturality_problems(cat: FinCat, shape: SimpleGraph, slices,
+                         vertex_columns, edge_columns) -> list[str]:
+    """Each leg whose naturality square fails at a morphism, named, in a
+    C-set diagram whose slices are valid and whose action columns fit and
+    act lawfully."""
+    # both sides of each square run from component c0 of the vertex C-set
+    # to component c1 of the edge C-set, sizes checked; the square of an
+    # identity commutes, since identities act as identities
+    arrows = [(f, slices[c0].tables, slices[c1].tables, vertex_columns[f],
+               edge_columns[f])
+              for f, (c0, c1) in enumerate(zip(cat.src, cat.tgt))
+              if f not in cat.identity]
+    problems = []
+    if not arrows:  # a discrete C: every square is an identity's
+        return problems
+    for e, (u, v) in enumerate(shape.edges):
+        for side, x in enumerate((u, v)):
+            for f, legs0, legs1, vertex_tables, edge_tables in arrows:
+                l0 = legs0[e][side]
+                l1 = legs1[e][side]
+                ef = edge_tables[e]
+                if [l1[t] for t in vertex_tables[x]] != [ef[t] for t in l0]:
+                    problems.append(
+                        f"leg of edge {e} at vertex {x}: naturality square "
+                        f"fails at morphism {f}")
+    return problems
+
+
+def _laws_hold(cat: FinCat, shape: SimpleGraph, slices, vertex_columns,
+               edge_columns) -> bool:
+    """Whether a C-set diagram's identities act as identities, its
+    actions are functorial and its legs natural.  It assumes what the
+    loader and validate_cset_codecomp check first: the category is valid,
+    the slices are valid, and vertex_columns[f][x] and edge_columns[f][e]
+    are tuple tables of morphism f, at vertex x or edge e, that fit their
+    sizes."""
+    return (_actions_lawful(cat, vertex_columns,
+                            [s.vertex_size for s in slices])
+            and _actions_lawful(cat, edge_columns,
+                                [s.edge_size for s in slices])
+            and not _naturality_problems(cat, shape, slices, vertex_columns,
+                                         edge_columns))
 
 
 def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
     """The category, every slice not recorded valid (by validate), every
-    C-set's actions, then the naturality of every leg; returns a list of
-    violations, empty when ok."""
+    C-set's action tables, then _laws_hold; returns a list of violations,
+    empty when ok.  A recorded diagram returns [] at once, and a diagram
+    found valid is recorded.  The C-sets are walked one at a time only to
+    name a problem."""
+    if d._valid:
+        return []
     problems = validate_fincat(d.cat)
     if problems:
         return [f"category: {p}" for p in problems]
@@ -224,39 +282,24 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
         problems += [f"object {c}: {p}" for p in found]
     if not sized:  # the actions are read against the sizes
         return problems
+    kinds = (("vertex", d.vertex_actions,
+              [list(s.vertex_size) for s in d.slices]),
+             ("edge", d.edge_actions, [list(s.edge_size) for s in d.slices]))
+    columns = [_action_columns(cat, actions, sizes)
+               for _, actions, sizes in kinds]
+    if not problems and None not in columns and _laws_hold(
+            cat, d.shape, d.slices, *columns):
+        d._valid = True
+        return problems
     pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
              for f, gf in enumerate(row) if gf != -1]
-    for kind, actions, sizes in (
-            ("vertex", d.vertex_actions, [s.vertex_size for s in d.slices]),
-            ("edge", d.edge_actions, [s.edge_size for s in d.slices])):
-        if _actions_hold(cat, actions, sizes, pairs):
-            continue
+    for kind, actions, sizes in kinds:
         for i, tables in enumerate(actions):
             problems += [f"{kind} {i}: {p}" for p in _action_problems(
                 cat, tables, [col[i] for col in sizes], pairs)]
     if problems:
         return problems
-    # both sides of each square run from component c0 of the vertex C-set
-    # to component c1 of the edge C-set, sizes checked; the square of an
-    # identity commutes, since identities act as identities
-    arrows = [(f, d.slices[c0].tables, d.slices[c1].tables)
-              for f, (c0, c1) in enumerate(zip(cat.src, cat.tgt))
-              if f not in cat.identity]
-    if not arrows:  # a discrete C: every square is an identity's
-        return problems
-    for e, (u, v) in enumerate(d.shape.edges):
-        edge_tables = d.edge_actions[e]
-        for side, x in enumerate((u, v)):
-            vertex_tables = d.vertex_actions[x]
-            for f, legs0, legs1 in arrows:
-                l0 = legs0[e][side]
-                l1 = legs1[e][side]
-                ef = edge_tables[f]
-                if [l1[t] for t in vertex_tables[f]] != [ef[t] for t in l0]:
-                    problems.append(
-                        f"leg of edge {e} at vertex {x}: naturality square "
-                        f"fails at morphism {f}")
-    return problems
+    return _naturality_problems(cat, d.shape, d.slices, *columns)
 
 
 def pointwise_slice(d: CSetCoDecomposition, c: int) -> CoDecomposition:
@@ -283,8 +326,9 @@ def cset_inlim(
     at least O(n).  Over no C-object the answer is EMPTY with no FVS
     search: only a k_max that is not an int >= 0 is refused, and a
     supplied set is not checked.  ValueError names the problems of an
-    invalid diagram: every call runs validate_cset_codecomp, which reads
-    no slice recorded valid.
+    invalid diagram: every call runs validate_cset_codecomp, which
+    returns at once on a diagram recorded valid, by its loader or an
+    earlier check, and reads no slice recorded valid.
     """
     problems = validate_cset_codecomp(d)
     if problems:

@@ -184,8 +184,9 @@ def validate(d: CoDecomposition) -> list[str]:
     return problems
 
 
-def _recorded(d: CoDecomposition) -> CoDecomposition:
-    """d, recorded valid by a maker that checks all that validate does."""
+def _recorded(d):
+    """d, a CoDecomposition or CSetCoDecomposition, recorded valid by a
+    maker that checks all that its validate check does."""
     d._valid = True
     return d
 

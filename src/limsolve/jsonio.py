@@ -19,7 +19,7 @@ import json
 from itertools import chain, repeat
 from operator import contains, itemgetter
 
-from .cset import CSetCoDecomposition, FinCat, validate_fincat
+from .cset import CSetCoDecomposition, FinCat, _laws_hold, validate_fincat
 from .diagram import CoDecomposition, _recorded, leg_sizes, tables_fit
 from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
@@ -362,11 +362,13 @@ def fincat_to_json(c: FinCat) -> dict:
     }
 
 
-def _read_csets(raw: list, cat: FinCat) -> tuple[list, list, list] | None:
+def _read_csets(raw: list,
+                cat: FinCat) -> tuple[list, list, list, list] | None:
     """The columns of a list of C-set documents: per C-object, the set
-    sizes and the labels of the labelled sets; per C-set, its action
-    tables.  Checked a C-morphism at a time over all the C-sets at once;
-    None when some C-set is malformed."""
+    sizes and the labels of the labelled sets; per C-morphism, its action
+    tables over all the C-sets, as tuples; per C-set, its action tables,
+    the same tuples.  Checked a C-morphism at a time over all the C-sets
+    at once; None when some C-set is malformed."""
     nc = cat.object_count
     nm = cat.morphism_count
     try:
@@ -398,7 +400,7 @@ def _read_csets(raw: list, cat: FinCat) -> tuple[list, list, list] | None:
             return None
         columns.append(col)
     tables = list(map(list, zip(*columns))) if nm else [[] for _ in raw]
-    return sizes, labels, tables
+    return sizes, labels, columns, tables
 
 
 def _cset_errors(raw: list, cat: FinCat, where: str) -> None:
@@ -446,14 +448,18 @@ def _cset_slices(raw: list, shape: SimpleGraph, nc: int, vsizes, esizes,
 
 def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     """Read a C-set diagram straight into one plain diagram per C-object
-    plus the action tables."""
+    plus the action tables.  Every table is checked against its sizes
+    here, and each slice is recorded valid; when the category is valid
+    and the laws hold (identities, functoriality, naturality), the
+    diagram is recorded valid too.  A document whose tables fit but break
+    a law loads unrecorded, and cset_inlim refuses it by name."""
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
     raw = _require_list(obj, "vertex_csets", "cset diagram")
-    vsizes, vlabels, vactions = _or_named(_read_csets(raw, cat), _cset_errors,
-                                          raw, cat, "vertex C-set")
+    vsizes, vlabels, vcolumns, vactions = _or_named(
+        _read_csets(raw, cat), _cset_errors, raw, cat, "vertex C-set")
     raw = _require_list(obj, "edge_csets", "cset diagram")
-    esizes, elabels, eactions = _or_named(_read_csets(raw, cat), _cset_errors,
-                                          raw, cat, "edge C-set")
+    esizes, elabels, ecolumns, eactions = _or_named(
+        _read_csets(raw, cat), _cset_errors, raw, cat, "edge C-set")
     if len(vactions) != shape.n:
         raise ParseError("cset diagram: one vertex C-set per shape vertex required")
     if len(eactions) != shape.m:
@@ -472,7 +478,13 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     slices = _or_named(
         _cset_slices(raw, shape, nc, vsizes, esizes, vlabels, elabels),
         _leg_errors, raw, shape, leg_error)
-    return CSetCoDecomposition(cat, shape, slices, vactions, eactions)
+    d = CSetCoDecomposition(cat, shape, slices, vactions, eactions)
+    # the tables fit their sizes and the slices are valid: the category
+    # and the laws are all that validate_cset_codecomp would read beyond
+    if not validate_fincat(cat) and _laws_hold(cat, shape, slices, vcolumns,
+                                               ecolumns):
+        _recorded(d)
+    return d
 
 
 def _csets_to_json(cat: FinCat, sizes, labels, actions) -> list[dict]:

@@ -18,7 +18,7 @@ from limsolve import (
     validate_cset_codecomp,
     validate_fincat,
 )
-from limsolve.cset import _action_problems, _actions_hold
+from limsolve.cset import _action_columns, _action_problems, _actions_lawful
 from limsolve.graphs import is_forest
 from limsolve.generate import (
     lift_to_terminal_cset,
@@ -138,17 +138,75 @@ def test_pointwise_slice_terminal_is_underlying():
     assert pointwise_slice(lifted, 0) is d
 
 
-def test_naturality_violation_rejected():
-    # identity actions everywhere, but the leg permutes at object 0 only:
-    # the square at the arrow morphism cannot commute
+def unnatural_example():
+    """Identity actions everywhere, but the leg permutes at object 0 only:
+    the square at the arrow morphism cannot commute."""
     cs = ((2, 2), (ident(2), ident(2), ident(2)))
-    bad = cset_diagram(FinCat.walking_arrow(), SimpleGraph(2, [(0, 1)]),
-                       [cs, cs], [cs], [((ident(2), (1, 0)),
-                                         (ident(2), ident(2)))])
-    assert validate_cset_codecomp(bad) == [
-        "leg of edge 0 at vertex 0: naturality square fails at morphism 2"]
-    with pytest.raises(ValueError):
-        cset_inlim(bad)
+    return cset_diagram(FinCat.walking_arrow(), SimpleGraph(2, [(0, 1)]),
+                        [cs, cs], [cs], [((ident(2), (1, 0)),
+                                          (ident(2), ident(2)))])
+
+
+def test_naturality_violation_rejected():
+    # a failing diagram is never recorded: every check reads it again
+    bad = unnatural_example()
+    text = "leg of edge 0 at vertex 0: naturality square fails at morphism 2"
+    for _ in range(3):
+        assert validate_cset_codecomp(bad) == [text]
+        with pytest.raises(ValueError) as err:
+            cset_inlim(bad)
+        assert str(err.value) == "invalid C-set diagram: " + text
+        assert not bad._valid
+
+
+def test_law_breaking_documents_load_unrecorded():
+    # a document whose tables fit loads even when it breaks a C-set law;
+    # it is left unrecorded, so cset_inlim checks it and refuses it by
+    # name, on every call
+    from limsolve import jsonio
+
+    point = {"shape": {"n": 1, "edges": []}, "edge_csets": [], "legs": []}
+    # a swap given as the identity action over the terminal category
+    swap = {**point, "vertex_csets": [
+        {"objects": [{"size": 2}], "actions": [{"map": [1, 0]}]}]}
+    # the generator of Z/3 acting as a 3-cycle, and its square acting
+    # as the same 3-cycle
+    twice = {**point, "vertex_csets": [
+        {"objects": [{"size": 3}], "actions": [
+            {"map": [0, 1, 2]}, {"map": [1, 2, 0]}, {"map": [1, 2, 0]}]}]}
+    square = jsonio.cset_diagram_to_json(unnatural_example())
+    for doc, cat, text in [
+            (swap, FinCat.terminal(),
+             "vertex 0: identity of object 0 does not act as identity; "
+             "vertex 0: functoriality fails: action of comp[0][0]"),
+            (twice, cyclic_monoid(3),
+             "vertex 0: functoriality fails: action of comp[1][1]; "
+             "vertex 0: functoriality fails: action of comp[1][2]; "
+             "vertex 0: functoriality fails: action of comp[2][1]; "
+             "vertex 0: functoriality fails: action of comp[2][2]"),
+            (square, FinCat.walking_arrow(),
+             "leg of edge 0 at vertex 0: naturality square fails at "
+             "morphism 2")]:
+        d = jsonio.parse_cset_diagram(doc, cat)
+        assert not d._valid
+        assert all(s._valid for s in d.slices)
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                cset_inlim(d)
+            assert str(err.value) == "invalid C-set diagram: " + text
+            assert not d._valid
+
+
+def test_hand_built_diagram_recorded_by_its_first_clean_check():
+    # the first validate_cset_codecomp that finds a hand-built diagram
+    # valid records it, and the next check returns at once (a failing one
+    # is never recorded: test_naturality_violation_rejected)
+    good = two_parallel_diagrams_example()
+    assert not good._valid
+    assert validate_cset_codecomp(good) == []
+    assert good._valid
+    assert validate_cset_codecomp(good) == []
+    assert not cset_inlim(good).empty_limit
 
 
 @pytest.mark.parametrize("shape, vertex_csets, edge_csets, legs, texts", [
@@ -260,15 +318,19 @@ def test_cset_walking_arrow_matches_componentwise_oracle():
 def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
     # validate reads a slice's sizes until the slice is found valid once;
     # a loaded slice was checked by its loader, and is not read at all.
-    # The first solve on a shape object searches (on a cyclic shape) and
-    # plans once for every slice; a repeat on the same object does neither,
-    # and a loaded copy, a new shape object, plans again
+    # The C-set laws and the category are checked by a hand-built
+    # diagram's first solve, then never again; a loaded diagram's loader
+    # checked them, and cset_inlim does not.  The first solve on a shape
+    # object searches (on a cyclic shape) and plans once for every slice;
+    # a repeat on the same object does neither, and a loaded copy, a new
+    # shape object, plans again
     import limsolve.cset
     import limsolve.diagram
     import limsolve.solver
     from limsolve import jsonio
 
-    calls = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0}
+    calls = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0,
+             "_laws_hold": 0, "validate_fincat": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -294,15 +356,18 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
 
-    def planned(shape, sizes):
+    def planned(shape, sizes, laws=0):
         return {"_forest_plan": 1, "fvs_exact": int(not is_forest(shape)),
-                "size_problems": sizes}
+                "size_problems": sizes, "_laws_hold": laws,
+                "validate_fincat": laws}
 
-    again = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0}
+    again = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0,
+             "_laws_hold": 0, "validate_fincat": 0}
     d = walking_arrow_golden()
-    assert solved(cset_inlim, d) == (True, planned(d.shape, 2))
+    assert solved(cset_inlim, d) == (True, planned(d.shape, 2, 1))
     assert solved(cset_inlim, d) == (True, again)
     loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d), d.cat)
+    assert loaded._valid
     assert solved(cset_inlim, loaded) == (True, planned(d.shape, 0))
     assert solved(cset_inlim, loaded) == (True, again)
     # the same counts, and the brute-force verdicts, on the corpus of
@@ -317,8 +382,9 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
         empty = brute_cset_empty(d)
         loaded = jsonio.parse_cset_diagram(jsonio.cset_diagram_to_json(d),
                                            d.cat)
-        assert solved(cset_inlim, d) == (empty, planned(shape, 2))
+        assert solved(cset_inlim, d) == (empty, planned(shape, 2, 1))
         assert solved(cset_inlim, d) == (empty, again)
+        assert loaded._valid
         assert solved(cset_inlim, loaded) == (empty, planned(shape, 0))
     # a plain diagram: checked by its first solve, or by its loader
     d = c4_example()
@@ -414,6 +480,13 @@ def test_columnwise_action_check_agrees_with_the_per_cset_check():
     cat = FinCat.walking_arrow()
     pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
              for f, gf in enumerate(row) if gf != -1]
+
+    def held(actions, sizes):
+        # the all-at-once check: every table fits, then the actions are
+        # lawful
+        columns = _action_columns(cat, actions, sizes)
+        return columns is not None and _actions_lawful(cat, columns, sizes)
+
     seen = set()
     for _ in range(300):
         d = random_walking_arrow_diagram(
@@ -427,14 +500,14 @@ def test_columnwise_action_check_agrees_with_the_per_cset_check():
         found = [p for i, tables in enumerate(actions)
                  for p in _action_problems(cat, tables,
                                            [col[i] for col in sizes], pairs)]
-        assert _actions_hold(cat, actions, sizes, pairs) == (not found)
+        assert held(actions, sizes) == (not found)
         seen.add(not found)
     assert seen == {True, False}
     # a table that is no list or tuple fails both checks, not a TypeError
     actions = [list(tables) for tables in d.vertex_actions]
     for table in (5, None, "a", {0: 0}, range(1)):
         actions[0][2] = table
-        assert not _actions_hold(cat, actions, sizes, pairs)
+        assert not held(actions, sizes)
         assert _action_problems(cat, actions[0], [col[0] for col in sizes],
                                 pairs) == [
             "action of morphism 2: table is not a list or tuple"]

@@ -6,7 +6,9 @@ import pytest
 from conftest import (c4_example, corpus_bases, cospan_example,
                       diagrams_equal, loader_corpus, path_example)
 from conftest import size_form_doc as _size_form_doc
-from limsolve import CoDecomposition, FinCat, SimpleGraph, validate
+from limsolve import (CoDecomposition, CSetCoDecomposition, FinCat,
+                      SimpleGraph, cset_inlim, validate,
+                      validate_cset_codecomp)
 from limsolve.generate import (
     elimination_decomposition,
     lift_to_terminal_cset,
@@ -518,15 +520,19 @@ def test_loaders_record_only_what_validate_accepts():
     # a loader records every plain diagram it makes as valid, so validate
     # and the solvers skip it; the record is sound only while the loader
     # checks all that validate checks, which a fresh copy of the columns
-    # pins on every document of the corpus that loads
+    # pins on every document of the corpus that loads.  A C-set diagram
+    # is recorded only when validate_cset_codecomp would accept it, which
+    # an unrecorded copy over the same columns pins; the one that loads
+    # unrecorded breaks naturality, and cset_inlim refuses it by name
     loaded = {"plain": 0, "cset": 0}
+    recorded = 0
     for _, _, doc, cat in loader_corpus():
         try:
             if cat is None:
                 slices = [jsonio.parse_diagram(doc)]
             else:
-                slices = jsonio.parse_cset_diagram(
-                    doc, jsonio.parse_fincat(cat)).slices
+                c = jsonio.parse_cset_diagram(doc, jsonio.parse_fincat(cat))
+                slices = c.slices
         except jsonio.ParseError:
             continue
         loaded["plain" if cat is None else "cset"] += 1
@@ -537,7 +543,21 @@ def test_loaders_record_only_what_validate_accepts():
                                     d.tables, d.vertex_labels, d.edge_labels)
             assert not fresh._valid
             assert validate(fresh) == []
+        if cat is None:
+            continue
+        fresh = CSetCoDecomposition(c.cat, c.shape, c.slices,
+                                    c.vertex_actions, c.edge_actions)
+        assert not fresh._valid
+        assert c._valid == (validate_cset_codecomp(fresh) == [])
+        recorded += c._valid
+        if not c._valid:
+            with pytest.raises(ValueError) as err:
+                cset_inlim(c)
+            assert str(err.value) == (
+                "invalid C-set diagram: leg of edge 1 at vertex 2: "
+                "naturality square fails at morphism 2")
     assert loaded == {"plain": 11, "cset": 13}
+    assert recorded == 12
 
 
 @pytest.mark.parametrize("seed", range(3))
