@@ -9,7 +9,8 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .diagram import (CoDecomposition, Verdict, size_problems, tables_fit,
                       validate)
@@ -22,7 +23,9 @@ class FinCat:
     """Finite category given by a full morphism list and composition table.
 
     Morphism ids index src/tgt; comp[g][f] is the id of "g after f", or -1
-    when tgt(f) != src(g).
+    when tgt(f) != src(g).  A category is checked once: the first
+    validate_fincat that finds it valid, which parse_fincat runs, records
+    it so, and later checks return at once.
     """
 
     object_count: int
@@ -30,6 +33,8 @@ class FinCat:
     tgt: tuple[int, ...]
     identity: tuple[int, ...]
     comp: tuple[tuple[int, ...], ...]
+    _valid: bool = field(default=False, init=False, repr=False,
+                         compare=False)
 
     @property
     def morphism_count(self) -> int:
@@ -52,36 +57,51 @@ class FinCat:
 
 def validate_fincat(c: FinCat) -> list[str]:
     """Exhaustively check identity laws, associativity, and src/tgt
-    bookkeeping; returns a list of violations, empty when ok."""
+    bookkeeping; returns a list of violations, empty when ok.  A recorded
+    category returns [] at once, and a category found valid is recorded.
+    Every id and comp entry must be an int (bool excluded), and src, tgt,
+    identities, comp and its rows lists or tuples."""
+    if c._valid:
+        return []
+    if type(c.object_count) is not int:
+        return ["object count is not an int"]
+    if not {type(c.src), type(c.tgt), type(c.identity),
+            type(c.comp)} <= {list, tuple}:
+        return ["src, tgt, identities and comp must be lists or tuples"]
     problems = []
     nm = c.morphism_count
     if len(c.tgt) != nm:
         problems.append("src/tgt length mismatch")
         return problems
-    for f in range(nm):
-        if not (0 <= c.src[f] < c.object_count and 0 <= c.tgt[f] < c.object_count):
+    for f, (s, t) in enumerate(zip(c.src, c.tgt)):
+        if type(s) is not int or type(t) is not int:
+            return [f"morphism {f}: src/tgt is not an int"]
+        if not (0 <= s < c.object_count and 0 <= t < c.object_count):
             problems.append(f"morphism {f}: src/tgt out of range")
     if len(c.identity) != c.object_count:
         problems.append("one identity per object required")
         return problems
     for o, i in enumerate(c.identity):
-        if not 0 <= i < nm or c.src[i] != o or c.tgt[i] != o:
+        if type(i) is not int:
+            problems.append(f"identity of object {o} is not an int")
+        elif not 0 <= i < nm or c.src[i] != o or c.tgt[i] != o:
             problems.append(f"identity of object {o} is not an endomorphism of it")
-    if len(c.comp) != nm or any(len(row) != nm for row in c.comp):
+    if len(c.comp) != nm or any(type(row) not in (list, tuple)
+                                or len(row) != nm for row in c.comp):
         problems.append("composition table must be morphisms x morphisms")
         return problems
     for g in range(nm):
         for f in range(nm):
             gf = c.comp[g][f]
-            if c.tgt[f] != c.src[g]:
+            if type(gf) is not int:
+                problems.append(f"comp[{g}][{f}] is not an int")
+            elif c.tgt[f] != c.src[g]:
                 if gf != -1:
                     problems.append(
                         f"comp[{g}][{f}] defined although not composable")
-                continue
-            if not 0 <= gf < nm:
+            elif not 0 <= gf < nm:
                 problems.append(f"comp[{g}][{f}] missing for composable pair")
-                continue
-            if c.src[gf] != c.src[f] or c.tgt[gf] != c.tgt[g]:
+            elif c.src[gf] != c.src[f] or c.tgt[gf] != c.tgt[g]:
                 problems.append(f"comp[{g}][{f}] has wrong src/tgt")
     if problems:
         return problems
@@ -101,6 +121,8 @@ def validate_fincat(c: FinCat) -> list[str]:
                 if c.comp[h][c.comp[g][f]] != c.comp[hg][f]:
                     problems.append(
                         f"associativity fails on morphisms ({h}, {g}, {f})")
+    if not problems:  # frozen, so recorded past its own __setattr__
+        object.__setattr__(c, "_valid", True)
     return problems
 
 
@@ -117,8 +139,10 @@ class CSetCoDecomposition:
 
     A C-set diagram is checked once: by parse_cset_diagram as it loads
     it, else by its first validate_cset_codecomp(d), which cset_inlim
-    calls; only the lengths are checked here.  Found valid, it is
-    recorded so, and no later check reads it again.
+    calls; only the lengths are checked here.  Both read the laws with
+    one function, _law_problems, once every table fits its sizes.  Found
+    valid, a diagram is recorded so, and no later check reads it again;
+    its category is recorded by its own first clean check.
     """
 
     __slots__ = ("cat", "shape", "slices", "vertex_actions", "edge_actions",
@@ -152,10 +176,10 @@ class CSetCoDecomposition:
         return max((s.width() for s in self.slices), default=0)
 
 
-def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
-    """Sizes, identities and functoriality of one C-set: tables[f] is the
-    action of morphism f, sizes[c] the size of its set at object c, and
-    pairs the (g, f, comp[g][f]) triples of the composable pairs."""
+def _action_problems(cat: FinCat, tables, sizes) -> list[str]:
+    """The action tables of one C-set that do not fit its sizes, named:
+    tables[f] is the action of morphism f, and sizes[c] the size of its
+    set at object c."""
     if type(tables) not in (list, tuple) or len(tables) != cat.morphism_count:
         return ["one action per category morphism required"]
     problems = []
@@ -168,20 +192,6 @@ def _action_problems(cat: FinCat, tables, sizes, pairs) -> list[str]:
             problems.append(f"action of morphism {f}: wrong source size")
         if not tables_fit([table], [len(table)], [sizes[c1]]):
             problems.append(f"action of morphism {f}: wrong target size")
-    if problems:
-        return problems
-    for o, i in enumerate(cat.identity):
-        if list(tables[i]) != list(range(sizes[o])):
-            problems.append(f"identity of object {o} does not act as identity")
-    # once the identities act as identities, a pair with one in it
-    # composes correctly, so only the other pairs need their tables read
-    ids = () if problems else cat.identity
-    for g, f, gf in pairs:
-        if g in ids or f in ids:
-            continue
-        gt = tables[g]
-        if list(tables[gf]) != [gt[t] for t in tables[f]]:
-            problems.append(f"functoriality fails: action of comp[{g}][{f}]")
     return problems
 
 
@@ -199,24 +209,6 @@ def _action_columns(cat: FinCat, actions, sizes) -> list[list[tuple]] | None:
                for col, c0, c1 in zip(columns, cat.src, cat.tgt)):
         return None
     return [list(map(tuple, col)) for col in columns]
-
-
-def _actions_lawful(cat: FinCat, columns, sizes) -> bool:
-    """Whether identities act as identities and every composite acts as
-    the composite of the actions, over columns of tuple tables that fit
-    their sizes, as _action_columns and the loader make them.  An
-    identity costs one list comparison against the identity tables."""
-    ids = cat.identity
-    for o, i in enumerate(ids):
-        ident = {size: tuple(range(size)) for size in set(sizes[o])}
-        if columns[i] != list(map(ident.__getitem__, sizes[o])):
-            return False
-    # once the identities act as identities, a pair with one in it
-    # composes correctly, so only the other pairs need their tables read
-    return all(columns[gf] == [tuple(map(tg.__getitem__, tf))
-                               for tg, tf in zip(columns[g], columns[f])]
-               for g, row in enumerate(cat.comp) for f, gf in enumerate(row)
-               if gf != -1 and g not in ids and f not in ids)
 
 
 def _naturality_problems(cat: FinCat, shape: SimpleGraph, slices,
@@ -247,28 +239,54 @@ def _naturality_problems(cat: FinCat, shape: SimpleGraph, slices,
     return problems
 
 
-def _laws_hold(cat: FinCat, shape: SimpleGraph, slices, vertex_columns,
-               edge_columns) -> bool:
-    """Whether a C-set diagram's identities act as identities, its
-    actions are functorial and its legs natural.  It assumes what the
-    loader and validate_cset_codecomp check first: the category is valid,
-    the slices are valid, and vertex_columns[f][x] and edge_columns[f][e]
-    are tuple tables of morphism f, at vertex x or edge e, that fit their
-    sizes."""
-    return (_actions_lawful(cat, vertex_columns,
-                            [s.vertex_size for s in slices])
-            and _actions_lawful(cat, edge_columns,
-                                [s.edge_size for s in slices])
-            and not _naturality_problems(cat, shape, slices, vertex_columns,
-                                         edge_columns))
+def _law_problems(cat: FinCat, shape: SimpleGraph, slices, vertex_columns,
+                  edge_columns) -> list[str]:
+    """Each C-set whose identities do not act as identities or whose
+    actions are not functorial, named, then, when the actions are lawful,
+    each leg that is not natural; empty when every law holds.  It assumes
+    what the loader and validate_cset_codecomp check first: the category
+    is valid, the slices are valid, and vertex_columns[f][x] and
+    edge_columns[f][e] are tuple tables of morphism f, at vertex x or
+    edge e, that fit their sizes.  A morphism's column is compared whole,
+    and walked only when it fails, to find the C-sets it fails at."""
+    problems = []
+    for kind, columns, sizes in (
+            ("vertex", vertex_columns, [s.vertex_size for s in slices]),
+            ("edge", edge_columns, [s.edge_size for s in slices])):
+        found = []  # (C-set, text), in the order one C-set is checked in
+
+        def check(column, want, text):
+            if column != want:
+                found.extend((i, text) for i, (table, ok)
+                             in enumerate(zip(column, want)) if table != ok)
+
+        for o, i in enumerate(cat.identity):
+            ident = {size: tuple(range(size)) for size in set(sizes[o])}
+            check(columns[i], list(map(ident.__getitem__, sizes[o])),
+                  f"identity of object {o} does not act as identity")
+        # where the identities act as identities, a pair with one in it
+        # composes correctly, so only the other pairs need their tables read
+        ids = () if found else cat.identity
+        for g, row in enumerate(cat.comp):
+            for f, gf in enumerate(row):
+                if gf != -1 and g not in ids and f not in ids:
+                    check(columns[gf],
+                          [tuple(map(tg.__getitem__, tf))
+                           for tg, tf in zip(columns[g], columns[f])],
+                          f"functoriality fails: action of comp[{g}][{f}]")
+        found.sort(key=itemgetter(0))
+        problems += [f"{kind} {i}: {text}" for i, text in found]
+    return problems or _naturality_problems(cat, shape, slices,
+                                            vertex_columns, edge_columns)
 
 
 def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
-    """The category, every slice not recorded valid (by validate), every
-    C-set's action tables, then _laws_hold; returns a list of violations,
-    empty when ok.  A recorded diagram returns [] at once, and a diagram
-    found valid is recorded.  The C-sets are walked one at a time only to
-    name a problem."""
+    """The category, every slice not recorded valid (by validate), the fit
+    of every C-set's action tables to its sizes, then, once every table
+    fits, _law_problems; returns a list of violations, empty when ok.  A
+    recorded diagram returns [] at once, and a diagram found valid is
+    recorded.  The C-sets are walked one at a time only to name a table
+    that does not fit."""
     if d._valid:
         return []
     problems = validate_fincat(d.cat)
@@ -282,24 +300,21 @@ def validate_cset_codecomp(d: CSetCoDecomposition) -> list[str]:
         problems += [f"object {c}: {p}" for p in found]
     if not sized:  # the actions are read against the sizes
         return problems
-    kinds = (("vertex", d.vertex_actions,
-              [list(s.vertex_size) for s in d.slices]),
-             ("edge", d.edge_actions, [list(s.edge_size) for s in d.slices]))
-    columns = [_action_columns(cat, actions, sizes)
-               for _, actions, sizes in kinds]
-    if not problems and None not in columns and _laws_hold(
-            cat, d.shape, d.slices, *columns):
-        d._valid = True
+    columns = []
+    for kind, actions, sizes in (
+            ("vertex", d.vertex_actions,
+             [list(s.vertex_size) for s in d.slices]),
+            ("edge", d.edge_actions, [list(s.edge_size) for s in d.slices])):
+        columns.append(_action_columns(cat, actions, sizes))
+        if columns[-1] is None:
+            for i, tables in enumerate(actions):
+                problems += [f"{kind} {i}: {p}" for p in _action_problems(
+                    cat, tables, [col[i] for col in sizes])]
+    if problems:  # the laws are read once every table fits
         return problems
-    pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
-             for f, gf in enumerate(row) if gf != -1]
-    for kind, actions, sizes in kinds:
-        for i, tables in enumerate(actions):
-            problems += [f"{kind} {i}: {p}" for p in _action_problems(
-                cat, tables, [col[i] for col in sizes], pairs)]
-    if problems:
-        return problems
-    return _naturality_problems(cat, d.shape, d.slices, *columns)
+    problems = _law_problems(cat, d.shape, d.slices, *columns)
+    d._valid = not problems
+    return problems
 
 
 def pointwise_slice(d: CSetCoDecomposition, c: int) -> CoDecomposition:

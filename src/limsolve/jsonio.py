@@ -19,7 +19,7 @@ import json
 from itertools import chain, repeat
 from operator import contains, itemgetter
 
-from .cset import CSetCoDecomposition, FinCat, _laws_hold, validate_fincat
+from .cset import CSetCoDecomposition, FinCat, _law_problems, validate_fincat
 from .diagram import CoDecomposition, _recorded, leg_sizes, tables_fit
 from .graphs import MAX_SET_SIZE, SimpleGraph
 from .hom import BagDecomposition
@@ -450,9 +450,10 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
     """Read a C-set diagram straight into one plain diagram per C-object
     plus the action tables.  Every table is checked against its sizes
     here, and each slice is recorded valid; when the category is valid
-    and the laws hold (identities, functoriality, naturality), the
-    diagram is recorded valid too.  A document whose tables fit but break
-    a law loads unrecorded, and cset_inlim refuses it by name."""
+    (at once, for one parse_fincat recorded) and _law_problems finds
+    nothing (identities, functoriality, naturality), the diagram is
+    recorded valid too.  A document whose tables fit but break a law
+    loads unrecorded, and cset_inlim refuses it by name."""
     shape = parse_graph(_require(obj, "shape", "cset diagram"), "shape")
     raw = _require_list(obj, "vertex_csets", "cset diagram")
     vsizes, vlabels, vcolumns, vactions = _or_named(
@@ -480,9 +481,10 @@ def parse_cset_diagram(obj, cat: FinCat) -> CSetCoDecomposition:
         _leg_errors, raw, shape, leg_error)
     d = CSetCoDecomposition(cat, shape, slices, vactions, eactions)
     # the tables fit their sizes and the slices are valid: the category
-    # and the laws are all that validate_cset_codecomp would read beyond
-    if not validate_fincat(cat) and _laws_hold(cat, shape, slices, vcolumns,
-                                               ecolumns):
+    # and the laws are all that validate_cset_codecomp would read beyond,
+    # with the same calls
+    if not (validate_fincat(cat) or _law_problems(cat, shape, slices,
+                                                   vcolumns, ecolumns)):
         _recorded(d)
     return d
 

@@ -18,7 +18,7 @@ from limsolve import (
     validate_cset_codecomp,
     validate_fincat,
 )
-from limsolve.cset import _action_columns, _action_problems, _actions_lawful
+from limsolve.cset import _action_columns, _action_problems, _law_problems
 from limsolve.graphs import is_forest
 from limsolve.generate import (
     lift_to_terminal_cset,
@@ -238,6 +238,39 @@ def test_validate_cset_codecomp_texts(shape, vertex_csets, edge_csets, legs,
     assert validate_cset_codecomp(d) == texts
 
 
+def test_laws_read_once_every_table_fits():
+    # a diagram with a table that does not fit its sizes gets only the
+    # texts that name such tables, whatever laws its other C-sets break
+    swapped = ((2, 1), ((1, 0), ident(1), (0, 0)))  # a swap as id of 0
+    long_arrow = ((2, 1), (ident(2), ident(1), (0, 0, 0)))
+    misfit_vertex = cset_diagram(FinCat.walking_arrow(), SimpleGraph(2, []),
+                                 [long_arrow, swapped], [], [])
+    assert validate_cset_codecomp(misfit_vertex) == [
+        "vertex 0: action of morphism 2: wrong source size"]
+    leg = (ident(2), ident(1))
+    misfit_edge = cset_diagram(FinCat.walking_arrow(), _EDGE,
+                               [swapped, _ONTO_POINT], [long_arrow],
+                               [(leg, leg)])
+    assert validate_cset_codecomp(misfit_edge) == [
+        "edge 0: action of morphism 2: wrong source size"]
+    # once every table fits, the law texts come a C-set at a time, the
+    # vertex C-sets first: its identities by object, then its composable
+    # pairs in order
+    swap = ((2,), ((1, 0), (1, 0)))
+    lawless = cset_diagram(cyclic_monoid(2), _EDGE,
+                           [((3,), (ident(3), (1, 2, 0))), swap], [swap],
+                           [(((0, 0, 0),), ((0, 0),))])
+    swap_texts = ["identity of object 0 does not act as identity"] + [
+        f"functoriality fails: action of comp[{g}][{f}]"
+        for g, f in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert validate_cset_codecomp(lawless) == (
+        ["vertex 0: functoriality fails: action of comp[1][1]"]
+        + [f"vertex 1: {p}" for p in swap_texts]
+        + [f"edge 0: {p}" for p in swap_texts])
+    for d in (misfit_vertex, misfit_edge, lawless):
+        assert not d._valid
+
+
 def walking_arrow_golden() -> CSetCoDecomposition:
     """Object-1 slice: the twisted four-cycle diagram.  Object-0 slice:
     singleton vertex sets with a mismatched edge, every map forced to be
@@ -330,7 +363,7 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
     from limsolve import jsonio
 
     calls = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0,
-             "_laws_hold": 0, "validate_fincat": 0}
+             "_law_problems": 0, "validate_fincat": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -350,19 +383,23 @@ def test_cset_inlim_plans_once_and_checks_sizes_once_per_slice(monkeypatch):
     def plain(d):
         return inlim(d).verdict
 
+    patched = set()
     for module in (limsolve.cset, limsolve.diagram, limsolve.solver):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
+                patched.add(name)
+    # a renamed function would count 0, which a loaded diagram expects
+    assert patched == set(calls)
 
     def planned(shape, sizes, laws=0):
         return {"_forest_plan": 1, "fvs_exact": int(not is_forest(shape)),
-                "size_problems": sizes, "_laws_hold": laws,
+                "size_problems": sizes, "_law_problems": laws,
                 "validate_fincat": laws}
 
     again = {"_forest_plan": 0, "fvs_exact": 0, "size_problems": 0,
-             "_laws_hold": 0, "validate_fincat": 0}
+             "_law_problems": 0, "validate_fincat": 0}
     d = walking_arrow_golden()
     assert solved(cset_inlim, d) == (True, planned(d.shape, 2, 1))
     assert solved(cset_inlim, d) == (True, again)
@@ -473,19 +510,33 @@ def test_cset_over_no_objects_is_empty(monkeypatch):
 
 
 def test_columnwise_action_check_agrees_with_the_per_cset_check():
-    # validate_cset_codecomp names action problems only when the
-    # all-at-once check fails, so it must fail exactly when some C-set's
-    # own check finds one
+    # _action_columns and _law_problems read every C-set at once, a column
+    # at a time: they must find what a brute-force check of each C-set's
+    # own tables finds, text for text, in C-set order
     rng = random.Random(13)
     cat = FinCat.walking_arrow()
     pairs = [(g, f, gf) for g, row in enumerate(cat.comp)
              for f, gf in enumerate(row) if gf != -1]
 
-    def held(actions, sizes):
-        # the all-at-once check: every table fits, then the actions are
-        # lawful
-        columns = _action_columns(cat, actions, sizes)
-        return columns is not None and _actions_lawful(cat, columns, sizes)
+    def brute(actions, sizes):
+        # None when some table does not fit its sizes; else each C-set's
+        # identities that are not range(size), then each pair whose
+        # composite's table is not the composite of the other two tables
+        texts = []
+        for x, tables in enumerate(actions):
+            size = [col[x] for col in sizes]
+            if not all(type(t) in (list, tuple) and len(t) == size[c0]
+                       and all(type(a) is int and 0 <= a < size[c1]
+                               for a in t)
+                       for t, c0, c1 in zip(tables, cat.src, cat.tgt)):
+                return None
+            texts += [f"vertex {x}: identity of object {o} does not act as "
+                      f"identity" for o, i in enumerate(cat.identity)
+                      if list(tables[i]) != list(range(size[o]))]
+            texts += [f"vertex {x}: functoriality fails: action of "
+                      f"comp[{g}][{f}]" for g, f, gf in pairs
+                      if list(tables[gf]) != [tables[g][t] for t in tables[f]]]
+        return texts
 
     seen = set()
     for _ in range(300):
@@ -497,19 +548,29 @@ def test_columnwise_action_check_agrees_with_the_per_cset_check():
         f = rng.randrange(cat.morphism_count)
         actions[x][f] = corrupt_table(rng, actions[x][f],
                                       sizes[cat.tgt[f]][x])
-        found = [p for i, tables in enumerate(actions)
-                 for p in _action_problems(cat, tables,
-                                           [col[i] for col in sizes], pairs)]
-        assert held(actions, sizes) == (not found)
-        seen.add(not found)
-    assert seen == {True, False}
+        want = brute(actions, sizes)
+        columns = _action_columns(cat, actions, sizes)
+        assert (columns is None) == (want is None)
+        # and the walk that names a table that does not fit finds one
+        assert (columns is None) == any(
+            _action_problems(cat, tables, [col[i] for col in sizes])
+            for i, tables in enumerate(actions))
+        if columns is not None:
+            got = _law_problems(cat, d.shape, d.slices, columns,
+                                _action_columns(cat, d.edge_actions, [
+                                    s.edge_size for s in d.slices]))
+            # lawful actions leave only the naturality squares to fail
+            assert got == want if want else all(
+                "naturality square" in p for p in got)
+        seen.add("misfit" if want is None else "lawless" if want else "lawful")
+    assert seen == {"misfit", "lawless", "lawful"}
     # a table that is no list or tuple fails both checks, not a TypeError
     actions = [list(tables) for tables in d.vertex_actions]
     for table in (5, None, "a", {0: 0}, range(1)):
         actions[0][2] = table
-        assert not held(actions, sizes)
-        assert _action_problems(cat, actions[0], [col[0] for col in sizes],
-                                pairs) == [
+        assert _action_columns(cat, actions, sizes) is None
+        assert brute(actions, sizes) is None
+        assert _action_problems(cat, actions[0], [col[0] for col in sizes]) == [
             "action of morphism 2: table is not a list or tuple"]
 
 
@@ -531,11 +592,67 @@ def test_columnwise_action_check_agrees_with_the_per_cset_check():
     # an endomorphism f of the one object with id after f = id
     (FinCat(1, (0, 0), (0, 0), (0,), ((0, 0), (1, 1))),
      "left identity law fails at morphism 1"),
+    # named, not a TypeError: ids and entries that are no int (bool
+    # included), and rows or columns that are no list or tuple
+    (FinCat(1, (0,), (0,), (0,), ((0.0,),)), "comp[0][0] is not an int"),
+    (FinCat(1, (0,), (0,), (0.0,), ((0,),)),
+     "identity of object 0 is not an int"),
+    (FinCat(1, (0,), (0,), (0,), (5,)),
+     "composition table must be morphisms x morphisms"),
+    (FinCat(1, (0,), (True,), (0,), ((0,),)),
+     "morphism 0: src/tgt is not an int"),
+    (FinCat(1.0, (0,), (0,), (0,), ((0,),)), "object count is not an int"),
+    (FinCat(1, 0, (0,), (0,), ((0,),)),
+     "src, tgt, identities and comp must be lists or tuples"),
 ], ids=["src-tgt-length", "src-tgt-range", "identity-count",
         "identity-endomorphism", "comp-shape", "comp-not-composable",
-        "comp-missing", "left-identity"])
+        "comp-missing", "left-identity", "comp-entry-float",
+        "identity-float", "comp-row-int", "tgt-bool", "object-count-float",
+        "src-int"])
 def test_validate_fincat_refusal_texts(cat, text):
     assert validate_fincat(cat) == [text]
+    assert not cat._valid
+
+
+def test_category_walked_once_per_load(monkeypatch):
+    # parse_fincat records the category it finds valid, so the loader of a
+    # C-set document over it, and cset_inlim, do not walk its composition
+    # table again; a hand-built category is walked by its first check
+    from limsolve import jsonio
+
+    reads = 0
+
+    class Counted(FinCat):
+        # counts the reads of comp: a walk of the table makes dozens, and
+        # a law check one per kind of C-set, to list the composable pairs
+        def __getattribute__(self, name):
+            nonlocal reads
+            reads += name == "comp"
+            return super().__getattribute__(name)
+
+    def fresh():
+        cat = FinCat.walking_arrow()
+        return Counted(cat.object_count, cat.src, cat.tgt, cat.identity,
+                       cat.comp)
+
+    validate_fincat(fresh())
+    walk, reads = reads, 0
+    cat_doc = jsonio.fincat_to_json(FinCat.walking_arrow())
+    doc = jsonio.cset_diagram_to_json(two_parallel_diagrams_example())
+    monkeypatch.setattr(jsonio, "FinCat", Counted)
+    cat = jsonio.parse_fincat(cat_doc)
+    assert type(cat) is Counted and cat._valid
+    loaded = jsonio.parse_cset_diagram(doc, cat)
+    assert loaded._valid
+    assert not cset_inlim(loaded).empty_limit
+    assert walk <= reads < 2 * walk
+    hand, reads = fresh(), 0
+    for _ in range(2):
+        d = cset_diagram(hand, _EDGE, [_ONTO_POINT] * 2, [_ONTO_POINT],
+                         [((ident(2), ident(1)), (ident(2), ident(1)))])
+        assert validate_cset_codecomp(d) == []
+    assert hand._valid
+    assert walk <= reads < 2 * walk
 
 
 def test_cset_constructor_refusals():
@@ -560,6 +677,14 @@ def test_validate_cset_codecomp_refusal_texts():
     assert validate_cset_codecomp(CSetCoDecomposition(
         broken, d.shape, d.slices, d.vertex_actions, d.edge_actions)) == [
         "category: composition table must be morphisms x morphisms"]
+    # a category entry that is no int is named by cset_inlim too, not a
+    # TypeError
+    with pytest.raises(ValueError) as err:
+        cset_inlim(CSetCoDecomposition(
+            FinCat(1, (0,), (0,), (0,), ((0.0,),)), d.shape, d.slices,
+            d.vertex_actions, d.edge_actions))
+    assert str(err.value) == ("invalid C-set diagram: category: comp[0][0] "
+                              "is not an int")
     actions = list(d.vertex_actions)
     for tables in ((), 5):
         actions[1] = tables
